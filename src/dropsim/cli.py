@@ -28,7 +28,7 @@ from .latency import (BernoulliNoise, BoundedLogNormalNoise, EmpiricalNoise,
                       read_trace_csv, simulated_delay_noise)
 from .simulate import (SimConfig, local_sgd_run, run_detailed, scale_sweep,
                        stats_to_json)
-from .threshold import TraceTensor, select_threshold
+from .threshold import TraceTensor, format_curve_csv, select_threshold
 from . import analytic, sgd
 
 __all__ = ["main"]
@@ -294,19 +294,14 @@ def _read_grid_file(path: str) -> np.ndarray:
 def cmd_select_threshold(args) -> int:
     try:
         tensor = read_trace_csv(args.trace)
+        comm = None if args.comm is None else read_comm_csv(args.comm)
     except (OSError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    if args.comm is not None:
-        try:
-            comm = read_comm_csv(args.comm)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
-        if comm.shape[0] != tensor.shape[0]:
-            raise ConfigError("comm.csv iteration count does not match the trace")
-    else:
+    if comm is None:
         print("warning: no communication-time file given, assuming T_c = 0",
               file=sys.stderr)
-        comm = np.zeros(tensor.shape[0])
+    elif comm.shape[0] != tensor.shape[0]:
+        raise ConfigError("comm.csv iteration count does not match the trace")
     grid = _read_grid_file(args.grid) if args.grid else None
 
     trace = TraceTensor(tensor, comm)
@@ -314,15 +309,7 @@ def cmd_select_threshold(args) -> int:
 
     out = _out_dir(args)
     stamp = f"trace={Path(args.trace).name} version={__version__}"
-    buf = io.StringIO()
-    buf.write(f"# {stamp}\n")
-    import csv as _csv
-
-    writer = _csv.writer(buf)
-    writer.writerow(["tau", "s_eff", "drop_rate", "step_speedup"])
-    for tau, s, dr, sp in result.curve:
-        writer.writerow([repr(tau), repr(s), repr(dr), repr(sp)])
-    _atomic_write_text(out / "curve.csv", buf.getvalue())
+    _atomic_write_text(out / "curve.csv", format_curve_csv(result, stamp))
     print(f"tau_star {result.tau_star!r} "
           f"s_eff {result.s_eff_at_tau_star():.6f}")
     return 0

@@ -9,9 +9,9 @@ integrates its censored moments numerically.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import integrate, special
@@ -400,86 +400,119 @@ def moments(model: WorkerLatencyModel) -> tuple[float, float]:
 TRACE_HEADER = ["iteration", "worker", "micro_batch", "latency_seconds"]
 COMM_HEADER = ["iteration", "T_c_seconds"]
 
+# Lines starting with one of these are skipped: '#' comments and empty lines.
+_SKIP = "#\n"
+
+
+def _data_lines(path) -> list:
+    """(physical line number, text) of every data row; rescans the file."""
+    with open(path) as fh:
+        return [(no, ln) for no, ln in enumerate(fh, 1) if ln[0] not in _SKIP][1:]
+
+
+def _reject_first(path, bad: np.ndarray, message) -> None:
+    """Raise `message(row)` at the physical line of the first row flagged in `bad`."""
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}:{_data_lines(path)[row][0]}: {message(row)}")
+
+
+def _parse_rows(path, header, dtype) -> np.ndarray:
+    """Data rows of a headed CSV file, parsed by numpy's C text reader."""
+    opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    with open(path) as fh:
+        lines = (ln for ln in fh if ln[0] not in _SKIP)
+        first = next(lines, None)
+        if first is None or [h.strip() for h in next(csv.reader([first]))] != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        row = next(lines, None)
+        if row is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            return np.loadtxt(itertools.chain([row], lines), **opts)
+        except ValueError:
+            pass
+    # Bisect for the first row numpy rejects: rows before lo parse and
+    # lines[lo:hi] holds one that does not.
+    lines = _data_lines(path)
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt([ln for _, ln in lines[lo:mid]], **opts)
+            lo = mid
+        except ValueError:
+            hi = mid
+    raise ValueError(f"{path}:{lines[lo][0]}: expected {','.join(header)} with "
+                     f"integer ids, got {lines[lo][1].rstrip()!r}")
+
+
+def _read_dense(path, header, valid, rule: str) -> np.ndarray:
+    """Array of a CSV's last column, indexed by its integer id columns.
+
+    Each id column must use exactly the ids 0..K-1, every id tuple must
+    appear exactly once, and every value must be finite and pass `valid`.
+    A row breaking a rule raises ValueError naming its physical line.
+    """
+    rows = _parse_rows(path, header, np.dtype(
+        [(h, np.int64) for h in header[:-1]] + [(header[-1], np.float64)]))
+    value = rows[header[-1]]
+    _reject_first(path, ~(valid(value) & (value < np.inf)),
+                  lambda r: f"{rule}, got {value[r]}")
+    ids = tuple(rows[h] for h in header[:-1])
+    for col, name in zip(ids, header):
+        # The ids are gap-free when no id exceeds the smallest missing one.
+        # An id at or past the row count always leaves a gap below it, so
+        # clipping there bounds the bincount.
+        seen = np.bincount(np.clip(col, 0, col.size), minlength=col.size)[:col.size]
+        gap = int(np.argmin(seen)) if seen.min() == 0 else col.size
+        _reject_first(path, (col < 0) | (col > gap),
+                      lambda r: f"{name} ids must run 0..K-1 without gaps, got {col[r]}")
+    shape = tuple(int(col.max()) + 1 for col in ids)
+    cells = math.prod(shape)
+    if cells > rows.size:
+        raise ValueError(f"{path}: {rows.size} rows cannot fill all "
+                         f"{'x'.join(map(str, shape))} ({', '.join(header[:-1])}) cells")
+    flat = np.ravel_multi_index(ids, shape)
+    # With no more cells than rows, a missing cell implies a repeated one.
+    if np.bincount(flat, minlength=cells).max() > 1:
+        repeat = np.ones(flat.size, dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        _reject_first(path, repeat, lambda r: "duplicate "
+                      + ", ".join(f"{h}={c[r]}" for h, c in zip(header, ids)))
+    out = np.empty(cells)
+    out[flat] = value
+    return out.reshape(shape)
+
+
+def _write_dense(path, header, values: np.ndarray, comment) -> None:
+    """One CSV row per element of `values`: its ids, then the repr of the value."""
+    if values.ndim != len(header) - 1:
+        raise ValueError(f"expected a {len(header) - 1}-d array for {','.join(header)}")
+    ids = itertools.product(*map(range, values.shape))  # C order, like ravel
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([*ix, repr(v)] for ix, v in zip(ids, values.ravel().tolist()))
+
 
 def read_trace_csv(path) -> np.ndarray:
-    """Read a latency trace into a full (I, N, M) tensor.
-
-    Rejects NaN and non-positive latencies and ragged tensors (every
-    (iteration, worker) pair must carry the same number of micro-batches).
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != TRACE_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(TRACE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            i, n, m = int(row[0]), int(row[1]), int(row[2])
-            lat = float(row[3])
-            if math.isnan(lat) or lat <= 0.0:
-                raise ValueError(f"{path}:{lineno}: latency must be positive, got {row[3]}")
-            rows.append((i, n, m, lat))
-    if not rows:
-        raise ValueError(f"{path}: empty trace")
-    its = sorted({r[0] for r in rows})
-    wks = sorted({r[1] for r in rows})
-    mbs = sorted({r[2] for r in rows})
-    tensor = np.full((len(its), len(wks), len(mbs)), np.nan)
-    i_ix = {v: k for k, v in enumerate(its)}
-    n_ix = {v: k for k, v in enumerate(wks)}
-    m_ix = {v: k for k, v in enumerate(mbs)}
-    for i, n, m, lat in rows:
-        tensor[i_ix[i], n_ix[n], m_ix[m]] = lat
-    if np.isnan(tensor).any():
-        raise ValueError(f"{path}: ragged trace, missing (iteration, worker, micro_batch) cells")
-    return tensor
+    """Read a latency trace into a full (I, N, M) tensor of latencies > 0."""
+    return _read_dense(path, TRACE_HEADER, lambda v: v > 0.0,
+                       "latency must be finite and > 0")
 
 
 def write_trace_csv(path, tensor: np.ndarray, comment: str | None = None) -> None:
-    tensor = np.asarray(tensor, dtype=float)
-    if tensor.ndim != 3:
-        raise ValueError("trace tensor must be (iterations, workers, micro_batches)")
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        ii, nn, mm = tensor.shape
-        for i in range(ii):
-            for n in range(nn):
-                for m in range(mm):
-                    writer.writerow([i, n, m, repr(float(tensor[i, n, m]))])
+    _write_dense(path, TRACE_HEADER, np.asarray(tensor, dtype=float), comment)
 
 
 def read_comm_csv(path) -> np.ndarray:
-    """Read per-iteration communication times (iteration, T_c_seconds)."""
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(row for row in fh if not row.startswith("#"))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != COMM_HEADER:
-            raise ValueError(f"{path}: expected header {','.join(COMM_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            tc = float(row[1])
-            if math.isnan(tc) or tc < 0.0:
-                raise ValueError(f"{path}:{lineno}: T_c must be >= 0, got {row[1]}")
-            out[int(row[0])] = tc
-    if not out:
-        raise ValueError(f"{path}: empty communication-time file")
-    return np.asarray([out[k] for k in sorted(out)], dtype=float)
+    """Read per-iteration communication times T_c >= 0, one per iteration."""
+    return _read_dense(path, COMM_HEADER, lambda v: v >= 0.0,
+                       "T_c must be finite and >= 0")
 
 
 def write_comm_csv(path, comm_times, comment: str | None = None) -> None:
-    with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(COMM_HEADER)
-        for i, tc in enumerate(np.asarray(comm_times, dtype=float)):
-            writer.writerow([i, repr(float(tc))])
+    _write_dense(path, COMM_HEADER, np.asarray(comm_times, dtype=float), comment)

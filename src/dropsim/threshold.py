@@ -9,6 +9,8 @@ threshold without further coordination.
 """
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,15 +22,12 @@ __all__ = [
     "select_threshold",
     "default_grid",
     "consensus_check",
+    "format_curve_csv",
     "write_curve_csv",
     "CURVE_HEADER",
 ]
 
 CURVE_HEADER = ["tau", "s_eff", "drop_rate", "step_speedup"]
-
-# Rows processed per block when counting completed micro-batches; keeps the
-# (rows, M, grid) comparison tensor bounded while staying vectorized.
-_COUNT_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -102,15 +101,19 @@ def default_grid(trace: TraceTensor) -> np.ndarray:
     return grid[grid > 0.0]
 
 
-def _counts_for_grid(cum_rows: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """#{m : cumulative < tau} per (row, grid point); rows are sorted in m."""
-    rows = cum_rows.shape[0]
-    out = np.empty((rows, grid.size), dtype=np.int64)
-    for start in range(0, rows, _COUNT_BLOCK):
-        blk = cum_rows[start:start + _COUNT_BLOCK]
-        out[start:start + _COUNT_BLOCK] = (
-            blk[:, :, None] < grid[None, None, :]).sum(axis=1)
-    return out
+def _mean_completed(cum: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Mean over workers of #{m : cumulative < tau}, per (iteration, tau).
+
+    A cumulative time c counts at grid point j exactly when j >= k, with k
+    the number of grid points <= c, so a histogram of k per iteration,
+    accumulated along the (ascending) grid, gives every count at once.
+    """
+    iters, n, _ = cum.shape
+    width = grid.size + 1
+    k = np.searchsorted(grid, cum, side="right")
+    k += np.arange(0, iters * width, width)[:, None, None]
+    hist = np.bincount(k.ravel(), minlength=iters * width).reshape(iters, width)
+    return np.cumsum(hist[:, :-1], axis=1) / n
 
 
 def select_threshold(trace: TraceTensor,
@@ -132,13 +135,12 @@ def select_threshold(trace: TraceTensor,
     if grid.size == 0:
         raise ValueError("threshold grid is empty")
 
-    iters, n, m = trace.shape
+    m = trace.shape[2]
     cum = np.cumsum(trace.latencies, axis=2)
     step_compute = cum[:, :, -1].max(axis=1)  # T_i
     step_base = step_compute + trace.comm_times
 
-    counts = _counts_for_grid(cum.reshape(iters * n, m), grid)
-    mean_completed = counts.reshape(iters, n, grid.size).mean(axis=1)  # (I, G)
+    mean_completed = _mean_completed(cum, grid)  # (I, G)
 
     denom = np.minimum(grid[None, :], step_compute[:, None]) + trace.comm_times[:, None]
     ratio = step_base[:, None] / denom  # per-iteration step speedup
@@ -183,14 +185,20 @@ def consensus_check(traces_per_worker, grid: Optional[np.ndarray] = None) -> boo
     return True
 
 
+def format_curve_csv(result: ThresholdSearchResult,
+                     comment: Optional[str] = None) -> str:
+    """The curve as CSV text: optional '# comment' line, header, one row per tau."""
+    buf = io.StringIO()
+    if comment:
+        buf.write(f"# {comment}\n")
+    writer = csv.writer(buf)
+    writer.writerow(CURVE_HEADER)
+    for row in result.curve:
+        writer.writerow([repr(v) for v in row])
+    return buf.getvalue()
+
+
 def write_curve_csv(path, result: ThresholdSearchResult,
                     comment: Optional[str] = None) -> None:
-    import csv
-
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for tau, s, dr, sp in result.curve:
-            writer.writerow([repr(tau), repr(s), repr(dr), repr(sp)])
+        fh.write(format_curve_csv(result, comment))

@@ -10,6 +10,7 @@ import pytest
 
 import dropsim as ds
 from dropsim import cli
+from dropsim.threshold import write_curve_csv
 
 
 def _write_json(path, doc):
@@ -176,6 +177,9 @@ class TestSelectThreshold:
         assert oracle.s_eff_at_tau_star() > 1.0
         lines = (tmp_path / "o" / "curve.csv").read_text().splitlines()
         assert lines[1] == "tau,s_eff,drop_rate,step_speedup"
+        library = tmp_path / "library.csv"
+        write_curve_csv(library, oracle, f"trace=trace.csv version={ds.__version__}")
+        assert (tmp_path / "o" / "curve.csv").read_bytes() == library.read_bytes()
 
     def test_missing_comm_warns_and_defaults(self, tmp_path, capsys):
         tensor = np.full((3, 2, 2), 0.4)
@@ -215,6 +219,44 @@ class TestSelectThreshold:
                        "--grid", str(grid), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert ":2: not a number" in capsys.readouterr().err
+
+
+_TRACE_ROWS = ["iteration,worker,micro_batch,latency_seconds",
+               "0,0,0,0.5", "0,0,1,0.5", "1,0,0,0.5", "1,0,1,0.5"]
+_COMM_ROWS = ["iteration,T_c_seconds", "0,0.1", "1,0.1"]
+
+
+def _replace_line(lines, lineno, text):
+    return lines[:lineno - 1] + [text] + lines[lineno:]
+
+
+@pytest.mark.parametrize("trace_lines, comm_lines, where", [
+    pytest.param(_replace_line(_TRACE_ROWS, 4, "1,w,0,0.5"), _COMM_ROWS,
+                 "trace.csv:4:", id="non-numeric-id"),
+    pytest.param(_replace_line(_TRACE_ROWS, 3, "0,0,1.0,0.5"), _COMM_ROWS,
+                 "trace.csv:3:", id="float-id"),
+    pytest.param(_replace_line(_TRACE_ROWS, 5, "1,0,1,inf"), _COMM_ROWS,
+                 "trace.csv:5:", id="inf-latency"),
+    pytest.param(_replace_line(_TRACE_ROWS, 5, "0,0,1,0.5"), _COMM_ROWS,
+                 "trace.csv:5:", id="duplicate-row"),
+    pytest.param(_TRACE_ROWS[:3] + ["2,0,0,0.5", "2,0,1,0.5"], _COMM_ROWS,
+                 "trace.csv:4:", id="id-gap"),
+    pytest.param(["# recorded trace", _TRACE_ROWS[0], "", _TRACE_ROWS[1], "# note",
+                  "0,0,1", *_TRACE_ROWS[3:]], _COMM_ROWS,
+                 "trace.csv:6:", id="bad-row-after-comment"),
+    pytest.param(_TRACE_ROWS, _COMM_ROWS[:2] + ["1"], "comm.csv:3:", id="short-comm-row"),
+    pytest.param(_TRACE_ROWS, _COMM_ROWS[:2] + ["5,0.1"], "comm.csv:3:",
+                 id="out-of-range-comm-id"),
+])
+def test_malformed_trace_input_exits_2_with_line(tmp_path, capsys, trace_lines,
+                                                 comm_lines, where):
+    trace, comm = tmp_path / "trace.csv", tmp_path / "comm.csv"
+    trace.write_text("\n".join(trace_lines) + "\n")
+    comm.write_text("\n".join(comm_lines) + "\n")
+    rc = cli.main(["select-threshold", "--trace", str(trace), "--comm", str(comm),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert where in capsys.readouterr().err
 
 
 class TestScaleSweep:

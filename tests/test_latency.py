@@ -2,6 +2,9 @@
 moments at 10^6 draws, the bounded heavy-tail delay, trace round-trips."""
 
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,6 +270,57 @@ class TestTraceCsv:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, tensor, comment="config_hash=abc")
         assert read_trace_csv(path).shape == (1, 2, 2)
+
+    @given(st.tuples(*[st.integers(min_value=1, max_value=3)] * 3), st.data(),
+           st.one_of(st.none(), st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                                        min_size=1, max_size=12)))
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_round_trip_bit_identical(self, shape, data, comment):
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        values = data.draw(st.lists(positive, min_size=math.prod(shape),
+                                    max_size=math.prod(shape)))
+        tensor = np.reshape(values, shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            write_trace_csv(path, tensor, comment=comment)
+            back = read_trace_csv(path)
+        assert back.shape == shape
+        assert np.array_equal(back.view(np.uint64), tensor.view(np.uint64))
+
+    @pytest.mark.parametrize("body, message", [
+        pytest.param("0,0,0,0.5\n-1,0,1,0.5\n",
+                     ":3: iteration ids must run 0..K-1 without gaps, got -1", id="negative-id"),
+        pytest.param("0,0,0,0.5\n0,0,1,0.5\n1000000000000000,0,0,0.5\n",
+                     ":4: iteration ids must run", id="huge-id"),
+        pytest.param("0,0,0,0.5\n\n# note\n0,0,0,0.25\n",
+                     ":5: duplicate iteration=0, worker=0, micro_batch=0", id="duplicate"),
+        pytest.param("0,0,0,0.5\n0,0,1,nan\n", ":3: latency must be finite and > 0",
+                     id="nan-latency"),
+        pytest.param("0,0,0,0.5\n \n", ":3: expected iteration,worker,micro_batch",
+                     id="whitespace-line"),
+        pytest.param("# only a comment\n", ": no data rows", id="no-rows"),
+    ])
+    def test_rejected_rows_name_their_line(self, tmp_path, body, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("iteration,worker,micro_batch,latency_seconds\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("body, message", [
+        pytest.param("0,0.5\n1,0.5\n0,0.5\n", ":4: duplicate iteration=0", id="duplicate"),
+        pytest.param("0,0.5\n1,inf\n", ":3: T_c must be finite and >= 0", id="inf"),
+        pytest.param("1,0.5\n", ":2: iteration ids must run", id="gap"),
+    ])
+    def test_comm_rejected_rows_name_their_line(self, tmp_path, body, message):
+        path = tmp_path / "comm.csv"
+        path.write_text("iteration,T_c_seconds\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}"):
+            read_comm_csv(path)
+
+    def test_comm_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "comm.csv"
+        path.write_text("iteration,T_c_seconds\n1,0.25\n0,0.5\n")
+        assert np.array_equal(read_comm_csv(path), [0.5, 0.25])
 
     def test_rejects_nonpositive_entries(self, tmp_path):
         path = tmp_path / "bad.csv"

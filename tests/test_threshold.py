@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropsim as ds
-from dropsim.threshold import write_curve_csv
+from dropsim.threshold import _mean_completed, write_curve_csv
 
 
 def _naive_curve(latencies, comm_times, grid):
@@ -203,6 +203,28 @@ def test_optimum_never_below_baseline(iters, n, m, seed):
     res = ds.select_threshold(trace)
     assert res.s_eff_at_tau_star() >= 1.0 - 1e-12
     assert res.tau_star in res.grid
+
+
+@st.composite
+def _cum_and_grid(draw):
+    iters, n, m = (draw(st.integers(min_value=1, max_value=k)) for k in (4, 5, 6))
+    # Dyadic latencies make cumulative times exact and often tied.
+    value = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
+                      st.floats(min_value=0.01, max_value=2.0))
+    lat = draw(st.lists(value, min_size=iters * n * m, max_size=iters * n * m))
+    cum = np.cumsum(np.reshape(lat, (iters, n, m)), axis=2)
+    observed = draw(st.lists(st.sampled_from(cum.ravel().tolist()), max_size=6))
+    others = draw(st.lists(st.floats(min_value=0.01, max_value=20.0), max_size=6))
+    edges = [0.5 * cum.min(), np.nextafter(cum.max(), np.inf), 2.0 * cum.max()]
+    return cum, np.unique(np.concatenate([observed, others, edges]))
+
+
+@given(_cum_and_grid())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_histogram_kernel_matches_brute_force(case):
+    cum, grid = case
+    brute = (cum[..., None] < grid).sum(axis=2).mean(axis=1)
+    assert np.array_equal(_mean_completed(cum, grid), brute)
 
 
 class TestConsensus:
