@@ -26,8 +26,8 @@ from .latency import (BernoulliNoise, BoundedLogNormalNoise, EmpiricalNoise,
                       ExponentialNoise, FleetSpec, GammaNoise, LogNormalNoise,
                       NoNoise, NormalNoise, WorkerLatencyModel, read_comm_csv,
                       read_trace_csv, simulated_delay_noise)
-from .simulate import (SimConfig, local_sgd_run, run_detailed, scale_sweep,
-                       stats_to_json)
+from .simulate import (SimConfig, iter_records_csv, local_sgd_run, run_detailed,
+                       scale_sweep, stats_to_json)
 from .threshold import TraceTensor, format_curve_csv, select_threshold
 from . import analytic, sgd
 
@@ -125,11 +125,12 @@ def _parse_fleet(doc: dict, where: str) -> FleetSpec:
         raise ConfigError(f"invalid fleet in {where}: {exc}") from exc
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the text chunks to path through a temporary file and a rename."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -233,8 +234,8 @@ def cmd_simulate(args) -> int:
                   "local_sgd_step_time": result.local_sgd_step_time,
                   "dropcompute_step_time": result.dropcompute_step_time,
                   "tau": result.tau}
-        _atomic_write_text(out / "summary.json",
-                           json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _atomic_write(out / "summary.json",
+                      [json.dumps(report, indent=2, sort_keys=True) + "\n"])
         print(f"local-sgd speedup {result.local_sgd_speedup:.4f}, "
               f"with threshold {result.dropcompute_speedup:.4f}")
         return 0
@@ -248,27 +249,13 @@ def cmd_simulate(args) -> int:
                        config.stop_at_accumulation_boundary)
     sim = run_detailed(config)
 
-    _write_records_atomic(out / "records.csv", sim.records, stamp)
+    _atomic_write(out / "records.csv", iter_records_csv(sim.records, stamp))
     summary = stats_to_json(sim.stats, config_hash=_config_hash(doc),
                             version=__version__)
-    _atomic_write_text(out / "summary.json", summary + "\n")
+    _atomic_write(out / "summary.json", [summary + "\n"])
     print(f"s_eff {sim.stats.s_eff:.4f}, drop rate {sim.stats.drop_rate:.4f}, "
           f"mean step {sim.stats.mean_step_drop:.4f}s")
     return 0
-
-
-def _write_records_atomic(path: Path, records, stamp: str) -> None:
-    import csv as _csv
-
-    buf = io.StringIO()
-    buf.write(f"# {stamp}\n")
-    writer = _csv.writer(buf)
-    writer.writerow(["iteration", "worker", "T_n", "stop_time", "completed"])
-    for rec in records:
-        for w in range(rec.compute_times.shape[0]):
-            writer.writerow([rec.iter_index, w, repr(float(rec.compute_times[w])),
-                             repr(float(rec.stop_times[w])), int(rec.completed[w])])
-    _atomic_write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +296,7 @@ def cmd_select_threshold(args) -> int:
 
     out = _out_dir(args)
     stamp = f"trace={Path(args.trace).name} version={__version__}"
-    _atomic_write_text(out / "curve.csv", format_curve_csv(result, stamp))
+    _atomic_write(out / "curve.csv", [format_curve_csv(result, stamp)])
     print(f"tau_star {result.tau_star!r} "
           f"s_eff {result.s_eff_at_tau_star():.6f}")
     return 0
@@ -367,7 +354,7 @@ def cmd_scale_sweep(args) -> int:
         writer.writerow([p.n_workers, repr(p.tau) if p.tau is not None else "",
                          repr(p.throughput_base), repr(p.throughput_drop),
                          repr(p.s_eff), repr(p.linear_ref), repr(s_analytic)])
-    _atomic_write_text(out / "sweep.csv", buf.getvalue())
+    _atomic_write(out / "sweep.csv", [buf.getvalue()])
     print(f"swept {len(points)} fleet sizes, "
           f"s_eff range [{min(p.s_eff for p in points):.4f}, "
           f"{max(p.s_eff for p in points):.4f}]")
@@ -472,8 +459,8 @@ def cmd_sgd_bench(args) -> int:
     report = {"config_hash": _config_hash(doc), "version": __version__,
               "results": body}
     out = _out_dir(args)
-    _atomic_write_text(out / "report.json",
-                       json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out / "report.json",
+                  [json.dumps(report, indent=2, sort_keys=True) + "\n"])
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -260,6 +260,8 @@ class EmpiricalNoise(NoiseSpec):
     """Uniform resampling with replacement from recorded values."""
 
     samples: tuple
+    # The samples as a read-only array, built once; not part of the value.
+    _values: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.samples) == 0:
@@ -267,25 +269,23 @@ class EmpiricalNoise(NoiseSpec):
         arr = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("EmpiricalNoise samples must be finite")
-        object.__setattr__(self, "samples", tuple(float(s) for s in arr))
-
-    def _array(self):
-        return np.asarray(self.samples)
+        arr.flags.writeable = False
+        object.__setattr__(self, "samples", tuple(arr.tolist()))
+        object.__setattr__(self, "_values", arr)
 
     def sample(self, rng, size=None):
-        arr = self._array()
-        idx = as_generator(rng).integers(0, arr.size, size)
-        out = arr[idx]
+        idx = as_generator(rng).integers(0, self._values.size, size)
+        out = self._values[idx]
         return float(out) if size is None else out
 
     def mean(self):
-        return float(self._array().mean())
+        return float(self._values.mean())
 
     def variance(self):
-        return float(self._array().var())
+        return float(self._values.var())
 
     def cdf(self, x):
-        return float(np.count_nonzero(self._array() <= x) / len(self.samples))
+        return float(np.count_nonzero(self._values <= x) / self._values.size)
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -326,11 +326,15 @@ class WorkerLatencyModel:
 
     def sample(self, rng, size=None):
         eps = self.noise.sample(rng, size)
-        t = self.base_mean + self._noise_scale() * eps
-        floor = POSITIVE_FLOOR_FRACTION * self.base_mean
         if size is None:
-            return float(max(t, floor))
-        return np.maximum(t, floor)
+            t = self.base_mean + self._noise_scale() * eps
+            return float(max(t, POSITIVE_FLOOR_FRACTION * self.base_mean))
+        return self.times(eps)
+
+    def times(self, eps: np.ndarray, out=None) -> np.ndarray:
+        """Micro-batch times for an array of noise draws, as `sample` maps them."""
+        t = self.base_mean + self._noise_scale() * eps
+        return np.maximum(t, POSITIVE_FLOOR_FRACTION * self.base_mean, out=out)
 
     def moments(self) -> tuple[float, float]:
         """Analytic (mean, variance) of the micro-batch time.

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy import optimize
 
-from .simulate import SimConfig, simulate_iteration
+from .simulate import SimConfig, simulate_block
 from .stats import RngStream
 
 __all__ = [
@@ -298,12 +298,10 @@ class BatchSchedule:
         if self.kind == "per_worker_bernoulli":
             kept = gen.binomial(self.n_workers, 1.0 - self.p_drop, n_runs)
             return kept * (self.b_max // self.n_workers)
+        # Run r's step is iteration 0 of stream rng.derive(step, r).
         per_micro = self.b_max // (self.sim.fleet.n * self.sim.m_per_step)
-        out = np.empty(n_runs, dtype=np.int64)
-        for run in range(n_runs):
-            rec = simulate_iteration(self.sim, 0, rng=rng.derive(step, run))
-            out[run] = per_micro * int(rec.completed.sum())
-        return out
+        block = simulate_block(self.sim, rng, step, np.arange(n_runs), 0)
+        return per_micro * block.completed.sum(axis=1)
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,15 @@ Gradient numerics live in the sgd module; this module is timing only.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .latency import FleetSpec, WorkerLatencyModel
-from .stats import RngStream
+from .latency import FleetSpec
+from .stats import RngStream, StreamGenerator, philox_generator
 
 __all__ = [
     "SimConfig",
@@ -29,17 +29,21 @@ __all__ = [
     "SimRun",
     "LocalSgdResult",
     "SweepPoint",
+    "IterationBlock",
+    "simulate_block",
     "simulate_iteration",
     "run",
     "run_detailed",
     "run_from_trace",
     "scale_sweep",
     "local_sgd_run",
+    "iter_records_csv",
     "write_records_csv",
     "stats_to_json",
 ]
 
 RECORDS_HEADER = ["iteration", "worker", "T_n", "stop_time", "completed"]
+_RECORDS_CHUNK = 32  # iterations per text chunk of a records CSV
 
 
 @dataclass(frozen=True)
@@ -133,76 +137,141 @@ class SweepPoint:
     mean_step_drop: float
 
 
-def _draw_iteration_times(config: SimConfig, iter_index: int, root: RngStream) -> np.ndarray:
-    """Sample the (N, M) micro-batch latency matrix for one iteration.
+# ---------------------------------------------------------------------------
+# The block engine. Every simulation path draws and evaluates (B, N, M)
+# blocks of iterations. Each iteration draws from its own stream address
+# (each worker of a mixed fleet from its own), and run totals are added in
+# iteration order, so no output depends on the block size or thread count.
+# ---------------------------------------------------------------------------
 
-    Draws are addressed by iteration index (and worker index for mixed
-    fleets) so results do not depend on evaluation order or thread count.
+# Latency samples per block; bounds the engine's temporaries to a few MB.
+_BLOCK_SAMPLES = 1 << 16
+
+
+def _block_len(n: int, m: int) -> int:
+    return max(1, _BLOCK_SAMPLES // (n * m))
+
+
+def _model_groups(workers) -> list:
+    """(model, worker indices) for each distinct latency model, in first-seen order."""
+    groups = []
+    for w, model in enumerate(workers):
+        for rep, members in groups:
+            if model is rep or model == rep:
+                members.append(w)
+                break
+        else:
+            groups.append((model, [w]))
+    return groups
+
+
+class _Sampler:
+    """Draws latency blocks for one fleet from addressed streams.
+
+    Iteration k of a block draws its (N, M) matrix from stream ids[k] of a
+    homogeneous fleet; worker n of a mixed fleet draws its M micro-batches
+    from stream ids[k, n]. `at` maps a stream id to a generator positioned
+    at the start of that stream.
     """
-    fleet, m = config.fleet, config.m_per_step
-    if fleet.is_homogeneous:
-        gen = root.derive(iter_index).generator()
-        return fleet.workers[0].sample(gen, (fleet.n, m))
-    out = np.empty((fleet.n, m))
-    for n, model in enumerate(fleet.workers):
-        out[n] = model.sample(root.derive(iter_index, n).generator(), m)
-    return out
+
+    def __init__(self, config: SimConfig, at):
+        self.n, self.m, self.at = config.fleet.n, config.m_per_step, at
+        self.workers = config.fleet.workers
+        self.mixed = not config.fleet.is_homogeneous
+
+    def stream_ids(self, rng: RngStream, indices) -> np.ndarray:
+        """Ids of rng.derive(*ix) over the broadcast indices ix; a mixed fleet appends the worker."""
+        if not self.mixed:
+            return np.atleast_1d(rng.derive_ids(*indices))
+        return rng.derive_ids(*(np.atleast_1d(ix)[:, None] for ix in indices),
+                              np.arange(self.n))
+
+    def draw(self, ids: np.ndarray, out=None) -> np.ndarray:
+        eps = np.empty((ids.shape[0], self.n, self.m))
+        if not self.mixed:
+            model = self.workers[0]
+            for k, sid in enumerate(ids.tolist()):
+                eps[k] = model.noise.sample(self.at(sid), (self.n, self.m))
+            return model.times(eps, out)
+        for k, row in enumerate(ids.tolist()):
+            for w, sid in enumerate(row):
+                eps[k, w] = self.workers[w].noise.sample(self.at(sid), self.m)
+        out = np.empty_like(eps) if out is None else out
+        for model, members in _model_groups(self.workers):
+            out[:, members] = model.times(eps[:, members])
+        return out
 
 
-def _evaluate_times(times: np.ndarray, tau: Optional[float], t_comm: float,
-                    stop_at_boundary: bool) -> tuple:
-    """Core threshold semantics for one iteration's (N, M) latency matrix.
+class IterationBlock(NamedTuple):
+    """Threshold outcome of B iterations; row k holds one IterationRecord's fields."""
 
-    Returns (compute_times, stop_times, completed, step_base, step_drop, s_eff).
+    compute_times: np.ndarray  # (B, N)
+    stop_times: np.ndarray  # (B, N)
+    completed: np.ndarray  # (B, N)
+    step_base: np.ndarray  # (B,)
+    step_drop: np.ndarray  # (B,)
+    mean_completed: np.ndarray  # (B,) per worker
+    s_eff: np.ndarray  # (B,)
+
+    def record(self, k: int, iter_index: int) -> IterationRecord:
+        return IterationRecord(iter_index, self.compute_times[k], self.stop_times[k],
+                               self.completed[k], float(self.step_base[k]),
+                               float(self.step_drop[k]), float(self.s_eff[k]))
+
+
+def _evaluate(times: np.ndarray, tau: Optional[float], t_comm,
+              stop_at_boundary: bool) -> IterationBlock:
+    """Threshold semantics for a (B, N, M) block of latency matrices.
+
     Micro-batch m counts iff its cumulative finish time is strictly below
-    tau; equality drops the batch.
+    tau; equality drops the batch. t_comm is a scalar or one value per
+    iteration.
     """
-    n, m = times.shape
-    cum = np.cumsum(times, axis=1)
-    compute_times = cum[:, -1]
-    step_base = float(compute_times.max() + t_comm)
+    b, n, m = times.shape
+    cum = np.add.accumulate(times, axis=2)  # np.cumsum, minus its call overhead
+    compute = cum[:, :, -1].copy()  # not a view: records must not pin cum
+    step_base = compute.max(axis=1) + t_comm
     if tau is None:
-        completed = np.full(n, m)
-        stop_times = compute_times.copy()
-        return compute_times, stop_times, completed, step_base, step_base, 1.0
-    completed = np.count_nonzero(cum < tau, axis=1)
+        return IterationBlock(compute, compute.copy(), np.full((b, n), m), step_base,
+                              step_base, np.full(b, float(m)), np.ones(b))
+    completed = (cum < tau).sum(axis=2)
     if stop_at_boundary:
         # Worker leaves at the last counted accumulation boundary.
-        stop_times = np.where(completed > 0,
-                              cum[np.arange(n), np.maximum(completed - 1, 0)], 0.0)
+        last = np.maximum(completed - 1, 0)[:, :, None]
+        stop = np.where(completed > 0, np.take_along_axis(cum, last, axis=2)[:, :, 0], 0.0)
     else:
-        stop_times = np.minimum(tau, compute_times)
-    step_drop = float(stop_times.max() + t_comm)
-    mean_completed = float(completed.mean())
-    if step_drop <= 0.0 or mean_completed == 0.0:
-        s_eff = 0.0
-    else:
-        s_eff = (step_base / step_drop) * (mean_completed / m)
-    return compute_times, stop_times, completed, step_base, step_drop, s_eff
+        stop = np.minimum(tau, compute)
+    step_drop = stop.max(axis=1) + t_comm
+    mean_completed = completed.sum(axis=1) / n  # integer sum: exact, as mean() is
+    idle = (step_drop <= 0.0) | (mean_completed == 0.0)
+    s_eff = step_base / np.where(idle, 1.0, step_drop) * (mean_completed / m)
+    s_eff[idle] = 0.0
+    return IterationBlock(compute, stop, completed, step_base, step_drop,
+                          mean_completed, s_eff)
 
 
-def simulate_iteration(config: SimConfig, iter_index: int,
-                       rng: Optional[RngStream] = None) -> IterationRecord:
-    """Simulate one synchronous iteration and return its record."""
-    root = rng if rng is not None else RngStream(config.seed, 0)
-    times = _draw_iteration_times(config, iter_index, root)
-    ct, st, comp, sb, sd, s = _evaluate_times(
-        times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
-    return IterationRecord(iter_index, ct, st, comp, sb, sd, s)
+def _add_in_order(totals: np.ndarray, block: IterationBlock) -> np.ndarray:
+    """totals + each iteration's (step_base, step_drop, mean_completed, s_eff),
+    added one iteration at a time; np.sum would add pairwise and change bits."""
+    rows = np.column_stack([block.step_base, block.step_drop, block.mean_completed,
+                            block.s_eff])
+    return np.cumsum(np.vstack([totals, rows]), axis=0)[-1]
 
 
-def _aggregate(records_iter, n_workers: int, m: int, tau, iterations: int) -> RunStats:
-    sum_base = sum_drop = sum_completed = sum_seff = 0.0
-    for rec in records_iter:
-        sum_base += rec.step_base
-        sum_drop += rec.step_drop
-        sum_completed += float(rec.completed.mean())
-        sum_seff += rec.s_eff
+def _fold(blocks, n: int, m: int, tau, iterations: int, keep: bool) -> tuple:
+    """RunStats over (first iteration, IterationBlock) pairs, plus records if kept."""
+    totals = np.zeros(4)
+    records = []
+    for first, block in blocks:
+        totals = _add_in_order(totals, block)
+        if keep:
+            records.extend(block.record(k, first + k) for k in range(len(block.s_eff)))
+    sum_base, sum_drop, sum_completed, sum_seff = totals.tolist()
     mean_base = sum_base / iterations
     mean_drop = sum_drop / iterations
     mean_completed = sum_completed / iterations
-    return RunStats(
-        n_workers=n_workers,
+    stats = RunStats(
+        n_workers=n,
         m_per_step=m,
         iterations=iterations,
         tau=tau,
@@ -211,17 +280,56 @@ def _aggregate(records_iter, n_workers: int, m: int, tau, iterations: int) -> Ru
         mean_completed=mean_completed,
         drop_rate=1.0 - mean_completed / m,
         s_eff=sum_seff / iterations,
-        throughput=n_workers * mean_completed / mean_drop,
-        throughput_base=n_workers * m / mean_base,
+        throughput=n * mean_completed / mean_drop,
+        throughput_base=n * m / mean_base,
     )
+    return stats, tuple(records)
+
+
+def _simulated_blocks(config: SimConfig, root: RngStream, trace=None):
+    """(first iteration, IterationBlock) over config.iterations, iteration i
+    drawn from root.derive(i); the latencies go into trace when given."""
+    sampler = _Sampler(config, StreamGenerator(root.seed).at)
+    step = _block_len(config.fleet.n, config.m_per_step)
+    for first in range(0, config.iterations, step):
+        last = min(first + step, config.iterations)
+        ids = sampler.stream_ids(root, (np.arange(first, last),))
+        times = sampler.draw(ids, None if trace is None else trace[first:last])
+        yield first, _evaluate(times, config.tau, config.t_comm,
+                               config.stop_at_accumulation_boundary)
+
+
+def simulate_block(config: SimConfig, rng: RngStream, *indices) -> IterationBlock:
+    """Iterations drawn from the streams rng.derive(*ix), one per element ix
+    of the broadcast index arrays (a mixed fleet's worker n from
+    rng.derive(*ix, n)). simulate_iteration(config, i, rng) is row 0 of
+    simulate_block(config, rng, i)."""
+    sampler = _Sampler(config, StreamGenerator(rng.seed).at)
+    times = sampler.draw(sampler.stream_ids(rng, indices))
+    return _evaluate(times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
+
+
+def simulate_iteration(config: SimConfig, iter_index: int,
+                       rng: Optional[RngStream] = None) -> IterationRecord:
+    """Simulate one synchronous iteration and return its record."""
+    root = rng if rng is not None else RngStream(config.seed, 0)
+    # One stream per worker at most: fresh generators and scalar derives
+    # cost less here than the block path's vector set-up.
+    sampler = _Sampler(config, lambda sid: philox_generator(root.seed, sid))
+    if sampler.mixed:
+        ids = [[root.derive(iter_index, w).stream_id for w in range(sampler.n)]]
+    else:
+        ids = [root.derive(iter_index).stream_id]
+    times = sampler.draw(np.array(ids, dtype=np.uint64))
+    block = _evaluate(times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
+    return block.record(0, iter_index)
 
 
 def run(config: SimConfig, rng: Optional[RngStream] = None) -> RunStats:
-    """Run all iterations and aggregate; O(1) memory in the iteration count."""
+    """Run all iterations and aggregate; memory does not grow with the iteration count."""
     root = rng if rng is not None else RngStream(config.seed, 0)
-    recs = (simulate_iteration(config, i, root) for i in range(config.iterations))
-    return _aggregate(recs, config.fleet.n, config.m_per_step, config.tau,
-                      config.iterations)
+    return _fold(_simulated_blocks(config, root), config.fleet.n, config.m_per_step,
+                 config.tau, config.iterations, keep=False)[0]
 
 
 def run_detailed(config: SimConfig, rng: Optional[RngStream] = None) -> SimRun:
@@ -231,18 +339,10 @@ def run_detailed(config: SimConfig, rng: Optional[RngStream] = None) -> SimRun:
     Memory scales with I*N*M; use run() for large sweeps.
     """
     root = rng if rng is not None else RngStream(config.seed, 0)
-    records = []
     trace = np.empty((config.iterations, config.fleet.n, config.m_per_step))
-    for i in range(config.iterations):
-        times = _draw_iteration_times(config, i, root)
-        trace[i] = times
-        ct, st, comp, sb, sd, s = _evaluate_times(
-            times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
-        records.append(IterationRecord(i, ct, st, comp, sb, sd, s))
-    stats = _aggregate(records, config.fleet.n, config.m_per_step, config.tau,
-                       config.iterations)
-    comm = np.full(config.iterations, config.t_comm)
-    return SimRun(stats, tuple(records), trace, comm)
+    stats, records = _fold(_simulated_blocks(config, root, trace), config.fleet.n,
+                           config.m_per_step, config.tau, config.iterations, keep=True)
+    return SimRun(stats, records, trace, np.full(config.iterations, config.t_comm))
 
 
 def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
@@ -256,14 +356,13 @@ def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
     if trace.ndim != 3:
         raise ValueError("trace must be (iterations, workers, micro_batches)")
     iterations, n, m = trace.shape
-    comm = np.broadcast_to(np.asarray(comm_times, dtype=float), (iterations,))
-    records = []
-    for i in range(iterations):
-        ct, st, comp, sb, sd, s = _evaluate_times(
-            trace[i], tau, float(comm[i]), stop_at_accumulation_boundary)
-        records.append(IterationRecord(i, ct, st, comp, sb, sd, s))
-    stats = _aggregate(records, n, m, tau, iterations)
-    return SimRun(stats, tuple(records), trace, np.array(comm))
+    comm = np.array(np.broadcast_to(np.asarray(comm_times, dtype=float), (iterations,)))
+    step = _block_len(n, m)
+    blocks = ((first, _evaluate(trace[first:first + step], tau, comm[first:first + step],
+                                stop_at_accumulation_boundary))
+              for first in range(0, iterations, step))
+    stats, records = _fold(blocks, n, m, tau, iterations, keep=True)
+    return SimRun(stats, records, trace, comm)
 
 
 def _sweep_point_stats(template: SimConfig, n: int, tau_policy,
@@ -410,17 +509,33 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
     )
 
 
+def iter_records_csv(records, comment: Optional[str] = None):
+    """Text of a records CSV, a few iterations per chunk.
+
+    An optional ``# comment`` line, the header iteration,worker,T_n,stop_time,
+    completed, then one row per worker and iteration: the csv module's
+    ``\r\n`` line ends and the repr of each time, so floats round-trip.
+    """
+    if comment:
+        yield f"# {comment}\n"
+    yield ",".join(RECORDS_HEADER) + "\r\n"
+    records = iter(records)
+    while chunk := list(itertools.islice(records, _RECORDS_CHUNK)):
+        iters = [r.iter_index for r in chunk for _ in range(r.compute_times.shape[0])]
+        workers = [w for r in chunk for w in range(r.compute_times.shape[0])]
+        cols = (np.concatenate([r.compute_times for r in chunk]).tolist(),
+                np.concatenate([r.stop_times for r in chunk]).tolist(),
+                np.concatenate([r.completed for r in chunk]).astype(np.int64).tolist())
+        # Workers that finish under tau stop at T_n: reuse its repr (zero
+        # excluded, since -0.0 == 0.0 but their reprs differ).
+        yield "".join([f"{i},{w},{(tr := repr(t))},{tr if s == t and t else repr(s)},{c}\r\n"
+                       for i, w, t, s, c in zip(iters, workers, *cols)])
+
+
 def write_records_csv(path, records, comment: Optional[str] = None) -> None:
     """Per-iteration, per-worker records: iteration,worker,T_n,stop_time,completed."""
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(RECORDS_HEADER)
-        for rec in records:
-            for w in range(rec.compute_times.shape[0]):
-                writer.writerow([rec.iter_index, w, repr(float(rec.compute_times[w])),
-                                 repr(float(rec.stop_times[w])), int(rec.completed[w])])
+        fh.writelines(iter_records_csv(records, comment))
 
 
 def stats_to_json(stats: RunStats, **extra) -> str:

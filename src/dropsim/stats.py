@@ -11,12 +11,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy import special
 
 __all__ = [
     "EULER_GAMMA",
     "EmpiricalCdf",
     "RngStream",
+    "StreamGenerator",
+    "philox_generator",
     "phi_cdf",
     "phi_inv",
     "phi_pdf",
@@ -38,6 +41,20 @@ def _splitmix64(x: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
+
+
+_SM_GAMMA, _SM_MUL1, _SM_MUL2 = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB], dtype=np.uint64)
+_SM_SHIFTS = np.array([30, 27, 31], dtype=np.uint64)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_splitmix64` elementwise on uint64 arrays, which wrap mod 2**64."""
+    s1, s2, s3 = _SM_SHIFTS
+    z = x + _SM_GAMMA
+    z = (z ^ (z >> s1)) * _SM_MUL1
+    z = (z ^ (z >> s2)) * _SM_MUL2
+    return z ^ (z >> s3)
 
 
 @dataclass(frozen=True)
@@ -69,10 +86,69 @@ class RngStream:
             sid = _splitmix64(sid ^ _splitmix64(int(ix) & _MASK64))
         return RngStream(self.seed, sid)
 
+    def derive_ids(self, *indices) -> np.ndarray:
+        """Stream ids of ``derive(*ix)`` for every element of the broadcast index arrays.
+
+        ``derive_ids(i)[k] == derive(i[k]).stream_id``, computed for all
+        elements at once in uint64 arithmetic.
+        """
+        shape = np.broadcast_shapes(*(np.shape(ix) for ix in indices))
+        # At least 1-d: numpy warns on 0-d overflow, where arrays wrap silently.
+        sid = np.full(1, self.stream_id, dtype=np.uint64)
+        for ix in indices:
+            ix = np.atleast_1d(np.asarray(ix).astype(np.uint64))
+            sid = _splitmix64_array(sid ^ _splitmix64_array(ix))
+        return sid.reshape(shape)
+
     def generator(self) -> np.random.Generator:
         """Fresh stateful generator positioned at the start of this stream."""
-        key = self.seed | (self.stream_id << 64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return philox_generator(self.seed, self.stream_id)
+
+
+class _PhiloxKey(ISeedSequence):
+    """Hands Philox its 128-bit key verbatim.
+
+    ``Philox(_PhiloxKey(seed, stream_id))`` is ``Philox(key=seed | stream_id << 64)``
+    without the OS entropy that a key-only Philox gathers for a seed
+    sequence and then discards.
+    """
+
+    def __init__(self, seed: int, stream_id: int):
+        self.words = (seed, stream_id)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise TypeError(f"_PhiloxKey holds 2 uint64 key words, not {n_words} {dtype}")
+        return np.array(self.words, dtype=np.uint64)
+
+
+def philox_generator(seed: int, stream_id: int) -> np.random.Generator:
+    """Fresh generator at the start of stream (seed, stream_id), both in [0, 2**64)."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream_id)))
+
+
+class StreamGenerator:
+    """One generator that can be moved to the start of any stream of a seed.
+
+    ``at(stream_id)`` repositions the same generator at the start of stream
+    ``(seed, stream_id)``, so that it draws exactly what
+    ``RngStream(seed, stream_id).generator()`` draws, at a fraction of the
+    cost of building a new one. Every call invalidates the generator the
+    previous call returned; a task that runs concurrently with others needs
+    its own instance.
+    """
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(_PhiloxKey(int(seed) & _MASK64, 0))
+        self._gen = np.random.Generator(self._bitgen)
+        # A fresh Philox: counter 0, empty output buffer, no cached 32-bit half.
+        self._state = self._bitgen.state
+        self._key = self._state["state"]["key"]  # [seed, stream_id]
+
+    def at(self, stream_id: int) -> np.random.Generator:
+        self._key[1] = stream_id
+        self._bitgen.state = self._state
+        return self._gen
 
 
 def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:

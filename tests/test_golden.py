@@ -1,0 +1,77 @@
+"""Golden digests of outputs for fixed seeds.
+
+Each digest was recorded before the simulator moved from per-iteration
+loops to the block engine, and the engine reproduced every one. They pin
+the mapping from seeds to random draws: a change that alters any of them
+changes which numbers a seed produces, and has to say so.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+import dropsim as ds
+from dropsim import cli
+
+
+def _sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else str(part).encode())
+    return h.hexdigest()
+
+
+def _mixed_fleet():
+    fast = ds.WorkerLatencyModel(0.5, ds.NormalNoise(0.0, 0.05))
+    slow = ds.WorkerLatencyModel(1.0, ds.simulated_delay_noise(), "additive_scaled_by_mean")
+    emp = ds.WorkerLatencyModel(0.6, ds.EmpiricalNoise((-0.1, 0.0, 0.05, 0.2)))
+    return ds.FleetSpec((fast, slow, fast, emp, fast))
+
+
+def test_cli_simulate_fixed_tau(tmp_path, capsys):
+    doc = {"fleet": {"workers": 6, "base_mean": 1.0,
+                     "noise": {"kind": "lognormal", "log_mean": -2.0, "log_std": 0.5}},
+           "m_per_step": 4, "t_comm": 0.3, "tau": 4.4, "iterations": 70, "seed": 11}
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--config", str(tmp_path / "s.json"), "--out", str(out)]) == 0
+    assert _sha((out / "records.csv").read_bytes(), (out / "summary.json").read_bytes()) == \
+        "888b1a318648900bca52e3b07af90b931aca0a151494c892a28c4d77a1055ecd"
+
+
+def test_cli_scale_sweep(tmp_path, capsys):
+    doc = {"fleet": {"workers": 2, "base_mean": 1.0,
+                     "noise": {"kind": "normal", "loc": 0.2, "std": 0.2}},
+           "m_per_step": 5, "t_comm": 0.4, "tau": "auto", "iterations": 40,
+           "warmup_iterations": 25, "seed": 23, "n_list": [3, 9, 27]}
+    (tmp_path / "w.json").write_text(json.dumps(doc))
+    out = tmp_path / "w"
+    assert cli.main(["scale-sweep", "--config", str(tmp_path / "w.json"),
+                     "--out", str(out)]) == 0
+    assert _sha((out / "sweep.csv").read_bytes()) == \
+        "8bbfbe06e1a1fbe242796eb0f0ec65d54a2f37a763c02a4888262df2972d580f"
+
+
+def test_mixed_fleet_run_detailed():
+    want = {False: "cb59c10962744fecc9d09deeab870e472779a9b308f18646e64cb2b7e0b132b1",
+            True: "98c778edf706e5050c661c803c88515cc7d557bd3fb7682df6f3b5bb4f370782"}
+    for boundary, digest in want.items():
+        sim = ds.run_detailed(ds.SimConfig(_mixed_fleet(), 3, 0.1, 2.2, 45, 31, boundary))
+        rows = [np.concatenate([r.compute_times, r.stop_times, r.completed.astype(float),
+                                [r.step_base, r.step_drop, r.s_eff]]).tobytes()
+                for r in sim.records]
+        assert _sha(sim.trace.tobytes(), repr(sim.stats), *rows) == digest
+
+
+def test_timing_driven_schedule_draws():
+    model = ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(-2.0, 0.5))
+    sim = ds.SimConfig(ds.FleetSpec.homogeneous(4, model), 3, 0.5, 3.6, 1, 5)
+    schedule = ds.BatchSchedule(96, kind="timing_driven", sim=sim)
+    rng = ds.RngStream(41, 4)
+    assert _sha(*[schedule.draw(step, 12, None, rng).tobytes() for step in range(25)]) == \
+        "e024563d3eef99565d3bbda261211afb83a795c38d87a22a2741b28ca4c3f03c"
+    mixed = ds.BatchSchedule(30, kind="timing_driven",
+                             sim=ds.SimConfig(_mixed_fleet(), 3, 0.1, 2.2, 1, 5))
+    assert _sha(*[mixed.draw(step, 7, None, rng).tobytes() for step in range(10)]) == \
+        "a70fa2fc4866267778202432a053474d775f0c4831b98bc893236ec0ca0abc9f"
