@@ -11,9 +11,11 @@ sweep point draws from its own derived random stream.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -26,8 +28,8 @@ from .latency import (BernoulliNoise, BoundedLogNormalNoise, EmpiricalNoise,
                       ExponentialNoise, FleetSpec, GammaNoise, LogNormalNoise,
                       NoNoise, NormalNoise, WorkerLatencyModel, read_comm_csv,
                       read_trace_csv, simulated_delay_noise)
-from .simulate import (SimConfig, iter_records_csv, local_sgd_run, run_detailed,
-                       scale_sweep, stats_to_json)
+from .simulate import (SimConfig, auto_tau, iter_records_csv, local_sgd_run,
+                       run_detailed, scale_sweep, stats_to_json)
 from .threshold import TraceTensor, format_curve_csv, select_threshold
 from . import analytic, sgd
 
@@ -161,7 +163,7 @@ _SIM_KEYS = {"fleet", "m_per_step", "t_comm", "tau", "iterations", "seed",
              "local_sgd"}
 
 
-def _build_sim_config(doc: dict, seed_override, tau=None) -> SimConfig:
+def _build_sim_config(doc: dict, seed_override) -> SimConfig:
     fleet = _parse_fleet(doc["fleet"], "fleet")
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
     try:
@@ -169,7 +171,6 @@ def _build_sim_config(doc: dict, seed_override, tau=None) -> SimConfig:
             fleet=fleet,
             m_per_step=int(doc["m_per_step"]),
             t_comm=float(doc.get("t_comm", 0.0)),
-            tau=tau,
             iterations=int(doc.get("iterations", 100)),
             seed=int(seed),
             stop_at_accumulation_boundary=bool(
@@ -179,23 +180,34 @@ def _build_sim_config(doc: dict, seed_override, tau=None) -> SimConfig:
         raise ConfigError(f"invalid simulate config: {exc}") from exc
 
 
-def _resolve_tau(doc: dict, config: SimConfig):
-    """tau may be null (baseline), a number, or "auto" (warmup + search)."""
-    tau = doc.get("tau")
-    if tau is None:
-        return None
-    if tau == "auto":
-        warm_iters = int(doc.get("warmup_iterations", 100))
-        warm_cfg = SimConfig(config.fleet, config.m_per_step, config.t_comm,
-                             None, warm_iters, config.seed,
-                             config.stop_at_accumulation_boundary)
-        warm = run_detailed(warm_cfg, rng=None)
-        trace = TraceTensor(warm.trace, warm.comm_times)
-        return select_threshold(trace).tau_star
+def _parse_tau(doc: dict, default):
+    """tau: null (baseline), a number > 0, or "auto" (warmup + search)."""
+    tau = doc.get("tau", default)
+    if tau is None or tau == "auto":
+        return tau
     try:
-        return float(tau)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f'tau must be null, a number, or "auto": {exc}') from exc
+        value = float(tau)
+    except (TypeError, ValueError):
+        value = math.nan
+    if not value > 0.0:
+        raise ConfigError(f'tau must be null, a number > 0, or "auto", got {tau!r}')
+    return value
+
+
+def _parse_warmup(doc: dict) -> int:
+    raw = doc.get("warmup_iterations", 100)
+    try:
+        value = int(raw)
+    except (TypeError, ValueError):
+        value = 0
+    if value < 1:
+        raise ConfigError(f"warmup_iterations must be an integer >= 1, got {raw!r}")
+    return value
+
+
+def _resolve_tau(doc: dict, config: SimConfig):
+    tau, warmup = _parse_tau(doc, None), _parse_warmup(doc)
+    return auto_tau(config, warmup) if tau == "auto" else tau
 
 
 def cmd_simulate(args) -> int:
@@ -243,10 +255,7 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"unknown mode {mode!r}; use synchronous or local-sgd")
 
     config = _build_sim_config(doc, args.seed)
-    tau = _resolve_tau(doc, config)
-    config = SimConfig(config.fleet, config.m_per_step, config.t_comm, tau,
-                       config.iterations, config.seed,
-                       config.stop_at_accumulation_boundary)
+    config = dataclasses.replace(config, tau=_resolve_tau(doc, config))
     sim = run_detailed(config)
 
     _atomic_write(out / "records.csv", iter_records_csv(sim.records, stamp))
@@ -322,9 +331,7 @@ def cmd_scale_sweep(args) -> int:
         raise ConfigError("n_list must be strictly ascending")
 
     template = _build_sim_config(doc, args.seed)
-    tau_doc = doc.get("tau", "auto")
-    tau_policy = tau_doc if tau_doc in (None, "auto") else float(tau_doc)
-    warmup = int(doc.get("warmup_iterations", 100))
+    tau_policy, warmup = _parse_tau(doc, "auto"), _parse_warmup(doc)
     try:
         points = scale_sweep(template, n_list, tau_policy, warmup,
                              max_workers=_threads())

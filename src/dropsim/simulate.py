@@ -12,6 +12,7 @@ Gradient numerics live in the sgd module; this module is timing only.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 from dataclasses import asdict, dataclass
@@ -19,6 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import threshold
 from .latency import FleetSpec
 from .stats import RngStream, StreamGenerator, philox_generator
 
@@ -35,12 +37,17 @@ __all__ = [
     "run",
     "run_detailed",
     "run_from_trace",
+    "auto_tau",
     "scale_sweep",
     "local_sgd_run",
     "iter_records_csv",
     "write_records_csv",
     "stats_to_json",
 ]
+
+# Stream id of the default warmup run of auto_tau; a run without an explicit
+# stream draws from stream 0.
+AUTO_TAU_STREAM = 1
 
 RECORDS_HEADER = ["iteration", "worker", "T_n", "stop_time", "completed"]
 _RECORDS_CHUNK = 32  # iterations per text chunk of a records CSV
@@ -365,28 +372,33 @@ def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
     return SimRun(stats, records, trace, comm)
 
 
+def auto_tau(config: SimConfig, warmup_iterations: int,
+             rng: Optional[RngStream] = None) -> float:
+    """tau* of the threshold search on a no-drop warmup run of config's fleet.
+
+    The warmup runs warmup_iterations iterations from rng, by default
+    RngStream(config.seed, AUTO_TAU_STREAM). run(config) and
+    run_detailed(config) draw from RngStream(config.seed, 0), so tau* is
+    never scored on the samples it was chosen from.
+    """
+    warm_cfg = dataclasses.replace(config, tau=None, iterations=warmup_iterations)
+    root = rng if rng is not None else RngStream(config.seed, AUTO_TAU_STREAM)
+    warm = run_detailed(warm_cfg, rng=root)
+    return threshold.select_threshold(
+        threshold.TraceTensor(warm.trace, warm.comm_times)).tau_star
+
+
 def _sweep_point_stats(template: SimConfig, n: int, tau_policy,
                        warmup_iterations: int, root: RngStream):
     """One sweep point: optional warmup threshold search, then the run."""
-    model = template.fleet.workers[0]
-    fleet = FleetSpec.homogeneous(n, model)
+    cfg = dataclasses.replace(template, tau=None,
+                              fleet=FleetSpec.homogeneous(n, template.fleet.workers[0]))
     # Distinct sub-streams for the warmup trace and the measured run; keyed
     # by N so points are independent of each other and of execution order.
-    warm_rng = root.derive(n, 0)
-    run_rng = root.derive(n, 1)
     tau = tau_policy
     if tau_policy == "auto":
-        warm_cfg = SimConfig(fleet, template.m_per_step, template.t_comm,
-                             None, warmup_iterations, template.seed,
-                             template.stop_at_accumulation_boundary)
-        warm = run_detailed(warm_cfg, rng=warm_rng)
-        from .threshold import TraceTensor, select_threshold
-
-        tau = select_threshold(TraceTensor(warm.trace, warm.comm_times)).tau_star
-    cfg = SimConfig(fleet, template.m_per_step, template.t_comm, tau,
-                    template.iterations, template.seed,
-                    template.stop_at_accumulation_boundary)
-    return tau, run(cfg, rng=run_rng)
+        tau = auto_tau(cfg, warmup_iterations, rng=root.derive(n, 0))
+    return tau, run(dataclasses.replace(cfg, tau=tau), rng=root.derive(n, 1))
 
 
 def scale_sweep(template: SimConfig, n_list, tau_policy="auto",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import dropsim as ds
-from dropsim import cli
+from dropsim import cli, simulate
 from dropsim.threshold import write_curve_csv
 
 
@@ -84,9 +84,28 @@ class TestSimulate:
         summary = json.loads((tmp_path / "o" / "summary.json").read_text())
         fleet = ds.FleetSpec.homogeneous(
             4, ds.WorkerLatencyModel(1.0, ds.NormalNoise(0.0, 0.1)))
-        warm = ds.run_detailed(ds.SimConfig(fleet, 3, 0.2, None, 40, 5))
+        # The documented warmup stream of auto_tau, apart from the measured
+        # run's RngStream(5, 0).
+        warm = ds.run_detailed(ds.SimConfig(fleet, 3, 0.2, None, 40, 5),
+                               rng=ds.RngStream(5, simulate.AUTO_TAU_STREAM))
         tau = ds.select_threshold(ds.TraceTensor(warm.trace, warm.comm_times)).tau_star
         assert summary["tau"] == tau
+        assert tau == simulate.auto_tau(ds.SimConfig(fleet, 3, 0.2, None, 30, 5), 40)
+
+    def test_auto_tau_is_not_scored_on_its_warmup(self, tmp_path):
+        # tau* used to be fitted on the measured run's own first iterations.
+        doc = _sim_config(tau="auto", warmup_iterations=40, iterations=30, seed=5)
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        measured = np.loadtxt(tmp_path / "o" / "records.csv", delimiter=",",
+                              skiprows=2)[:, 2]
+        fleet = ds.FleetSpec.homogeneous(
+            4, ds.WorkerLatencyModel(1.0, ds.NormalNoise(0.0, 0.1)))
+        warm = ds.run_detailed(ds.SimConfig(fleet, 3, 0.2, None, 40, 5),
+                               rng=ds.RngStream(5, simulate.AUTO_TAU_STREAM))
+        warm_t = np.concatenate([r.compute_times for r in warm.records])
+        assert measured.size == 30 * 4 and warm_t.size == 40 * 4
+        assert not np.isin(measured, warm_t).any()
 
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "c.json", _sim_config(bogus=1))
@@ -104,6 +123,19 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert f"{bad}:2:13:" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"tau": "auto", "warmup_iterations": "x"}, "warmup_iterations must be"),
+        ({"tau": "auto", "warmup_iterations": 0}, "warmup_iterations must be"),
+        ({"tau": "abc"}, "tau must be"),
+        ({"tau": -1.0}, "tau must be"),
+        ({"tau": [1.0]}, "tau must be"),
+    ])
+    def test_bad_tau_or_warmup_exits_2(self, tmp_path, capsys, extra, message):
+        doc = _sim_config(**{"tau": None, **extra})
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_noise_kind_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "c.json",
@@ -310,6 +342,17 @@ class TestScaleSweep:
         cfg = _write_json(tmp_path / "c.json", self._sweep_doc(n_list=[32, 8, 128]))
         assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "strictly ascending" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"tau": "abc"}, "tau must be"),
+        ({"tau": 0}, "tau must be"),
+        ({"warmup_iterations": "x"}, "warmup_iterations must be"),
+        ({"warmup_iterations": None}, "warmup_iterations must be"),
+    ])
+    def test_bad_tau_or_warmup_exits_2(self, tmp_path, capsys, extra, message):
+        cfg = _write_json(tmp_path / "c.json", self._sweep_doc(**extra))
+        assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
 
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         doc = self._sweep_doc(iterations=60, warmup_iterations=30)

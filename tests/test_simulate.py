@@ -220,6 +220,24 @@ class TestScaleSweep:
         assert all(pt.tau == 11.9 for pt in pts)
 
 
+class TestAutoTau:
+    def test_warmup_draws_apart_from_the_measured_run(self):
+        cfg = ds.SimConfig(_normal_fleet(6), 4, t_comm=0.2, iterations=25, seed=13)
+        tau = ds.simulate.auto_tau(cfg, 30)
+        warm = ds.run_detailed(dataclasses.replace(cfg, iterations=30),
+                               rng=ds.RngStream(13, ds.simulate.AUTO_TAU_STREAM))
+        assert tau == ds.select_threshold(ds.TraceTensor(warm.trace, warm.comm_times)).tau_star
+        measured = ds.run_detailed(dataclasses.replace(cfg, tau=tau))
+        assert not np.isin(measured.trace, warm.trace).any()
+
+    def test_explicit_stream(self):
+        cfg = ds.SimConfig(_normal_fleet(6), 4, t_comm=0.2, seed=13)
+        rng = ds.RngStream(13, 0).derive(6, 0)
+        warm = ds.run_detailed(dataclasses.replace(cfg, iterations=20), rng=rng)
+        want = ds.select_threshold(ds.TraceTensor(warm.trace, warm.comm_times)).tau_star
+        assert ds.simulate.auto_tau(cfg, 20, rng) == want
+
+
 class TestLocalSgd:
     def test_no_stragglers_no_gain(self):
         fleet = _const_fleet(32, base=0.1)
