@@ -159,19 +159,6 @@ def _block_len(n: int, m: int) -> int:
     return max(1, _BLOCK_SAMPLES // (n * m))
 
 
-def _model_groups(workers) -> list:
-    """(model, worker indices) for each distinct latency model, in first-seen order."""
-    groups = []
-    for w, model in enumerate(workers):
-        for rep, members in groups:
-            if model is rep or model == rep:
-                members.append(w)
-                break
-        else:
-            groups.append((model, [w]))
-    return groups
-
-
 class _Sampler:
     """Draws latency blocks for one fleet from addressed streams.
 
@@ -194,6 +181,7 @@ class _Sampler:
                               np.arange(self.n))
 
     def draw(self, ids: np.ndarray, out=None) -> np.ndarray:
+        """(B, N, M) latencies of the streams ids, written to out when given."""
         eps = np.empty((ids.shape[0], self.n, self.m))
         if not self.mixed:
             model = self.workers[0]
@@ -204,8 +192,8 @@ class _Sampler:
             for w, sid in enumerate(row):
                 eps[k, w] = self.workers[w].noise.sample(self.at(sid), self.m)
         out = np.empty_like(eps) if out is None else out
-        for model, members in _model_groups(self.workers):
-            out[:, members] = model.times(eps[:, members])
+        for w, model in enumerate(self.workers):
+            model.times(eps[:, w], out[:, w])
         return out
 
 
