@@ -514,7 +514,7 @@ def iter_records_csv(records, comment: Optional[str] = None):
 
     An optional ``# comment`` line, the header iteration,worker,T_n,stop_time,
     completed, then one row per worker and iteration: the csv module's
-    ``\r\n`` line ends and the repr of each time, so floats round-trip.
+    CRLF line ends and the repr of each time, so floats round-trip.
     """
     if comment:
         yield f"# {comment}\n"

@@ -365,20 +365,3 @@ def test_records_csv_matches_csv_writer(tmp_path):
         path = tmp_path / "records.csv"
         simulate.write_records_csv(path, recs, comment)
         assert path.read_bytes() == _oracle_records_csv(recs, comment).encode()
-
-
-def test_cli_records_csv_is_the_shared_format(tmp_path):
-    import json
-
-    from dropsim import cli
-
-    doc = {"fleet": {"workers": 5, "base_mean": 1.0,
-                     "noise": {"kind": "normal", "loc": 0.0, "std": 0.1}},
-           "m_per_step": 3, "t_comm": 0.2, "tau": 2.9, "iterations": 70, "seed": 4}
-    (tmp_path / "c.json").write_text(json.dumps(doc))
-    assert cli.main(["simulate", "--config", str(tmp_path / "c.json"),
-                     "--out", str(tmp_path / "o")]) == 0
-    config = ds.SimConfig(ds.FleetSpec.homogeneous(5, ds.WorkerLatencyModel(
-        1.0, ds.NormalNoise(0.0, 0.1))), 3, 0.2, 2.9, 70, 4)
-    want = _oracle_records_csv(ds.run_detailed(config).records, cli._stamp(doc))
-    assert (tmp_path / "o" / "records.csv").read_bytes() == want.encode()
