@@ -174,7 +174,8 @@ class _Sampler:
         self.mixed = not config.fleet.is_homogeneous
 
     def stream_ids(self, rng: RngStream, indices) -> np.ndarray:
-        """Ids of rng.derive(*ix) over the broadcast indices ix; a mixed fleet appends the worker."""
+        """Ids of rng.derive(*ix) over the broadcast scalar or 1-d indices;
+        a mixed fleet appends the worker index."""
         if not self.mixed:
             return np.atleast_1d(rng.derive_ids(*indices))
         return rng.derive_ids(*(np.atleast_1d(ix)[:, None] for ix in indices),
@@ -296,7 +297,7 @@ def _simulated_blocks(config: SimConfig, root: RngStream, trace=None):
 
 def simulate_block(config: SimConfig, rng: RngStream, *indices) -> IterationBlock:
     """Iterations drawn from the streams rng.derive(*ix), one per element ix
-    of the broadcast index arrays (a mixed fleet's worker n from
+    of the broadcast scalar or 1-d indices (a mixed fleet's worker n from
     rng.derive(*ix, n)). simulate_iteration(config, i, rng) is row 0 of
     simulate_block(config, rng, i)."""
     sampler = _Sampler(config, StreamGenerator(rng.seed).at)
