@@ -166,6 +166,10 @@ _SIM_KEYS = {"fleet", "m_per_step", "t_comm", "tau", "iterations", "seed",
 def _build_sim_config(doc: dict, seed_override) -> SimConfig:
     fleet = _parse_fleet(doc["fleet"], "fleet")
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    boundary = doc.get("stop_at_accumulation_boundary", False)
+    if not isinstance(boundary, bool):
+        raise ConfigError("stop_at_accumulation_boundary must be true or false, "
+                          f"got {boundary!r}")
     try:
         return SimConfig(
             fleet=fleet,
@@ -173,8 +177,7 @@ def _build_sim_config(doc: dict, seed_override) -> SimConfig:
             t_comm=float(doc.get("t_comm", 0.0)),
             iterations=int(doc.get("iterations", 100)),
             seed=int(seed),
-            stop_at_accumulation_boundary=bool(
-                doc.get("stop_at_accumulation_boundary", False)),
+            stop_at_accumulation_boundary=boundary,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid simulate config: {exc}") from exc

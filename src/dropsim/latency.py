@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
 
 from .stats import RngStream, as_generator, phi_cdf
 
@@ -157,6 +156,8 @@ class BoundedLogNormalNoise(NoiseSpec):
         return math.exp(-((math.log(x) - mu) ** 2) / (2 * s * s)) / (x * s * _SQRT_2PI)
 
     def _censored_moment(self, k: int) -> float:
+        from scipy import integrate
+
         mu, s = self._scaled_params()
         body, _ = integrate.quad(lambda x: x**k * self._density(x), 0.0, self.bound)
         tail = 1.0 - phi_cdf((math.log(self.bound) - mu) / s)
@@ -250,6 +251,8 @@ class GammaNoise(NoiseSpec):
         return self.shape / self.rate**2
 
     def cdf(self, x):
+        from scipy import special
+
         if x <= 0.0:
             return 0.0
         return float(special.gammainc(self.shape, self.rate * x))

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 
 from .simulate import SimConfig, simulate_block
 from .stats import RngStream
@@ -105,6 +104,8 @@ class SgdProblem:
     def logistic_synthetic(cls, dimension: int = 10, n_samples: int = 512,
                            l2_reg: float = 0.1, sin_amplitude: float = 0.0,
                            seed: int = 7) -> "SgdProblem":
+        from scipy import optimize
+
         if dimension < 1 or n_samples < 2:
             raise ValueError("dimension >= 1 and n_samples >= 2 required")
         if l2_reg <= 0.0 or sin_amplitude < 0.0:
@@ -194,27 +195,31 @@ class SgdProblem:
         """Sum of b_r per-sample gradients at each row's point.
 
         theta: (R, d); batch: (R,) nonnegative ints; rows with b_r = 0 get a
-        zero vector. The generator is consumed a fixed amount per call, so a
-        run's draw sequence does not depend on the realized batch sizes.
+        zero vector. The quadratic noise takes a fixed amount from the
+        generator per call, whatever the batch sizes; the dataset sampler
+        draws R * max(b_r) sample indices.
         """
         theta = np.asarray(theta, dtype=float)
         batch = np.asarray(batch)
         r, d = theta.shape
-        b_cap = int(batch.max()) if batch.size else 0
         if self.kind == "quadratic":
             noise_sigma = self.sigma if self.actual_sigma is None else self.actual_sigma
             xi = gen.standard_normal((r, d))
             scale = noise_sigma * np.sqrt(batch / d)
             return batch[:, None] * self.grad(theta) + scale[:, None] * xi
+        b_cap = int(batch.max()) if batch.size else 0
         if b_cap == 0:
             return np.zeros((r, d))
         idx = gen.integers(0, self.data_x.shape[0], (r, b_cap))
-        xs = self.data_x[idx]  # (R, b_cap, d)
-        ys = self.data_y[idx]  # (R, b_cap)
-        logits = np.einsum("rbd,rd->rb", xs, theta)
-        w = _sigmoid(-ys * logits) * ys
-        mask = np.arange(b_cap)[None, :] < batch[:, None]
-        data_term = np.einsum("rb,rbd->rd", w * mask, -xs)
+        xs = np.take(self.data_x, idx, axis=0)  # (R, b_cap, d)
+        neg_y = np.take(-self.data_y, idx)  # (R, b_cap)
+        # A sample's data gradient is -y sigmoid(-y x.theta) x. The sign
+        # rides on the (R, b_cap) weights, not on the samples; each product
+        # is the same float either way, so the einsum sums the same terms.
+        w = _sigmoid(neg_y * np.einsum("rbd,rd->rb", xs, theta))
+        w *= neg_y
+        w *= np.arange(b_cap) < batch[:, None]  # row r keeps its first b_r draws
+        data_term = np.einsum("rb,rbd->rd", w, xs)
         common = self.l2_reg * theta + self.sin_amplitude * np.cos(theta)
         return data_term + batch[:, None] * common
 
@@ -237,12 +242,11 @@ class SgdProblem:
 
 
 def _sigmoid(u):
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    """1 / (1 + exp(-u)) for u >= 0 and exp(u) / (1 + exp(u)) below, so exp
+    never overflows. With e = exp(-|u|) in [0, 1], max(e, u >= 0) is the
+    numerator of either branch (1 or e; nan stays nan)."""
+    e = np.exp(-np.abs(u))
+    return np.maximum(e, u >= 0) / (1.0 + e)
 
 
 def _power_iteration(mat: np.ndarray, iters: int = 200) -> float:
@@ -385,7 +389,8 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
         raise ValueError("eta_mode must be a theorem name or a numeric rate")
 
     d = problem.dimension
-    theta = np.tile(problem.theta1, (n_runs, 1))
+    # theta and pick are updated in place, so both must be float arrays.
+    theta = np.tile(np.asarray(problem.theta1, dtype=float), (n_runs, 1))
     batch_gen = root.derive(1).generator()
     noise_gen = root.derive(2).generator()
     pick_gen = root.derive(3).generator()
@@ -394,38 +399,37 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
     cum = np.zeros(n_runs)
     wsum = np.zeros(n_runs)
     wavg = np.zeros((n_runs, d))
-    pick = np.tile(problem.theta1, (n_runs, 1))
+    pick = theta.copy()
     history = [] if store_iterates else None
     weights_hist = [] if store_iterates else None
 
     max_steps = _MAX_STEP_FACTOR * int(math.ceil(k_total / schedule.b_max)) + 8
+    fixed_rate = lr_internal / float(schedule.b_max)
     step = 0
-    while True:
-        active = cum < k_total
-        if not active.any():
-            break
+    while (cum < k_total).any():
         if step >= max_steps:
             raise RuntimeError("schedule failed to deliver K samples in the step budget")
-        b = schedule.draw(step, n_runs, batch_gen, batch_rng)
-        b = np.where(active, np.minimum(b, (k_total - cum).astype(np.int64)), 0)
+        # Batches are clipped to what is left of K, so a finished run has
+        # cum == k_total exactly and its clip is 0.
+        b = np.minimum(schedule.draw(step, n_runs, batch_gen, batch_rng),
+                       (k_total - cum).astype(np.int64))
 
         w = b.astype(float)
         wavg += w[:, None] * theta
         wsum += w
         u = pick_gen.random(n_runs)
-        take = (wsum > 0.0) & (u * wsum < w)
-        pick[take] = theta[take]
+        np.copyto(pick, theta, where=((wsum > 0.0) & (u * wsum < w))[:, None])
         if store_iterates:
             history.append(theta.copy())
-            weights_hist.append(w.copy())
+            weights_hist.append(w)
 
         d_sum = problem.grad_sum(theta, b, noise_gen)
         if normalization == "fixed_bmax":
-            denom = float(schedule.b_max)
-            theta = theta - (lr_internal / denom) * d_sum
+            d_sum *= fixed_rate
         else:
-            denom = np.where(b > 0, b, 1).astype(float)
-            theta = theta - lr_internal * d_sum / denom[:, None]
+            d_sum *= lr_internal
+            d_sum /= np.where(b > 0, b, 1).astype(float)[:, None]
+        theta -= d_sum
         cum += b
         step += 1
 

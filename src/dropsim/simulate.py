@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Optional
 
@@ -463,6 +464,9 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
         raise ValueError("straggler_delay must be >= 0")
     if mode not in ("uniform", "single_server"):
         raise ValueError(f"unknown straggler mode {mode!r}")
+    if tau is not None and (isinstance(tau, bool) or not isinstance(tau, numbers.Real)
+                            or not tau > 0.0):
+        raise ValueError(f"tau must be None or a number > 0, got {tau!r}")
 
     n = fleet.n
     steps = (iterations // sync_period) * sync_period

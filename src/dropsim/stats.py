@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy import special
 
 __all__ = [
     "EULER_GAMMA",
@@ -164,6 +163,8 @@ def phi_cdf(x):
     Computed as ``erfc(-x / sqrt(2)) / 2``, which keeps full relative
     accuracy in the lower tail (absolute error well below 1e-9 everywhere).
     """
+    from scipy import special
+
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"phi_cdf requires finite input, got {x!r}")

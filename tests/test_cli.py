@@ -4,6 +4,10 @@ calls they wrap. All invocations run in-process through cli.main."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +141,29 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, [True]])
+    def test_non_bool_boundary_flag_exits_2(self, tmp_path, capsys, value):
+        doc = _sim_config(stop_at_accumulation_boundary=value)
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "stop_at_accumulation_boundary must be true or false" in \
+            capsys.readouterr().err
+
+    def test_boundary_flag_booleans_pick_the_stop(self, tmp_path):
+        # One worker, three 0.45 s micro-batches, tau 1.0: without boundary
+        # mode the worker stops at tau, with it at the last finished batch.
+        stops = {}
+        for flag in (False, True):
+            doc = _sim_config(workers=1, base=0.45, noise={"kind": "none"},
+                              tau=1.0, iterations=1, t_comm=0.0,
+                              stop_at_accumulation_boundary=flag)
+            cfg = _write_json(tmp_path / f"{flag}.json", doc)
+            assert cli.main(["simulate", "--config", cfg,
+                             "--out", str(tmp_path / str(flag))]) == 0
+            stops[flag] = json.loads((tmp_path / str(flag) / "summary.json")
+                                     .read_text())["mean_step_drop"]
+        assert stops == {False: 1.0, True: 0.9}
+
     def test_unknown_noise_kind_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "c.json",
                           _sim_config(noise={"kind": "cauchy"}))
@@ -160,6 +187,17 @@ class TestLocalSgdMode:
         assert rep["dropcompute_speedup"] > 1.0
         assert rep["tau"] > 0.0
         assert "local-sgd speedup" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tau", [-1.0, 0, "0.5", "abc", True, [1.0]])
+    def test_bad_threshold_exits_2(self, tmp_path, capsys, tau):
+        doc = _sim_config(workers=8, base=0.1, noise={"kind": "none"}, m=1,
+                          tau=None, iterations=200,
+                          local_sgd={"sync_period": 2, "tau": tau})
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["simulate", "--config", cfg, "--mode", "local-sgd",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "tau must be None or a number > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
 
     def test_determinism(self, tmp_path):
         doc = _sim_config(workers=8, base=0.1, noise={"kind": "none"}, m=1,
@@ -348,6 +386,8 @@ class TestScaleSweep:
         ({"tau": 0}, "tau must be"),
         ({"warmup_iterations": "x"}, "warmup_iterations must be"),
         ({"warmup_iterations": None}, "warmup_iterations must be"),
+        ({"stop_at_accumulation_boundary": "false"}, "stop_at_accumulation_boundary"),
+        ({"stop_at_accumulation_boundary": 1}, "stop_at_accumulation_boundary"),
     ])
     def test_bad_tau_or_warmup_exits_2(self, tmp_path, capsys, extra, message):
         cfg = _write_json(tmp_path / "c.json", self._sweep_doc(**extra))
@@ -440,3 +480,19 @@ class TestSgdBench:
             assert rc == 0
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy costs about half a second of start-up; only the functions that
+    # need it (phi_cdf, censored moments, the gamma CDF, the logistic
+    # optimum) import it, on first call.
+    src = Path(ds.__file__).resolve().parents[1]
+    code = ("import sys, dropsim.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "dropsim.phi_cdf(0.5)\n"
+            "print('scipy.special' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]

@@ -1,7 +1,8 @@
 """Golden digests of outputs for fixed seeds.
 
-Each digest was recorded before the simulator moved from per-iteration
-loops to the block engine, and the engine reproduced every one. They pin
+The simulator digests were recorded before the simulator moved from
+per-iteration loops to the block engine, and the SGD digests before the
+logistic gradient kernel was rewritten; both reproduced every one. They pin
 the mapping from seeds to random draws: a change that alters any of them
 changes which numbers a seed produces, and has to say so.
 """
@@ -13,6 +14,7 @@ import numpy as np
 
 import dropsim as ds
 from dropsim import cli
+from dropsim.sgd import run_many
 
 
 def _sha(*parts) -> str:
@@ -75,3 +77,55 @@ def test_timing_driven_schedule_draws():
                              sim=ds.SimConfig(_mixed_fleet(), 3, 0.1, 2.2, 1, 5))
     assert _sha(*[mixed.draw(step, 7, None, rng).tobytes() for step in range(10)]) == \
         "a70fa2fc4866267778202432a053474d775f0c4831b98bc893236ec0ca0abc9f"
+
+
+def _sgd_bench_report(tmp_path, name, problem, schedule, k_total, seeds, theorem):
+    doc = {"problem": problem, "schedule": schedule, "k_total": k_total,
+           "seeds": seeds, "theorem": theorem, "seed": 13}
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    out = tmp_path / name
+    assert cli.main(["sgd-bench", "--config", str(tmp_path / f"{name}.json"),
+                     "--out", str(out)]) == 0
+    return (out / "report.json").read_bytes()
+
+
+def test_sgd_bench_convex_quadratic(tmp_path, capsys):
+    report = _sgd_bench_report(
+        tmp_path, "convex", {"kind": "quadratic", "dimension": 6, "seed": 3},
+        {"kind": "per_worker_bernoulli", "b_max": 40, "n_workers": 4, "p_drop": 0.2},
+        6000, 12, "convex")
+    assert _sha(report) == \
+        "db16ac81bac6a410ac03719b5ed64b0b27f1d2ce95c3c3cf3d4f17d830884063"
+
+
+def test_sgd_bench_nonconvex_logistic(tmp_path, capsys):
+    # Two workers that each drop half the time: a quarter of the steps
+    # deliver no samples to a run, so grad_sum sees b = 0 rows.
+    report = _sgd_bench_report(
+        tmp_path, "nonconvex",
+        {"kind": "logistic_synthetic", "dimension": 5, "n_samples": 96,
+         "sin_amplitude": 0.05, "seed": 4},
+        {"kind": "per_worker_bernoulli", "b_max": 16, "n_workers": 2, "p_drop": 0.5},
+        3000, 10, "nonconvex")
+    assert _sha(report) == \
+        "0ca839690123615589c701af53cc4818e51a5039f5abecde3fbd378036e2504e"
+
+
+def test_timing_driven_convex_bound():
+    model = ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(-2.0, 0.5))
+    sim = ds.SimConfig(ds.FleetSpec.homogeneous(4, model), 3, 0.5, 3.6, 1, 5)
+    schedule = ds.BatchSchedule(48, kind="timing_driven", sim=sim)
+    problem = ds.SgdProblem.quadratic(dimension=4, seed=2)
+    rep = ds.verify_convex_bound(problem, schedule, 3000, seeds=9, seed=17)
+    assert _sha(repr(rep)) == \
+        "d0ddf5980867dc84bfc9aaaa43c6947c54605bba299d1f314be95be7133fa500"
+
+
+def test_logistic_run_many_actual_batch():
+    problem = ds.SgdProblem.logistic_synthetic(dimension=4, n_samples=64,
+                                               sin_amplitude=0.1, seed=9)
+    schedule = ds.BatchSchedule(12, kind="per_worker_bernoulli", n_workers=3, p_drop=0.4)
+    res = run_many(problem, schedule, 900, eta_mode=0.3, normalization="actual_batch",
+                   rng=ds.RngStream(21, 0), n_runs=6, store_iterates=True)
+    assert _sha(*[np.asarray(res[k]).tobytes() for k in sorted(res)]) == \
+        "bd75ece60d5401f4d91269a6cadb6f29ccb243cea7d94cf1630659481702e84a"

@@ -268,6 +268,15 @@ class TestLocalSgd:
             ds.local_sgd_run(fleet, 2, 1.5, 1.0)
         with pytest.raises(ValueError):
             ds.local_sgd_run(fleet, 2, 0.04, 1.0, mode="bogus")
+        for tau in (-1.0, 0.0, math.nan, "1.0", True):
+            with pytest.raises(ValueError, match="tau must be None or a number > 0"):
+                ds.local_sgd_run(fleet, 2, 0.04, 1.0, tau=tau)
+
+    def test_positive_threshold_accepted(self):
+        fleet = _const_fleet(8, base=0.1)
+        for tau in (2, 0.5, np.float64(0.5)):
+            res = ds.local_sgd_run(fleet, 4, 0.04, 1.0, iterations=200, tau=tau, seed=2)
+            assert res.tau == tau and res.dropcompute_speedup >= res.local_sgd_speedup
 
     def test_determinism(self):
         fleet = _const_fleet(8, base=0.1)
