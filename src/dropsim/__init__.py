@@ -24,10 +24,8 @@ from .latency import (
     NormalNoise,
     WorkerLatencyModel,
     from_trace,
-    micro_batch_time,
     read_comm_csv,
     read_trace_csv,
-    sample_distribution,
     simulated_delay_noise,
     write_comm_csv,
     write_trace_csv,
@@ -95,8 +93,6 @@ __all__ = [
     "WorkerLatencyModel",
     "FleetSpec",
     "simulated_delay_noise",
-    "sample_distribution",
-    "micro_batch_time",
     "from_trace",
     "read_trace_csv",
     "write_trace_csv",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -24,10 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .latency import (BernoulliNoise, BoundedLogNormalNoise, EmpiricalNoise,
-                      ExponentialNoise, FleetSpec, GammaNoise, LogNormalNoise,
-                      NoNoise, NormalNoise, WorkerLatencyModel, read_comm_csv,
-                      read_trace_csv, simulated_delay_noise)
+from .latency import (NOISE_KINDS, FleetSpec, WorkerLatencyModel, read_comm_csv,
+                      read_trace_csv)
 from .simulate import (SimConfig, auto_tau, iter_records_csv, local_sgd_run,
                        run_detailed, scale_sweep, stats_to_json)
 from .threshold import TraceTensor, format_curve_csv, select_threshold
@@ -35,24 +34,14 @@ from . import analytic, sgd
 
 __all__ = ["main"]
 
-_NOISE_FIELDS = {
-    "none": set(),
-    "normal": {"loc", "std"},
-    "lognormal": {"log_mean", "log_std"},
-    "bounded_lognormal": {"log_mean", "log_std", "scale_divisor", "bound"},
-    "simulated_delay": set(),
-    "bernoulli": {"p", "scale"},
-    "exponential": {"rate"},
-    "gamma": {"shape", "rate"},
-    "empirical": {"samples"},
-}
-
 
 class ConfigError(Exception):
     pass
 
 
 def _check_keys(doc: dict, allowed, required, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
@@ -61,15 +50,28 @@ def _check_keys(doc: dict, allowed, required, where: str) -> None:
         raise ConfigError(f"missing required key(s) {missing} in {where}")
 
 
+def _finite(parse):
+    """json number hook: `parse` a literal that is finite as a float, so
+    NaN, Infinity, 1e400 and 400-digit integers are rejected."""
+    def hook(text: str):
+        if not math.isfinite(float(text)):
+            raise ValueError(f"number {text[:24]} is not finite")
+        return parse(text)
+    return hook
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite(float), parse_int=_finite(int),
+                         parse_constant=_finite(float))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top-level config must be a JSON object")
     return doc
@@ -88,29 +90,13 @@ def _parse_noise(doc, where: str):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ConfigError(f"{where} must be an object with a 'kind' field")
     kind = doc["kind"]
-    if kind not in _NOISE_FIELDS:
+    make = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
+    if make is None:
         raise ConfigError(f"unknown noise kind {kind!r} in {where}")
-    fields = _NOISE_FIELDS[kind]
-    _check_keys(doc, fields | {"kind"}, fields | {"kind"}, where)
+    fields = set(inspect.signature(make).parameters) | {"kind"}
+    _check_keys(doc, fields, fields, where)
     try:
-        if kind == "none":
-            return NoNoise()
-        if kind == "normal":
-            return NormalNoise(doc["loc"], doc["std"])
-        if kind == "lognormal":
-            return LogNormalNoise(doc["log_mean"], doc["log_std"])
-        if kind == "bounded_lognormal":
-            return BoundedLogNormalNoise(doc["log_mean"], doc["log_std"],
-                                         doc["scale_divisor"], doc["bound"])
-        if kind == "simulated_delay":
-            return simulated_delay_noise()
-        if kind == "bernoulli":
-            return BernoulliNoise(doc["p"], doc["scale"])
-        if kind == "exponential":
-            return ExponentialNoise(doc["rate"])
-        if kind == "gamma":
-            return GammaNoise(doc["shape"], doc["rate"])
-        return EmpiricalNoise(tuple(doc["samples"]))
+        return make(**{k: v for k, v in doc.items() if k != "kind"})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid noise parameters in {where}: {exc}") from exc
 
@@ -425,22 +411,22 @@ def cmd_sgd_bench(args) -> int:
                 "sgd-bench config")
     problem = _parse_problem(doc["problem"])
     schedule = _parse_schedule(doc["schedule"])
-    k_total = float(doc["k_total"])
-    seeds = args.seeds if args.seeds is not None else int(doc.get("seeds", 100))
     theorem = doc.get("theorem", "both")
-    base_seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
     if theorem not in ("convex", "nonconvex", "both"):
         raise ConfigError('theorem must be "convex", "nonconvex", or "both"')
     if theorem in ("convex", "both") and problem.kind != "quadratic":
         raise ConfigError("the convex bound check needs the quadratic problem")
 
-    reports = []
-    if theorem in ("convex", "both"):
-        reports.append(sgd.verify_convex_bound(problem, schedule, k_total,
-                                               seeds=seeds, seed=base_seed))
-    if theorem in ("nonconvex", "both"):
-        reports.append(sgd.verify_nonconvex_bound(problem, schedule, k_total,
-                                                  seeds=seeds, seed=base_seed))
+    try:  # run_many rejects a k_total or seed count it cannot run
+        k_total = float(doc["k_total"])
+        seeds = args.seeds if args.seeds is not None else int(doc.get("seeds", 100))
+        base_seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+        reports = [verify(problem, schedule, k_total, seeds=seeds, seed=base_seed)
+                   for name, verify in (("convex", sgd.verify_convex_bound),
+                                        ("nonconvex", sgd.verify_nonconvex_bound))
+                   if theorem in (name, "both")]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sgd-bench config: {exc}") from exc
 
     body = []
     for rep in reports:

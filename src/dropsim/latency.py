@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stats import RngStream, as_generator, phi_cdf
+from .stats import phi_cdf
 
 __all__ = [
     "NoiseSpec",
@@ -30,10 +30,8 @@ __all__ = [
     "WorkerLatencyModel",
     "FleetSpec",
     "simulated_delay_noise",
-    "sample_distribution",
-    "micro_batch_time",
+    "NOISE_KINDS",
     "from_trace",
-    "moments",
     "read_trace_csv",
     "write_trace_csv",
     "read_comm_csv",
@@ -48,7 +46,8 @@ POSITIVE_FLOOR_FRACTION = 1e-6
 class NoiseSpec:
     """Base class for additive noise distributions (seconds or multipliers)."""
 
-    def sample(self, rng, size=None):
+    def sample(self, gen: np.random.Generator, size) -> np.ndarray:
+        """An array of `size` draws from the numpy generator `gen`."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -63,8 +62,8 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class NoNoise(NoiseSpec):
-    def sample(self, rng, size=None):
-        return 0.0 if size is None else np.zeros(size)
+    def sample(self, gen, size):
+        return np.zeros(size)
 
     def mean(self):
         return 0.0
@@ -82,11 +81,11 @@ class NormalNoise(NoiseSpec):
     std: float
 
     def __post_init__(self):
-        if not (self.std > 0.0):
-            raise ValueError("NormalNoise std must be > 0")
+        if not (math.isfinite(self.loc) and self.std > 0.0):
+            raise ValueError("NormalNoise needs a finite loc and std > 0")
 
-    def sample(self, rng, size=None):
-        return as_generator(rng).normal(self.loc, self.std, size)
+    def sample(self, gen, size):
+        return gen.normal(self.loc, self.std, size)
 
     def mean(self):
         return self.loc
@@ -106,11 +105,11 @@ class LogNormalNoise(NoiseSpec):
     log_std: float
 
     def __post_init__(self):
-        if not (self.log_std > 0.0):
-            raise ValueError("LogNormalNoise log_std must be > 0")
+        if not (math.isfinite(self.log_mean) and self.log_std > 0.0):
+            raise ValueError("LogNormalNoise needs a finite log_mean and log_std > 0")
 
-    def sample(self, rng, size=None):
-        return as_generator(rng).lognormal(self.log_mean, self.log_std, size)
+    def sample(self, gen, size):
+        return gen.lognormal(self.log_mean, self.log_std, size)
 
     def mean(self):
         return math.exp(self.log_mean + 0.5 * self.log_std**2)
@@ -140,11 +139,13 @@ class BoundedLogNormalNoise(NoiseSpec):
     bound: float
 
     def __post_init__(self):
-        if not (self.log_std > 0.0 and self.scale_divisor > 0.0 and self.bound > 0.0):
-            raise ValueError("BoundedLogNormalNoise parameters must be > 0")
+        if not (math.isfinite(self.log_mean) and self.log_std > 0.0
+                and self.scale_divisor > 0.0 and self.bound > 0.0):
+            raise ValueError("BoundedLogNormalNoise needs a finite log_mean and "
+                             "positive other parameters")
 
-    def sample(self, rng, size=None):
-        z = as_generator(rng).lognormal(self.log_mean, self.log_std, size)
+    def sample(self, gen, size):
+        z = gen.lognormal(self.log_mean, self.log_std, size)
         return np.minimum(z / self.scale_divisor, self.bound)
 
     def _scaled_params(self):
@@ -192,10 +193,8 @@ class BernoulliNoise(NoiseSpec):
         if not (self.scale > 0.0):
             raise ValueError("BernoulliNoise scale must be > 0")
 
-    def sample(self, rng, size=None):
-        draws = as_generator(rng).random(size)
-        out = np.where(draws < self.p, self.scale, 0.0)
-        return float(out) if size is None else out
+    def sample(self, gen, size):
+        return np.where(gen.random(size) < self.p, self.scale, 0.0)
 
     def mean(self):
         return self.p * self.scale
@@ -219,8 +218,8 @@ class ExponentialNoise(NoiseSpec):
         if not (self.rate > 0.0):
             raise ValueError("ExponentialNoise rate must be > 0")
 
-    def sample(self, rng, size=None):
-        return as_generator(rng).exponential(1.0 / self.rate, size)
+    def sample(self, gen, size):
+        return gen.exponential(1.0 / self.rate, size)
 
     def mean(self):
         return 1.0 / self.rate
@@ -241,8 +240,8 @@ class GammaNoise(NoiseSpec):
         if not (self.shape > 0.0 and self.rate > 0.0):
             raise ValueError("GammaNoise shape and rate must be > 0")
 
-    def sample(self, rng, size=None):
-        return as_generator(rng).gamma(self.shape, 1.0 / self.rate, size)
+    def sample(self, gen, size):
+        return gen.gamma(self.shape, 1.0 / self.rate, size)
 
     def mean(self):
         return self.shape / self.rate
@@ -270,16 +269,14 @@ class EmpiricalNoise(NoiseSpec):
         if len(self.samples) == 0:
             raise ValueError("EmpiricalNoise needs at least one sample")
         arr = np.asarray(self.samples, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("EmpiricalNoise samples must be finite")
+        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            raise ValueError("EmpiricalNoise samples must be a list of finite numbers")
         arr.flags.writeable = False
         object.__setattr__(self, "samples", tuple(arr.tolist()))
         object.__setattr__(self, "_values", arr)
 
-    def sample(self, rng, size=None):
-        idx = as_generator(rng).integers(0, self._values.size, size)
-        out = self._values[idx]
-        return float(out) if size is None else out
+    def sample(self, gen, size):
+        return self._values[gen.integers(0, self._values.size, size)]
 
     def mean(self):
         return float(self._values.mean())
@@ -299,9 +296,19 @@ def simulated_delay_noise() -> BoundedLogNormalNoise:
     return BoundedLogNormalNoise(4.0, 1.0, 2.0 * math.exp(4.5), 5.5)
 
 
-def sample_distribution(spec: NoiseSpec, rng, size=None):
-    """Draw from a noise spec. `rng` may be an RngStream address or a Generator."""
-    return spec.sample(rng, size)
+# Noise kind of a config -> the class or factory that builds it. A kind's
+# config fields are the keyword parameters of its entry.
+NOISE_KINDS = {
+    "none": NoNoise,
+    "normal": NormalNoise,
+    "lognormal": LogNormalNoise,
+    "bounded_lognormal": BoundedLogNormalNoise,
+    "simulated_delay": simulated_delay_noise,
+    "bernoulli": BernoulliNoise,
+    "exponential": ExponentialNoise,
+    "gamma": GammaNoise,
+    "empirical": EmpiricalNoise,
+}
 
 
 @dataclass(frozen=True)
@@ -327,12 +334,9 @@ class WorkerLatencyModel:
     def _noise_scale(self) -> float:
         return self.base_mean if self.noise_mode == "additive_scaled_by_mean" else 1.0
 
-    def sample(self, rng, size=None):
-        eps = self.noise.sample(rng, size)
-        if size is None:
-            t = self.base_mean + self._noise_scale() * eps
-            return float(max(t, POSITIVE_FLOOR_FRACTION * self.base_mean))
-        return self.times(eps)
+    def sample(self, gen: np.random.Generator, size) -> np.ndarray:
+        """An array of `size` micro-batch times drawn from the numpy generator `gen`."""
+        return self.times(self.noise.sample(gen, size))
 
     def times(self, eps: np.ndarray, out=None) -> np.ndarray:
         """Micro-batch times for an array of noise draws, as `sample` maps them."""
@@ -374,11 +378,6 @@ class FleetSpec:
         return all(w is self.workers[0] or w == self.workers[0] for w in self.workers)
 
 
-def micro_batch_time(model: WorkerLatencyModel, rng) -> float:
-    """One micro-batch compute-time draw (seconds, strictly positive)."""
-    return model.sample(rng)
-
-
 def from_trace(samples, noise_mode: str = "additive_absolute") -> WorkerLatencyModel:
     """Latency model that bootstraps recorded micro-batch times.
 
@@ -393,11 +392,6 @@ def from_trace(samples, noise_mode: str = "additive_absolute") -> WorkerLatencyM
     base = float(arr.mean())
     centered = tuple(float(x - base) for x in arr)
     return WorkerLatencyModel(base, EmpiricalNoise(centered), noise_mode)
-
-
-def moments(model: WorkerLatencyModel) -> tuple[float, float]:
-    """Mean and variance of a model's micro-batch time."""
-    return model.moments()
 
 
 # ---------------------------------------------------------------------------

@@ -128,12 +128,12 @@ class SgdProblem:
                    theta_star=theta1, loss_star=0.0, data_x=x, data_y=y,
                    l2_reg=l2_reg, sin_amplitude=sin_amplitude)
 
-        res = optimize.minimize(prob._loss_single, theta1, jac=prob._grad_single,
+        res = optimize.minimize(prob.loss, theta1, jac=prob.grad,
                                 method="L-BFGS-B",
                                 options={"maxiter": 20000, "ftol": 1e-16,
                                          "gtol": 1e-12})
         theta_star = res.x
-        loss_star = float(prob._loss_single(theta_star))
+        loss_star = float(prob.loss(theta_star))
 
         # Noise constant: exact per-sample deviation over the dataset, taken
         # at probe points spanning start, optimum, and beyond.
@@ -175,12 +175,6 @@ class SgdProblem:
             out = -(w @ self.data_x) / self.data_x.shape[0]
             out = out + self.l2_reg * arr + self.sin_amplitude * np.cos(arr)
         return out if np.asarray(theta).ndim > 1 else out[0]
-
-    def _loss_single(self, theta):
-        return self.loss(theta)
-
-    def _grad_single(self, theta):
-        return self.grad(theta)
 
     def _per_sample_grads(self, theta: np.ndarray) -> np.ndarray:
         """(n_samples, d) gradient of each sample's loss at one point."""
@@ -372,6 +366,10 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
     """
     if k_total < schedule.b_max:
         raise ValueError("k_total must be at least b_max")
+    if not float(k_total).is_integer():
+        raise ValueError(f"k_total must be a whole number of samples, got {k_total!r}")
+    if n_runs < 1:
+        raise ValueError(f"n_runs (the number of seeds) must be >= 1, got {n_runs}")
     if normalization not in ("fixed_bmax", "actual_batch"):
         raise ValueError(f"unknown normalization {normalization!r}")
     root = rng if rng is not None else RngStream(0, 0)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import threshold
 from .latency import FleetSpec
-from .stats import RngStream, StreamGenerator, philox_generator
+from .stats import RngStream, StreamGenerator
 
 __all__ = [
     "SimConfig",
@@ -77,8 +77,8 @@ class SimConfig:
     def __post_init__(self):
         if self.m_per_step < 1:
             raise ValueError("m_per_step must be >= 1")
-        if self.t_comm < 0.0:
-            raise ValueError("t_comm must be >= 0")
+        if not 0.0 <= self.t_comm < np.inf:
+            raise ValueError(f"t_comm must be finite and >= 0, got {self.t_comm!r}")
         if self.tau is not None and not (self.tau > 0.0):
             raise ValueError("tau must be > 0 when present")
         if self.iterations < 1:
@@ -161,26 +161,26 @@ def _block_len(n: int, m: int) -> int:
 
 
 class _Sampler:
-    """Draws latency blocks for one fleet from addressed streams.
+    """Draws latency blocks for one fleet from the streams of one seed.
 
     Iteration k of a block draws its (N, M) matrix from stream ids[k] of a
     homogeneous fleet; worker n of a mixed fleet draws its M micro-batches
-    from stream ids[k, n]. `at` maps a stream id to a generator positioned
-    at the start of that stream.
+    from stream ids[k, n].
     """
 
-    def __init__(self, config: SimConfig, at):
-        self.n, self.m, self.at = config.fleet.n, config.m_per_step, at
+    def __init__(self, config: SimConfig, rng: RngStream):
+        self.n, self.m, self.rng = config.fleet.n, config.m_per_step, rng
+        self.at = StreamGenerator(rng.seed).at
         self.workers = config.fleet.workers
         self.mixed = not config.fleet.is_homogeneous
 
-    def stream_ids(self, rng: RngStream, indices) -> np.ndarray:
+    def stream_ids(self, indices) -> np.ndarray:
         """Ids of rng.derive(*ix) over the broadcast scalar or 1-d indices;
         a mixed fleet appends the worker index."""
         if not self.mixed:
-            return np.atleast_1d(rng.derive_ids(*indices))
-        return rng.derive_ids(*(np.atleast_1d(ix)[:, None] for ix in indices),
-                              np.arange(self.n))
+            return np.atleast_1d(self.rng.derive_ids(*indices))
+        return self.rng.derive_ids(*(np.atleast_1d(ix)[:, None] for ix in indices),
+                                   np.arange(self.n))
 
     def draw(self, ids: np.ndarray, out=None) -> np.ndarray:
         """(B, N, M) latencies of the streams ids, written to out when given."""
@@ -286,11 +286,11 @@ def _fold(blocks, n: int, m: int, tau, iterations: int, keep: bool) -> tuple:
 def _simulated_blocks(config: SimConfig, root: RngStream, trace=None):
     """(first iteration, IterationBlock) over config.iterations, iteration i
     drawn from root.derive(i); the latencies go into trace when given."""
-    sampler = _Sampler(config, StreamGenerator(root.seed).at)
+    sampler = _Sampler(config, root)
     step = _block_len(config.fleet.n, config.m_per_step)
     for first in range(0, config.iterations, step):
         last = min(first + step, config.iterations)
-        ids = sampler.stream_ids(root, (np.arange(first, last),))
+        ids = sampler.stream_ids((np.arange(first, last),))
         times = sampler.draw(ids, None if trace is None else trace[first:last])
         yield first, _evaluate(times, config.tau, config.t_comm,
                                config.stop_at_accumulation_boundary)
@@ -299,27 +299,18 @@ def _simulated_blocks(config: SimConfig, root: RngStream, trace=None):
 def simulate_block(config: SimConfig, rng: RngStream, *indices) -> IterationBlock:
     """Iterations drawn from the streams rng.derive(*ix), one per element ix
     of the broadcast scalar or 1-d indices (a mixed fleet's worker n from
-    rng.derive(*ix, n)). simulate_iteration(config, i, rng) is row 0 of
-    simulate_block(config, rng, i)."""
-    sampler = _Sampler(config, StreamGenerator(rng.seed).at)
-    times = sampler.draw(sampler.stream_ids(rng, indices))
+    rng.derive(*ix, n))."""
+    sampler = _Sampler(config, rng)
+    times = sampler.draw(sampler.stream_ids(indices))
     return _evaluate(times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
 
 
 def simulate_iteration(config: SimConfig, iter_index: int,
                        rng: Optional[RngStream] = None) -> IterationRecord:
-    """Simulate one synchronous iteration and return its record."""
+    """Simulate one synchronous iteration and return its record: row 0 of
+    simulate_block(config, rng, iter_index), rng defaulting to stream 0."""
     root = rng if rng is not None else RngStream(config.seed, 0)
-    # One stream per worker at most: fresh generators and scalar derives
-    # cost less here than the block path's vector set-up.
-    sampler = _Sampler(config, lambda sid: philox_generator(root.seed, sid))
-    if sampler.mixed:
-        ids = [[root.derive(iter_index, w).stream_id for w in range(sampler.n)]]
-    else:
-        ids = [root.derive(iter_index).stream_id]
-    times = sampler.draw(np.array(ids, dtype=np.uint64))
-    block = _evaluate(times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
-    return block.record(0, iter_index)
+    return simulate_block(config, root, iter_index).record(0, iter_index)
 
 
 def run(config: SimConfig, rng: Optional[RngStream] = None) -> RunStats:
@@ -464,6 +455,8 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
         raise ValueError("straggler_delay must be >= 0")
     if mode not in ("uniform", "single_server"):
         raise ValueError(f"unknown straggler mode {mode!r}")
+    if server_size < 1:
+        raise ValueError("server_size must be >= 1")
     if tau is not None and (isinstance(tau, bool) or not isinstance(tau, numbers.Real)
                             or not tau > 0.0):
         raise ValueError(f"tau must be None or a number > 0, got {tau!r}")

@@ -150,13 +150,6 @@ class StreamGenerator:
         return self._gen
 
 
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream address or a live generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
 def phi_cdf(x):
     """Standard normal CDF; scalar in, scalar out, arrays elementwise.
 
@@ -277,9 +270,13 @@ class EmpiricalCdf:
         return out
 
     def ks_distance(self, cdf) -> float:
-        """Kolmogorov-Smirnov distance to a reference CDF callable."""
+        """Kolmogorov-Smirnov distance to a reference CDF callable.
+
+        `cdf` is called once, on the whole sorted sample, so it must accept
+        an array and return the CDF elementwise.
+        """
         n = self.sorted_samples.size
-        ref = np.asarray([cdf(x) for x in self.sorted_samples], dtype=float)
+        ref = np.asarray(cdf(self.sorted_samples), dtype=float)
         upper = np.abs(np.arange(1, n + 1) / n - ref)
         lower = np.abs(np.arange(0, n) / n - ref)
         return float(max(upper.max(), lower.max()))

@@ -1,0 +1,185 @@
+"""Config robustness of the command line: malformed values exit 2 with a
+message, never 1 with a traceback. Explicit cases first, then a hypothesis
+fuzz that replaces one field of a small valid config with an arbitrary JSON
+value."""
+
+import copy
+import inspect
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dropsim import cli
+from dropsim.latency import NOISE_KINDS
+
+FLEET = {"workers": 3, "base_mean": 1.0, "noise_mode": "additive_absolute",
+         "noise": {"kind": "normal", "loc": 0.0, "std": 0.1}}
+
+# Small valid configs, one per command (and mode); each runs in milliseconds.
+BASES = {
+    "simulate": {"fleet": FLEET, "m_per_step": 3, "t_comm": 0.2, "tau": "auto",
+                 "warmup_iterations": 5, "iterations": 6, "seed": 1,
+                 "stop_at_accumulation_boundary": False, "mode": "synchronous"},
+    "local-sgd": {"fleet": FLEET, "m_per_step": 1, "iterations": 40, "seed": 1,
+                  "mode": "local-sgd",
+                  "local_sgd": {"sync_period": 2, "straggler_prob": 0.1,
+                                "straggler_delay": 0.5, "straggler_mode": "uniform",
+                                "server_size": 2, "tau": 1.5}},
+    "scale-sweep": {"fleet": FLEET, "m_per_step": 3, "t_comm": 0.2, "tau": "auto",
+                    "warmup_iterations": 5, "iterations": 6, "n_list": [2, 4],
+                    "seed": 1, "stop_at_accumulation_boundary": False},
+    "sgd-bench": {"problem": {"kind": "quadratic", "dimension": 3, "smoothness": 1.0,
+                              "sigma": 1.0, "distance": 2.0, "seed": 0},
+                  "schedule": {"kind": "per_worker_bernoulli", "b_max": 10,
+                               "n_workers": 2, "p_drop": 0.1},
+                  "k_total": 200, "seeds": 3, "theorem": "both", "seed": 1},
+    "sgd-bench-logistic": {
+        "problem": {"kind": "logistic_synthetic", "dimension": 3, "n_samples": 32,
+                    "l2_reg": 0.1, "sin_amplitude": 0.05, "seed": 7},
+        "schedule": {"kind": "none", "b_max": 10},
+        "k_total": 1000, "seeds": 2, "theorem": "nonconvex"},
+}
+
+# One valid noise block per kind; the fuzz swaps each into the fleet.
+NOISES = [
+    {"kind": "none"},
+    {"kind": "normal", "loc": 0.0, "std": 0.1},
+    {"kind": "lognormal", "log_mean": -2.0, "log_std": 0.5},
+    {"kind": "bounded_lognormal", "log_mean": 4.0, "log_std": 1.0,
+     "scale_divisor": 180.0, "bound": 5.5},
+    {"kind": "simulated_delay"},
+    {"kind": "bernoulli", "p": 0.2, "scale": 0.5},
+    {"kind": "exponential", "rate": 5.0},
+    {"kind": "gamma", "shape": 2.0, "rate": 10.0},
+    {"kind": "empirical", "samples": [0.1, -0.05, 0.2]},
+]
+
+
+def _argv(name: str, cfg: str, out: str) -> list:
+    command = {"local-sgd": "simulate", "sgd-bench-logistic": "sgd-bench"}.get(name, name)
+    return [command, "--config", cfg, "--out", out]
+
+
+def _run(name: str, text: str, where: Path) -> int:
+    cfg = where / "c.json"
+    cfg.write_text(text)
+    return cli.main(_argv(name, str(cfg), str(where / "o")))
+
+
+def _with(doc: dict, keys: tuple, value) -> dict:
+    """A copy of doc with the value at the key path replaced."""
+    doc = copy.deepcopy(doc)
+    inner = doc
+    for k in keys[:-1]:
+        inner = inner[k]
+    inner[keys[-1]] = value
+    return doc
+
+
+def _with_literal(doc: dict, keys: tuple, literal: str) -> str:
+    """doc as JSON text with the value at the key path written as a raw literal."""
+    return json.dumps(_with(doc, keys, "@literal@")).replace('"@literal@"', literal)
+
+
+def test_every_base_config_runs():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in BASES.items():
+            assert _run(name, json.dumps(doc), Path(tmp)) == 0, name
+        for noise in NOISES:
+            doc = _with(BASES["simulate"], ("fleet", "noise"), noise)
+            assert _run("simulate", json.dumps(doc), Path(tmp)) == 0, noise
+    assert {n["kind"] for n in NOISES} == set(NOISE_KINDS)
+
+
+def test_readme_noise_table_matches_noise_kinds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|", readme, flags=re.M)
+    assert {kind: set(re.findall(r"`(\w+)`", fields)) for kind, fields in rows} == \
+        {kind: set(inspect.signature(make).parameters) for kind, make in NOISE_KINDS.items()}
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                                     "1" + "0" * 400])
+@pytest.mark.parametrize("name, keys", [
+    ("simulate", ("t_comm",)),
+    ("simulate", ("fleet", "noise", "std")),
+    ("simulate", ("fleet", "noise", "loc")),
+    ("scale-sweep", ("t_comm",)),
+    ("sgd-bench", ("k_total",)),
+])
+def test_non_finite_number_exits_2(tmp_path, capsys, name, keys, literal):
+    assert _run(name, _with_literal(BASES[name], keys, literal), tmp_path) == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, keys, value, message", [
+    ("simulate", ("fleet", "noise", "loc"), "a", "invalid noise parameters"),
+    ("simulate", ("fleet", "noise", "loc"), [0.0, 1.0], "invalid noise parameters"),
+    ("simulate", ("fleet", "noise", "kind"), ["normal"], "unknown noise kind ['normal']"),
+    ("simulate", ("fleet", "noise"), {"kind": "empirical", "samples": [[0.1], [0.2]]},
+     "invalid noise parameters"),
+    ("simulate", ("t_comm",), "nan", "t_comm must be finite and >= 0"),
+    ("scale-sweep", ("t_comm",), "Infinity", "t_comm must be finite and >= 0"),
+    ("simulate", ("fleet",), 5, "fleet must be a JSON object"),
+    ("local-sgd", ("local_sgd",), 5, "local_sgd block must be a JSON object"),
+    ("local-sgd", ("local_sgd", "server_size"), 0, "server_size must be >= 1"),
+    ("sgd-bench", ("problem",), [], "problem block must be a JSON object"),
+    ("sgd-bench", ("schedule",), "x", "schedule block must be a JSON object"),
+    ("sgd-bench", ("k_total",), 1000.5, "k_total must be a whole number"),
+    ("sgd-bench", ("k_total",), "abc", "invalid sgd-bench config"),
+    ("sgd-bench", ("k_total",), 5, "k_total must be at least b_max"),
+    ("sgd-bench", ("seeds",), 0, "n_runs (the number of seeds) must be >= 1"),
+    ("sgd-bench", ("seeds",), "x", "invalid sgd-bench config"),
+])
+def test_malformed_value_exits_2(tmp_path, capsys, name, keys, value, message):
+    assert _run(name, json.dumps(_with(BASES[name], keys, value)), tmp_path) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_bytes(b'{"m_per_step": "\xff"}')
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def _paths(doc: dict, prefix=()) -> list:
+    """Key path of every field, nested objects and their fields included."""
+    out = []
+    for k, v in doc.items():
+        out.append(prefix + (k,))
+        if isinstance(v, dict):
+            out.extend(_paths(v, prefix + (k,)))
+    return out
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers(-3, 64)
+            | st.floats(-64.0, 64.0) | st.sampled_from([math.nan, math.inf, -math.inf])
+            | st.text(max_size=6))
+_JSON = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+                     max_leaves=6)
+
+
+@st.composite
+def _mutated(draw):
+    name = draw(st.sampled_from(sorted(BASES)))
+    doc = BASES[name]
+    if "fleet" in doc:
+        doc = _with(doc, ("fleet", "noise"), draw(st.sampled_from(NOISES)))
+    return name, _with(doc, draw(st.sampled_from(_paths(doc))), draw(_JSON))
+
+
+@given(_mutated())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_fuzzed_config_never_raises(case):
+    name, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        rc = _run(name, json.dumps(doc), Path(tmp))
+    assert rc in ((0, 1, 2) if name.startswith("sgd-bench") else (0, 2))

@@ -23,15 +23,13 @@ from dropsim import (
     RngStream,
     WorkerLatencyModel,
     from_trace,
-    micro_batch_time,
     read_comm_csv,
     read_trace_csv,
-    sample_distribution,
     simulated_delay_noise,
     write_comm_csv,
     write_trace_csv,
 )
-from dropsim.latency import POSITIVE_FLOOR_FRACTION, moments
+from dropsim.latency import POSITIVE_FLOOR_FRACTION
 
 N_DRAWS = 1_000_000
 
@@ -47,7 +45,7 @@ FAMILIES = [
 
 
 def _draws(spec, n=N_DRAWS, seed=17):
-    return sample_distribution(spec, RngStream(seed, 3), n)
+    return spec.sample(RngStream(seed, 3).generator(), n)
 
 
 class TestNoiseMoments:
@@ -143,7 +141,7 @@ class TestBoundedDelay:
 class TestWorkerLatencyModel:
     def test_noiseless_exact(self):
         model = WorkerLatencyModel(0.45, NoNoise())
-        assert micro_batch_time(model, RngStream(0)) == 0.45
+        assert model.sample(RngStream(0).generator(), 1)[0] == 0.45
         assert model.moments() == (0.45, 0.0)
 
     def test_gamma_example_total_mean(self):
@@ -236,7 +234,7 @@ class TestFromTrace:
         gen = RngStream(12).generator()
         samples = 0.3 + gen.gamma(2.0, 0.1, size=5000)
         model = from_trace(samples)
-        mu, var = moments(model)
+        mu, var = model.moments()
         assert mu == pytest.approx(float(np.mean(samples)), rel=1e-12)
         assert var == pytest.approx(float(np.var(samples)), rel=1e-9)
 

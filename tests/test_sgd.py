@@ -228,6 +228,15 @@ class TestRunMechanics:
         with pytest.raises(ValueError):
             run_many(prob, ds.BatchSchedule(100), 50)
 
+    def test_fractional_k_or_no_runs_rejected(self):
+        # Batches sum to exactly K, so K must be whole; before this check a
+        # K of 1000.5 stepped with empty batches up to the step budget.
+        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        with pytest.raises(ValueError, match="whole number"):
+            run_many(prob, ds.BatchSchedule(100), 1000.5)
+        with pytest.raises(ValueError, match="n_runs"):
+            run_many(prob, ds.BatchSchedule(100), 1000, n_runs=0)
+
     def test_eta_mode_validation(self):
         prob = ds.SgdProblem.quadratic(verify_variance=False)
         with pytest.raises(ValueError):

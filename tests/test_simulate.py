@@ -268,6 +268,8 @@ class TestLocalSgd:
             ds.local_sgd_run(fleet, 2, 1.5, 1.0)
         with pytest.raises(ValueError):
             ds.local_sgd_run(fleet, 2, 0.04, 1.0, mode="bogus")
+        with pytest.raises(ValueError, match="server_size"):
+            ds.local_sgd_run(fleet, 2, 0.04, 1.0, mode="single_server", server_size=0)
         for tau in (-1.0, 0.0, math.nan, "1.0", True):
             with pytest.raises(ValueError, match="tau must be None or a number > 0"):
                 ds.local_sgd_run(fleet, 2, 0.04, 1.0, tau=tau)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from dropsim import EmpiricalCdf, RngStream, phi_cdf, phi_inv, phi_pdf
-from dropsim.stats import EULER_GAMMA, as_generator
+from dropsim.stats import EULER_GAMMA
 
 
 def _phi_quad(x: float) -> float:
@@ -144,11 +144,6 @@ class TestRngStream:
         root = RngStream(seed)
         assert root.derive(*indices) != root
 
-    def test_as_generator_passthrough(self):
-        gen = np.random.default_rng(0)
-        assert as_generator(gen) is gen
-        assert isinstance(as_generator(RngStream(5)), np.random.Generator)
-
 
 class TestEmpiricalCdf:
     def test_basic_steps(self):
@@ -177,6 +172,17 @@ class TestEmpiricalCdf:
         ecdf = EmpiricalCdf.from_samples(samples)
         # ECDF vs itself as a step function differs by exactly one step.
         assert ecdf.ks_distance(ecdf) <= 1.0 / samples.size + 1e-12
+
+    @pytest.mark.parametrize("cdf", ["self", "phi"])
+    def test_ks_distance_matches_per_sample_oracle(self, cdf):
+        # The reference CDF evaluated one sample at a time gives the same bits.
+        ecdf = EmpiricalCdf.from_samples(RngStream(12).generator().standard_normal(2000))
+        cdf = ecdf if cdf == "self" else phi_cdf
+        x = ecdf.sorted_samples
+        ref = np.array([cdf(v) for v in x])
+        want = max(np.abs(np.arange(1, x.size + 1) / x.size - ref).max(),
+                   np.abs(np.arange(x.size) / x.size - ref).max())
+        assert ecdf.ks_distance(cdf) == want
 
     @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=-2, max_value=2), st.floats(min_value=0.1, max_value=3.0))
     @settings(max_examples=10, derandomize=True, deadline=None)
