@@ -1,12 +1,13 @@
 """Command-line driver: simulate, select-threshold, scale-sweep, sgd-bench.
 
-Configs are JSON documents validated by hand (unknown keys are rejected so
-typos fail loudly); tabular results go to CSV with a comment line recording
-the config hash and tool version, reports go to JSON with sorted keys. All
-outputs are written atomically and contain no timestamps, so a fixed seed
-reproduces files byte for byte. DROPSIM_THREADS caps the worker threads used
-for sweep points; results are identical at any thread count because every
-sweep point draws from its own derived random stream.
+Configs are JSON documents read against a field table per block (unknown
+keys and wrongly typed values are rejected so typos fail loudly); tabular
+results go to CSV with a comment line recording the config hash and tool
+version, reports go to JSON with sorted keys. All outputs are written
+atomically and contain no timestamps, so a fixed seed reproduces files byte
+for byte. DROPSIM_THREADS caps the worker threads used for sweep points;
+results are identical at any thread count because every sweep point draws
+from its own derived random stream.
 """
 from __future__ import annotations
 
@@ -18,9 +19,11 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,15 +42,110 @@ class ConfigError(Exception):
     pass
 
 
-def _check_keys(doc: dict, allowed, required, where: str) -> None:
+class _Type(NamedTuple):
+    """The values a config field takes: `name` is its JSON type as the README
+    writes it, `desc` how error messages say it, `ok` the test of a parsed
+    JSON value. A field with `floats` passes an integer on as a float."""
+    name: str
+    desc: str
+    ok: Callable[[object], bool]
+    floats: bool = False
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float)  # not bool: type(True) is bool
+
+
+_INTEGER = _Type("integer", "an integer", lambda v: type(v) is int)
+# Bounds no library constructor checks: the warmup length, and the seed,
+# which RngStream masks to 64 bits (so 2**64 would alias seed 0).
+_COUNT = _Type("integer >= 1", "an integer >= 1", lambda v: type(v) is int and v >= 1)
+_SEED = _Type("integer in [0, 2^64)", "an integer in [0, 2^64)",
+              lambda v: type(v) is int and 0 <= v < 2**64)
+_NUMBER = _Type("number", "a number", _is_number, True)
+_NUMBER_OR_NULL = _Type("number or null", "a number or null",
+                        lambda v: v is None or _is_number(v), True)
+_TAU = _Type('number, "auto" or null', 'a number, "auto" or null',
+             lambda v: v is None or v == "auto" or _is_number(v), True)
+_BOOLEAN = _Type("boolean", "true or false", lambda v: type(v) is bool)
+_STRING = _Type("string", "a string", lambda v: type(v) is str)
+_INTEGERS = _Type("list of integers", "a list of integers",
+                  lambda v: type(v) is list and set(map(type, v)) <= {int})
+_NUMBERS = _Type("list of numbers", "a list of numbers",
+                 lambda v: type(v) is list and set(map(type, v)) <= {int, float})
+# A nested block: its own table checks it when the command reads it.
+_OBJECT = _Type("object", "a JSON object", lambda v: True)
+
+# Tables map a field to (type,) when it is required, else (type, default).
+_FLEET = {"workers": (_INTEGER,), "base_mean": (_NUMBER,), "noise": (_OBJECT,),
+          "noise_mode": (_STRING, "additive_absolute")}
+
+# A noise kind's fields are the keyword parameters of its NOISE_KINDS entry,
+# typed by their annotations (strings: latency defers annotations).
+_NOISE_FIELD_TYPES = {"float": _NUMBER, "tuple": _NUMBERS}
+_NOISES = {kind: {"kind": (_STRING,),
+                  **{p.name: (_NOISE_FIELD_TYPES[p.annotation],)
+                     for p in inspect.signature(make).parameters.values()}}
+           for kind, make in NOISE_KINDS.items()}
+
+_RUN = {"fleet": (_OBJECT,), "m_per_step": (_INTEGER,),
+        # SimConfig's wording, so a wrong type and a negative value read alike
+        "t_comm": (_NUMBER._replace(desc="finite and >= 0"), 0.0),
+        "iterations": (_INTEGER, 100), "seed": (_SEED, 0),
+        "stop_at_accumulation_boundary": (_BOOLEAN, False),
+        "warmup_iterations": (_COUNT, 100)}
+_SIMULATE = {**_RUN, "tau": (_TAU, None), "mode": (_STRING, "synchronous"),
+             "local_sgd": (_OBJECT, {})}
+_SIMULATE_LOCAL_SGD = {**_SIMULATE, "iterations": (_INTEGER, 2000)}
+_SCALE_SWEEP = {**_RUN, "tau": (_TAU, "auto"), "n_list": (_INTEGERS,)}
+_LOCAL_SGD = {"sync_period": (_INTEGER,), "straggler_prob": (_NUMBER, 0.04),
+              "straggler_delay": (_NUMBER, 1.0), "straggler_mode": (_STRING, "uniform"),
+              "server_size": (_INTEGER, 8),
+              # local_sgd_run's wording
+              "tau": (_NUMBER_OR_NULL._replace(desc="None or a number > 0"), None)}
+
+# Problem kinds are named after the SgdProblem constructors they call.
+_PROBLEMS = {
+    "quadratic": {"kind": (_STRING,), "dimension": (_INTEGER, 10),
+                  "smoothness": (_NUMBER, 1.0), "sigma": (_NUMBER, 1.0),
+                  "distance": (_NUMBER, 10.0), "actual_sigma": (_NUMBER_OR_NULL, None),
+                  "seed": (_SEED, 0)},
+    "logistic_synthetic": {"kind": (_STRING,), "dimension": (_INTEGER, 10),
+                           "n_samples": (_INTEGER, 512), "l2_reg": (_NUMBER, 0.1),
+                           "sin_amplitude": (_NUMBER, 0.0), "seed": (_SEED, 7)},
+}
+_SCHEDULE = {"kind": (_STRING,), "b_max": (_INTEGER,), "n_workers": (_INTEGER, 1),
+             "p_drop": (_NUMBER, 0.0)}
+_SGD_BENCH = {"problem": (_OBJECT,), "schedule": (_OBJECT,), "k_total": (_NUMBER,),
+              "seeds": (_INTEGER, 100), "theorem": (_STRING, "both"), "seed": (_SEED, 0)}
+
+
+def _read(doc, table: dict, where: str) -> dict:
+    """doc's fields, checked against table, with defaults filled in."""
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
-    unknown = sorted(set(doc) - set(allowed))
+        raise ConfigError(f"{where} must be a JSON object, got {reprlib.repr(doc)}")
+    unknown = sorted(set(doc) - set(table))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
-    missing = sorted(set(required) - set(doc))
+    missing = sorted(k for k, spec in table.items() if len(spec) == 1 and k not in doc)
     if missing:
         raise ConfigError(f"missing required key(s) {missing} in {where}")
+    fields = {key: spec[1] for key, spec in table.items() if key not in doc}
+    for key, value in doc.items():
+        kind = table[key][0]
+        if not kind.ok(value):
+            raise ConfigError(f"invalid {where}: {key} must be {kind.desc}, "
+                              f"got {reprlib.repr(value)}")
+        fields[key] = float(value) if kind.floats and type(value) is int else value
+    return fields
+
+
+def _read_kind(doc, tables: dict, noun: str, where: str) -> dict:
+    """_read with the table of doc's `kind`."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if isinstance(doc, dict) and not (isinstance(kind, str) and kind in tables):
+        raise ConfigError(f"unknown {noun} kind {kind!r} in {where}")
+    return _read(doc, tables.get(kind), where)
 
 
 def _finite(parse):
@@ -86,31 +184,24 @@ def _stamp(doc: dict) -> str:
     return f"config_hash={_config_hash(doc)} version={__version__}"
 
 
-def _parse_noise(doc, where: str):
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError(f"{where} must be an object with a 'kind' field")
-    kind = doc["kind"]
-    make = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
-    if make is None:
-        raise ConfigError(f"unknown noise kind {kind!r} in {where}")
-    fields = set(inspect.signature(make).parameters) | {"kind"}
-    _check_keys(doc, fields, fields, where)
+def _parse_noise(doc):
+    where = "noise parameters in fleet.noise"
+    fields = _read_kind(doc, _NOISES, "noise", where)
+    make = NOISE_KINDS[fields.pop("kind")]
     try:
-        return make(**{k: v for k, v in doc.items() if k != "kind"})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid noise parameters in {where}: {exc}") from exc
+        return make(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def _parse_fleet(doc: dict, where: str) -> FleetSpec:
-    _check_keys(doc, {"workers", "base_mean", "noise", "noise_mode"},
-                {"workers", "base_mean", "noise"}, where)
-    noise = _parse_noise(doc["noise"], f"{where}.noise")
+def _parse_fleet(doc) -> FleetSpec:
+    fleet = _read(doc, _FLEET, "fleet")
+    noise = _parse_noise(fleet["noise"])
     try:
-        model = WorkerLatencyModel(doc["base_mean"], noise,
-                                   doc.get("noise_mode", "additive_absolute"))
-        return FleetSpec.homogeneous(int(doc["workers"]), model)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid fleet in {where}: {exc}") from exc
+        model = WorkerLatencyModel(fleet["base_mean"], noise, fleet["noise_mode"])
+        return FleetSpec.homogeneous(fleet["workers"], model)
+    except ValueError as exc:
+        raise ConfigError(f"invalid fleet: {exc}") from exc
 
 
 def _atomic_write(path: Path, chunks) -> None:
@@ -134,108 +225,45 @@ def _out_dir(args) -> Path:
 
 def _threads() -> int:
     raw = os.environ.get("DROPSIM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"DROPSIM_THREADS must be an integer, got {raw!r}")
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ConfigError(f"DROPSIM_THREADS must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
 
-_SIM_KEYS = {"fleet", "m_per_step", "t_comm", "tau", "iterations", "seed",
-             "stop_at_accumulation_boundary", "warmup_iterations", "mode",
-             "local_sgd"}
-
-
-def _build_sim_config(doc: dict, seed_override) -> SimConfig:
-    fleet = _parse_fleet(doc["fleet"], "fleet")
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    boundary = doc.get("stop_at_accumulation_boundary", False)
-    if not isinstance(boundary, bool):
-        raise ConfigError("stop_at_accumulation_boundary must be true or false, "
-                          f"got {boundary!r}")
+def _sim_config(cfg: dict, seed, where: str) -> SimConfig:
+    """The run cfg describes, with a tau of "auto" left unset."""
+    fleet = _parse_fleet(cfg["fleet"])
     try:
-        return SimConfig(
-            fleet=fleet,
-            m_per_step=int(doc["m_per_step"]),
-            t_comm=float(doc.get("t_comm", 0.0)),
-            iterations=int(doc.get("iterations", 100)),
-            seed=int(seed),
-            stop_at_accumulation_boundary=boundary,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid simulate config: {exc}") from exc
-
-
-def _parse_tau(doc: dict, default):
-    """tau: null (baseline), a number > 0, or "auto" (warmup + search)."""
-    tau = doc.get("tau", default)
-    if tau is None or tau == "auto":
-        return tau
-    try:
-        value = float(tau)
-    except (TypeError, ValueError):
-        value = math.nan
-    if not value > 0.0:
-        raise ConfigError(f'tau must be null, a number > 0, or "auto", got {tau!r}')
-    return value
-
-
-def _parse_warmup(doc: dict) -> int:
-    raw = doc.get("warmup_iterations", 100)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        value = 0
-    if value < 1:
-        raise ConfigError(f"warmup_iterations must be an integer >= 1, got {raw!r}")
-    return value
-
-
-def _resolve_tau(doc: dict, config: SimConfig):
-    tau, warmup = _parse_tau(doc, None), _parse_warmup(doc)
-    return auto_tau(config, warmup) if tau == "auto" else tau
+        return SimConfig(fleet, cfg["m_per_step"], cfg["t_comm"],
+                         None if cfg["tau"] == "auto" else cfg["tau"], cfg["iterations"],
+                         cfg["seed"] if seed is None else seed,
+                         cfg["stop_at_accumulation_boundary"])
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, _SIM_KEYS, {"fleet", "m_per_step"}, "simulate config")
     mode = args.mode or doc.get("mode", "synchronous")
-    out = _out_dir(args)
-    stamp = _stamp(doc)
+    cfg = _read(doc, _SIMULATE_LOCAL_SGD if mode == "local-sgd" else _SIMULATE,
+                "simulate config")
 
     if mode == "local-sgd":
-        block = doc.get("local_sgd", {})
-        _check_keys(block, {"sync_period", "straggler_prob", "straggler_delay",
-                            "straggler_mode", "server_size", "tau"},
-                    {"sync_period"}, "local_sgd block")
-        fleet = _parse_fleet(doc["fleet"], "fleet")
-        seed = args.seed if args.seed is not None else doc.get("seed", 0)
+        block = _read(cfg["local_sgd"], _LOCAL_SGD, "local_sgd block")
+        fleet = _parse_fleet(cfg["fleet"])
         try:
             result = local_sgd_run(
-                fleet,
-                sync_period=int(block["sync_period"]),
-                straggler_prob=float(block.get("straggler_prob", 0.04)),
-                straggler_delay=float(block.get("straggler_delay", 1.0)),
-                mode=block.get("straggler_mode", "uniform"),
-                iterations=int(doc.get("iterations", 2000)),
-                tau=block.get("tau"),
-                seed=int(seed),
-                server_size=int(block.get("server_size", 8)),
-            )
-        except (TypeError, ValueError) as exc:
+                fleet, mode=block.pop("straggler_mode"), iterations=cfg["iterations"],
+                seed=cfg["seed"] if args.seed is None else args.seed, **block)
+        except ValueError as exc:
             raise ConfigError(f"invalid local_sgd config: {exc}") from exc
         report = {"mode": "local-sgd", "config_hash": _config_hash(doc),
-                  "version": __version__,
-                  "local_sgd_speedup": result.local_sgd_speedup,
-                  "dropcompute_speedup": result.dropcompute_speedup,
-                  "sync_step_time": result.sync_step_time,
-                  "local_sgd_step_time": result.local_sgd_step_time,
-                  "dropcompute_step_time": result.dropcompute_step_time,
-                  "tau": result.tau}
-        _atomic_write(out / "summary.json",
+                  "version": __version__, **dataclasses.asdict(result)}
+        _atomic_write(_out_dir(args) / "summary.json",
                       [json.dumps(report, indent=2, sort_keys=True) + "\n"])
         print(f"local-sgd speedup {result.local_sgd_speedup:.4f}, "
               f"with threshold {result.dropcompute_speedup:.4f}")
@@ -243,11 +271,14 @@ def cmd_simulate(args) -> int:
     if mode != "synchronous":
         raise ConfigError(f"unknown mode {mode!r}; use synchronous or local-sgd")
 
-    config = _build_sim_config(doc, args.seed)
-    config = dataclasses.replace(config, tau=_resolve_tau(doc, config))
+    config = _sim_config(cfg, args.seed, "simulate config")
+    if cfg["tau"] == "auto":
+        config = dataclasses.replace(
+            config, tau=auto_tau(config, cfg["warmup_iterations"]))
     sim = run_detailed(config)
 
-    _atomic_write(out / "records.csv", iter_records_csv(sim.records, stamp))
+    out = _out_dir(args)
+    _atomic_write(out / "records.csv", iter_records_csv(sim.records, _stamp(doc)))
     summary = stats_to_json(sim.stats, config_hash=_config_hash(doc),
                             version=__version__)
     _atomic_write(out / "summary.json", [summary + "\n"])
@@ -268,9 +299,13 @@ def _read_grid_file(path: str) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
-                vals.append(float(line))
+                value = float(line)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: not a number: {line!r}") from exc
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{path}:{lineno}: threshold must be finite and > 0, "
+                                  f"got {line!r}")
+            vals.append(value)
     if not vals:
         raise ConfigError(f"{path}: empty threshold grid")
     return np.asarray(vals)
@@ -304,26 +339,13 @@ def cmd_select_threshold(args) -> int:
 # scale-sweep
 # ---------------------------------------------------------------------------
 
-_SWEEP_KEYS = {"fleet", "m_per_step", "t_comm", "tau", "iterations", "seed",
-               "warmup_iterations", "n_list", "stop_at_accumulation_boundary"}
-
-
 def cmd_scale_sweep(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, _SWEEP_KEYS, {"fleet", "m_per_step", "n_list"},
-                "scale-sweep config")
-    n_list = doc["n_list"]
-    if (not isinstance(n_list, list) or not n_list
-            or any(not isinstance(v, int) for v in n_list)):
-        raise ConfigError("n_list must be a nonempty list of integers")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError("n_list must be strictly ascending")
-
-    template = _build_sim_config(doc, args.seed)
-    tau_policy, warmup = _parse_tau(doc, "auto"), _parse_warmup(doc)
+    cfg = _read(doc, _SCALE_SWEEP, "scale-sweep config")
+    template = _sim_config(cfg, args.seed, "scale-sweep config")
     try:
-        points = scale_sweep(template, n_list, tau_policy, warmup,
-                             max_workers=_threads())
+        points = scale_sweep(template, cfg["n_list"], cfg["tau"],
+                             cfg["warmup_iterations"], max_workers=_threads())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -361,71 +383,41 @@ def cmd_scale_sweep(args) -> int:
 # sgd-bench
 # ---------------------------------------------------------------------------
 
-_PROBLEM_KEYS = {"kind", "dimension", "smoothness", "sigma", "distance",
-                 "actual_sigma", "n_samples", "l2_reg", "sin_amplitude", "seed"}
-_SCHEDULE_KEYS = {"kind", "b_max", "n_workers", "p_drop"}
-
-
-def _parse_problem(doc: dict) -> sgd.SgdProblem:
-    _check_keys(doc, _PROBLEM_KEYS, {"kind"}, "problem block")
+def _parse_problem(doc) -> sgd.SgdProblem:
+    fields = _read_kind(doc, _PROBLEMS, "problem", "problem block")
     try:
-        if doc["kind"] == "quadratic":
-            return sgd.SgdProblem.quadratic(
-                dimension=int(doc.get("dimension", 10)),
-                smoothness=float(doc.get("smoothness", 1.0)),
-                sigma=float(doc.get("sigma", 1.0)),
-                distance=float(doc.get("distance", 10.0)),
-                actual_sigma=(None if doc.get("actual_sigma") is None
-                              else float(doc["actual_sigma"])),
-                seed=int(doc.get("seed", 0)))
-        if doc["kind"] == "logistic_synthetic":
-            return sgd.SgdProblem.logistic_synthetic(
-                dimension=int(doc.get("dimension", 10)),
-                n_samples=int(doc.get("n_samples", 512)),
-                l2_reg=float(doc.get("l2_reg", 0.1)),
-                sin_amplitude=float(doc.get("sin_amplitude", 0.0)),
-                seed=int(doc.get("seed", 7)))
-    except (TypeError, ValueError) as exc:
+        return getattr(sgd.SgdProblem, fields.pop("kind"))(**fields)
+    except ValueError as exc:
         raise ConfigError(f"invalid problem block: {exc}") from exc
-    raise ConfigError(f"unknown problem kind {doc['kind']!r}")
 
 
-def _parse_schedule(doc: dict) -> sgd.BatchSchedule:
-    _check_keys(doc, _SCHEDULE_KEYS, {"kind", "b_max"}, "schedule block")
+def _parse_schedule(doc) -> sgd.BatchSchedule:
+    fields = _read(doc, _SCHEDULE, "schedule block")
     try:
-        return sgd.BatchSchedule(
-            b_max=int(doc["b_max"]),
-            kind=doc["kind"],
-            n_workers=int(doc.get("n_workers", 1)),
-            p_drop=float(doc.get("p_drop", 0.0)))
-    except (TypeError, ValueError) as exc:
+        return sgd.BatchSchedule(**fields)
+    except ValueError as exc:
         raise ConfigError(f"invalid schedule block: {exc}") from exc
-
-
-_BENCH_KEYS = {"problem", "schedule", "k_total", "seeds", "theorem", "seed"}
 
 
 def cmd_sgd_bench(args) -> int:
     doc = _load_config(args.config)
-    _check_keys(doc, _BENCH_KEYS, {"problem", "schedule", "k_total"},
-                "sgd-bench config")
-    problem = _parse_problem(doc["problem"])
-    schedule = _parse_schedule(doc["schedule"])
-    theorem = doc.get("theorem", "both")
+    cfg = _read(doc, _SGD_BENCH, "sgd-bench config")
+    problem = _parse_problem(cfg["problem"])
+    schedule = _parse_schedule(cfg["schedule"])
+    theorem = cfg["theorem"]
     if theorem not in ("convex", "nonconvex", "both"):
         raise ConfigError('theorem must be "convex", "nonconvex", or "both"')
     if theorem in ("convex", "both") and problem.kind != "quadratic":
         raise ConfigError("the convex bound check needs the quadratic problem")
 
+    seeds = cfg["seeds"] if args.seeds is None else args.seeds
+    base_seed = cfg["seed"] if args.seed is None else args.seed
     try:  # run_many rejects a k_total or seed count it cannot run
-        k_total = float(doc["k_total"])
-        seeds = args.seeds if args.seeds is not None else int(doc.get("seeds", 100))
-        base_seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-        reports = [verify(problem, schedule, k_total, seeds=seeds, seed=base_seed)
+        reports = [verify(problem, schedule, cfg["k_total"], seeds=seeds, seed=base_seed)
                    for name, verify in (("convex", sgd.verify_convex_bound),
                                         ("nonconvex", sgd.verify_nonconvex_bound))
                    if theorem in (name, "both")]
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid sgd-bench config: {exc}") from exc
 
     body = []
@@ -462,6 +454,13 @@ def cmd_sgd_bench(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _seed(text: str) -> int:
+    """--seed: an integer in the range the random streams address."""
+    if not _SEED.ok(seed := int(text)):
+        raise argparse.ArgumentTypeError(f"must be {_SEED.desc}, got {text}")
+    return seed
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dropsim",
@@ -471,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run timing iterations")
     p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=_seed, default=None)
     p_sim.add_argument("--out", default=".")
     p_sim.add_argument("--mode", choices=["synchronous", "local-sgd"],
                        default=None)
@@ -487,13 +486,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("scale-sweep", help="repeat the run across fleet sizes")
     p_swp.add_argument("--config", required=True)
-    p_swp.add_argument("--seed", type=int, default=None)
+    p_swp.add_argument("--seed", type=_seed, default=None)
     p_swp.add_argument("--out", default=".")
     p_swp.set_defaults(func=cmd_scale_sweep)
 
     p_sgd = sub.add_parser("sgd-bench", help="verify the convergence bounds")
     p_sgd.add_argument("--config", required=True)
-    p_sgd.add_argument("--seed", type=int, default=None)
+    p_sgd.add_argument("--seed", type=_seed, default=None)
     p_sgd.add_argument("--seeds", type=int, default=None,
                        help="override the number of verification seeds")
     p_sgd.add_argument("--out", default=".")

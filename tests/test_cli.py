@@ -290,6 +290,22 @@ class TestSelectThreshold:
         assert rc == 2
         assert ":2: not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, lineno", [
+        ("nan\n", 1), ("-1\n", 1), ("0\n", 1), ("inf\n", 1), ("1e400\n", 1),
+        ("# grid\n0.6\nnan\n1.2\n", 3),
+    ])
+    def test_non_positive_or_non_finite_grid_value_exits_2(self, tmp_path, capsys,
+                                                          text, lineno):
+        tensor = np.full((2, 2, 2), 0.5)
+        trace, _ = self._write_trace(tmp_path, tensor)
+        grid = tmp_path / "grid.txt"
+        grid.write_text(text)
+        rc = cli.main(["select-threshold", "--trace", str(trace),
+                       "--grid", str(grid), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"{grid}:{lineno}: threshold must be finite and > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 _TRACE_ROWS = ["iteration,worker,micro_batch,latency_seconds",
                "0,0,0,0.5", "0,0,1,0.5", "1,0,0,0.5", "1,0,1,0.5"]
@@ -394,6 +410,15 @@ class TestScaleSweep:
         assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, threads):
+        cfg = _write_json(tmp_path / "c.json", self._sweep_doc(n_list=[2, 4]))
+        monkeypatch.setenv("DROPSIM_THREADS", threads)
+        assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert f"DROPSIM_THREADS must be an integer >= 1, got '{threads}'" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
         doc = self._sweep_doc(iterations=60, warmup_iterations=30)
         cfg = _write_json(tmp_path / "c.json", doc)
@@ -480,6 +505,23 @@ class TestSgdBench:
             assert rc == 0
         assert (tmp_path / "a" / "report.json").read_bytes() == \
             (tmp_path / "b" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command, doc", [
+    ("simulate", _sim_config(iterations=5)),
+    ("scale-sweep", _sim_config(iterations=5, n_list=[2])),
+    ("sgd-bench", {"problem": {"kind": "quadratic"}, "schedule": {"kind": "none", "b_max": 10},
+                   "k_total": 100, "seeds": 2}),
+])
+def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, command, doc, seed):
+    # The random streams mask seeds to 64 bits: 2**64 would replay seed 0.
+    cfg = _write_json(tmp_path / "c.json", doc)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--config", cfg, "--seed", seed, "--out", str(tmp_path / "o")])
+    assert exit_.value.code == 2
+    assert "--seed: must be an integer in [0, 2^64)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_import_leaves_scipy_unloaded():

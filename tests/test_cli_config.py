@@ -103,6 +103,36 @@ def test_readme_noise_table_matches_noise_kinds():
         {kind: set(inspect.signature(make).parameters) for kind, make in NOISE_KINDS.items()}
 
 
+# README heading of each config block -> the cli tables it documents.
+_README_BLOCKS = {
+    "`simulate`": [cli._SIMULATE, cli._SIMULATE_LOCAL_SGD],
+    "`scale-sweep`": [cli._SCALE_SWEEP],
+    "`fleet`": [cli._FLEET],
+    "`local_sgd`": [cli._LOCAL_SGD],
+    "`sgd-bench`": [cli._SGD_BENCH],
+    "`problem`, kind `quadratic`": [cli._PROBLEMS["quadratic"]],
+    "`problem`, kind `logistic_synthetic`": [cli._PROBLEMS["logistic_synthetic"]],
+    "`schedule`": [cli._SCHEDULE],
+}
+
+
+def test_readme_config_tables_match_cli_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sections = dict(re.findall(r"^#### (.+)\n\n((?:\|.*\n)+)", readme, flags=re.M))
+    assert set(sections) == set(_README_BLOCKS)
+    for heading, tables in _README_BLOCKS.items():
+        rows = {field: (kind, default) for field, kind, default in
+                re.findall(r"^\| (\w+) \| (.+?) \| (required|`.*?) \|$",
+                           sections[heading], re.M)}
+        for table in tables:
+            assert set(rows) == set(table), heading
+            for field, (kind, *default) in table.items():
+                assert rows[field][0] == kind.name, (heading, field)
+                cell = rows[field][1]
+                assert (f"`{json.dumps(default[0])}`" in cell if default
+                        else cell == "required"), (heading, field)
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
                                      "1" + "0" * 400])
 @pytest.mark.parametrize("name, keys", [
@@ -136,10 +166,34 @@ def test_non_finite_number_exits_2(tmp_path, capsys, name, keys, literal):
     ("sgd-bench", ("k_total",), 5, "k_total must be at least b_max"),
     ("sgd-bench", ("seeds",), 0, "n_runs (the number of seeds) must be >= 1"),
     ("sgd-bench", ("seeds",), "x", "invalid sgd-bench config"),
+    # wrong JSON types are rejected, not cast
+    ("simulate", ("fleet", "workers"), True, "workers must be an integer, got True"),
+    ("simulate", ("fleet", "workers"), 4.9, "workers must be an integer, got 4.9"),
+    ("simulate", ("m_per_step",), "4", "m_per_step must be an integer, got '4'"),
+    ("simulate", ("iterations",), 20.7, "iterations must be an integer, got 20.7"),
+    ("simulate", ("tau",), "Infinity", "tau must be a number, \"auto\" or null"),
+    ("simulate", ("tau",), True, "tau must be a number, \"auto\" or null"),
+    ("simulate", ("fleet", "noise", "std"), True, "std must be a number, got True"),
+    ("simulate", ("fleet", "noise"), {"kind": "empirical", "samples": [True, 0.1, False]},
+     "samples must be a list of numbers"),
+    ("local-sgd", ("local_sgd", "straggler_delay"), "Infinity",
+     "straggler_delay must be a number"),
+    ("sgd-bench", ("problem", "sigma"), "Infinity", "sigma must be a number"),
+    # each problem kind takes only its own fields
+    ("sgd-bench", ("problem", "n_samples"), 5, "unknown key(s) ['n_samples'] in problem block"),
+    ("sgd-bench", ("problem", "l2_reg"), -4, "unknown key(s) ['l2_reg'] in problem block"),
+    # seeds address 64-bit random streams; others would alias one of them
+    ("simulate", ("seed",), -1, "seed must be an integer in [0, 2^64)"),
+    ("local-sgd", ("seed",), 2**64, "seed must be an integer in [0, 2^64)"),
+    ("scale-sweep", ("seed",), 2**64, "seed must be an integer in [0, 2^64)"),
+    ("sgd-bench", ("seed",), -1, "seed must be an integer in [0, 2^64)"),
+    ("sgd-bench", ("seed",), 1.5, "seed must be an integer in [0, 2^64)"),
+    ("sgd-bench", ("problem", "seed"), 2**64, "seed must be an integer in [0, 2^64)"),
 ])
 def test_malformed_value_exits_2(tmp_path, capsys, name, keys, value, message):
     assert _run(name, json.dumps(_with(BASES[name], keys, value)), tmp_path) == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_undecodable_config_exits_2(tmp_path, capsys):
@@ -173,13 +227,44 @@ def _mutated(draw):
     doc = BASES[name]
     if "fleet" in doc:
         doc = _with(doc, ("fleet", "noise"), draw(st.sampled_from(NOISES)))
-    return name, _with(doc, draw(st.sampled_from(_paths(doc))), draw(_JSON))
+    # Scalars drawn apart too: _JSON alone draws mostly lists and objects.
+    return name, doc, draw(st.sampled_from(_paths(doc))), draw(_SCALARS | _JSON)
+
+
+def _declared(name: str, doc: dict, keys: tuple) -> str:
+    """The JSON type that the cli table of its block gives the field at keys."""
+    table = {"simulate": cli._SIMULATE, "local-sgd": cli._SIMULATE_LOCAL_SGD,
+             "scale-sweep": cli._SCALE_SWEEP}.get(name, cli._SGD_BENCH)
+    blocks = {"fleet": cli._FLEET, "local_sgd": cli._LOCAL_SGD, "schedule": cli._SCHEDULE}
+    for key in keys[:-1]:
+        doc = doc[key]
+        table = blocks.get(key) or {"noise": cli._NOISES,
+                                    "problem": cli._PROBLEMS}[key][doc["kind"]]
+    return table[keys[-1]][0].name
+
+
+def _has_type(value, declared: str) -> bool:
+    """Whether a parsed JSON value is of the declared type, bounds aside."""
+    number = type(value) in (int, float)
+    if declared.startswith("integer"):
+        return type(value) is int
+    return {"number": number,
+            "number or null": number or value is None,
+            'number, "auto" or null': number or value is None or value == "auto",
+            "boolean": type(value) is bool,
+            "string": type(value) is str,
+            "object": type(value) is dict,
+            "list of integers": type(value) is list and all(type(v) is int for v in value),
+            "list of numbers": type(value) is list
+            and all(type(v) in (int, float) for v in value)}[declared]
 
 
 @given(_mutated())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_fuzzed_config_never_raises(case):
-    name, doc = case
+    name, doc, keys, value = case
     with tempfile.TemporaryDirectory() as tmp:
-        rc = _run(name, json.dumps(doc), Path(tmp))
+        rc = _run(name, json.dumps(_with(doc, keys, value)), Path(tmp))
     assert rc in ((0, 1, 2) if name.startswith("sgd-bench") else (0, 2))
+    if not _has_type(value, _declared(name, doc, keys)):
+        assert rc == 2
