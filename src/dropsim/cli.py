@@ -311,18 +311,26 @@ def _read_grid_file(path: str) -> np.ndarray:
     return np.asarray(vals)
 
 
-def cmd_select_threshold(args) -> int:
+def _read_input(read, path: str):
+    """read(path), with a file that cannot be opened or decoded, or that
+    read rejects, as a ConfigError naming it."""
     try:
-        tensor = read_trace_csv(args.trace)
-        comm = None if args.comm is None else read_comm_csv(args.comm)
-    except (OSError, ValueError) as exc:
+        return read(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def cmd_select_threshold(args) -> int:
+    tensor = _read_input(read_trace_csv, args.trace)
+    comm = None if args.comm is None else _read_input(read_comm_csv, args.comm)
     if comm is None:
         print("warning: no communication-time file given, assuming T_c = 0",
               file=sys.stderr)
     elif comm.shape[0] != tensor.shape[0]:
         raise ConfigError("comm.csv iteration count does not match the trace")
-    grid = _read_grid_file(args.grid) if args.grid else None
+    grid = _read_input(_read_grid_file, args.grid) if args.grid else None
 
     trace = TraceTensor(tensor, comm)
     result = select_threshold(trace, grid)

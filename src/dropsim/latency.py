@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import lzma
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -419,18 +421,38 @@ def _reject_first(path, bad: np.ndarray, message) -> None:
 
 
 def _parse_rows(path, header, dtype) -> np.ndarray:
-    """Data rows of a headed CSV file, parsed by numpy's C text reader."""
+    """Data rows of a headed CSV file, parsed by numpy's C text reader.
+
+    numpy first reads the file itself, in chunks, past the header; it skips
+    blank lines itself. A comment line after the header makes that attempt
+    fail, and so does a malformed row. The line path then parses the data
+    lines filtered in Python, and on failure bisects for the first line
+    numpy rejects.
+    """
     opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
     with open(path) as fh:
-        lines = (ln for ln in fh if ln[0] not in _SKIP)
-        first = next(lines, None)
-        if first is None or [h.strip() for h in next(csv.reader([first]))] != header:
+        # h counts the physical lines up to and including the header.
+        lines = ((h, ln) for h, ln in enumerate(fh, 1) if ln[0] not in _SKIP)
+        h, first = next(lines, (0, None))
+        if first is None or [f.strip() for f in next(csv.reader([first]))] != header:
             raise ValueError(f"{path}: expected header {','.join(header)}")
-        row = next(lines, None)
-        if row is None:
+        if next(lines, None) is None:
             raise ValueError(f"{path}: no data rows")
+        encoding = fh.encoding
+    try:
+        # numpy reads a str path in chunks. Made absolute, no path looks like
+        # a URL to it; a plain file named like an archive (.gz, .bz2, .xz,
+        # .lzma) fails here and is read by the line path.
+        rows = np.loadtxt(os.path.abspath(os.fsdecode(path)), skiprows=h,
+                          encoding=encoding, **opts)
+        if rows.size:
+            return rows
+    except (ValueError, OSError, lzma.LZMAError):
+        pass
+    with open(path) as fh:
         try:
-            return np.loadtxt(itertools.chain([row], lines), **opts)
+            return np.loadtxt((ln for ln in itertools.islice(fh, h, None)
+                               if ln[0] not in _SKIP), **opts)
         except ValueError:
             pass
     # Bisect for the first row numpy rejects: rows before lo parse and
@@ -486,17 +508,37 @@ def _read_dense(path, header, valid, rule: str) -> np.ndarray:
     return out.reshape(shape)
 
 
+# Rows per block of text the writers build before writing it out.
+_WRITE_BLOCK_ROWS = 1 << 16
+
+
 def _write_dense(path, header, values: np.ndarray, comment) -> None:
-    """One CSV row per element of `values`: its ids, then the repr of the value."""
+    """One CSV row per element of `values`: its ids, then the repr of the value.
+
+    Rows end in CRLF, as csv.writer ends them. The text is built in blocks
+    over the first axis: each row is four cells of one flat list, filled by
+    slice assignment and joined once per block.
+    """
     if values.ndim != len(header) - 1:
         raise ValueError(f"expected a {len(header) - 1}-d array for {','.join(header)}")
-    ids = itertools.product(*map(range, values.shape))  # C order, like ravel
+    # The ids of the other axes, in C order, as one "n,m," prefix per row.
+    tails = ["".join(f"{i}," for i in ix)
+             for ix in itertools.product(*map(range, values.shape[1:]))]
+    step = max(1, _WRITE_BLOCK_ROWS // max(1, len(tails)))
     with open(path, "w", newline="") as fh:
         if comment:
             fh.write(f"# {comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([*ix, repr(v)] for ix, v in zip(ids, values.ravel().tolist()))
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(values), step):
+            block = values[start:start + step]
+            cells = [""] * (4 * block.size)
+            firsts = map("{},".format, range(start, start + len(block)))
+            cells[0::4] = itertools.chain.from_iterable(
+                map(itertools.repeat, firsts, itertools.repeat(len(tails))))
+            cells[1::4] = tails * len(block)
+            cells[2::4] = map(repr, block.ravel().tolist())
+            cells[3::4] = itertools.repeat("\r\n", block.size)
+            fh.write("".join(cells))
 
 
 def read_trace_csv(path) -> np.ndarray:

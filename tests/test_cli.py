@@ -306,6 +306,27 @@ class TestSelectThreshold:
         assert f"{grid}:{lineno}: threshold must be finite and > 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("bad, reason", [
+        pytest.param("missing-grid", "No such file or directory", id="missing-grid"),
+        pytest.param("undecodable-grid", "'utf-8' codec can't decode byte 0xff",
+                     id="undecodable-grid"),
+        pytest.param("undecodable-trace", "'utf-8' codec can't decode byte 0xff",
+                     id="undecodable-trace"),
+    ])
+    def test_unreadable_input_exits_2_naming_it(self, tmp_path, capsys, bad, reason):
+        trace, _ = self._write_trace(tmp_path, np.full((2, 2, 2), 0.5))
+        grid = tmp_path / "grid.txt"
+        if bad == "undecodable-grid":
+            grid.write_bytes(b"0.6\n\xff\n")
+        elif bad == "undecodable-trace":
+            trace.write_bytes(trace.read_bytes() + b"# \xff\n")
+        path = trace if bad == "undecodable-trace" else grid
+        rc = cli.main(["select-threshold", "--trace", str(trace), "--grid", str(grid),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"error: {path}: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 _TRACE_ROWS = ["iteration,worker,micro_batch,latency_seconds",
                "0,0,0,0.5", "0,0,1,0.5", "1,0,0,0.5", "1,0,1,0.5"]

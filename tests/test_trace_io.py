@@ -1,0 +1,305 @@
+"""Trace and comm CSV reading and writing against the line-by-line reader and
+the csv.writer-based writer they replace, kept below as oracles. A hypothesis
+fuzz builds files from random rows; named cases pin the inputs that once
+broke a faster reader: file names numpy takes for archives, a quote in a
+comment before the header, and a comment line as the last row."""
+
+import csv
+import itertools
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from dropsim import latency
+from dropsim.latency import (COMM_HEADER, TRACE_HEADER, read_comm_csv, read_trace_csv,
+                             write_comm_csv, write_trace_csv)
+
+# ---------------------------------------------------------------------------
+# Oracles: the reader that fed numpy one filtered line at a time, and the
+# writer that built one list per row for csv.writer.
+# ---------------------------------------------------------------------------
+
+_SKIP = "#\n"
+
+
+def _oracle_data_lines(path) -> list:
+    with open(path) as fh:
+        return [(no, ln) for no, ln in enumerate(fh, 1) if ln[0] not in _SKIP][1:]
+
+
+def _oracle_reject_first(path, bad, message) -> None:
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError(f"{path}:{_oracle_data_lines(path)[row][0]}: {message(row)}")
+
+
+def _oracle_parse_rows(path, header, dtype):
+    opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    with open(path) as fh:
+        lines = (ln for ln in fh if ln[0] not in _SKIP)
+        first = next(lines, None)
+        if first is None or [h.strip() for h in next(csv.reader([first]))] != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        row = next(lines, None)
+        if row is None:
+            raise ValueError(f"{path}: no data rows")
+        try:
+            return np.loadtxt(itertools.chain([row], lines), **opts)
+        except ValueError:
+            pass
+    lines = _oracle_data_lines(path)
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt([ln for _, ln in lines[lo:mid]], **opts)
+            lo = mid
+        except ValueError:
+            hi = mid
+    raise ValueError(f"{path}:{lines[lo][0]}: expected {','.join(header)} with "
+                     f"integer ids, got {lines[lo][1].rstrip()!r}")
+
+
+def _oracle_read_dense(path, header, valid, rule):
+    rows = _oracle_parse_rows(path, header, np.dtype(
+        [(h, np.int64) for h in header[:-1]] + [(header[-1], np.float64)]))
+    value = rows[header[-1]]
+    _oracle_reject_first(path, ~(valid(value) & (value < np.inf)),
+                         lambda r: f"{rule}, got {value[r]}")
+    ids = tuple(rows[h] for h in header[:-1])
+    for col, name in zip(ids, header):
+        seen = np.bincount(np.clip(col, 0, col.size), minlength=col.size)[:col.size]
+        gap = int(np.argmin(seen)) if seen.min() == 0 else col.size
+        _oracle_reject_first(path, (col < 0) | (col > gap),
+                             lambda r: f"{name} ids must run 0..K-1 without gaps, got {col[r]}")
+    shape = tuple(int(col.max()) + 1 for col in ids)
+    cells = math.prod(shape)
+    if cells > rows.size:
+        raise ValueError(f"{path}: {rows.size} rows cannot fill all "
+                         f"{'x'.join(map(str, shape))} ({', '.join(header[:-1])}) cells")
+    flat = np.ravel_multi_index(ids, shape)
+    if np.bincount(flat, minlength=cells).max() > 1:
+        repeat = np.ones(flat.size, dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        _oracle_reject_first(path, repeat, lambda r: "duplicate "
+                             + ", ".join(f"{h}={c[r]}" for h, c in zip(header, ids)))
+    out = np.empty(cells)
+    out[flat] = value
+    return out.reshape(shape)
+
+
+def _oracle_write_dense(path, header, values, comment) -> None:
+    ids = itertools.product(*map(range, values.shape))
+    with open(path, "w", newline="") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([*ix, repr(v)] for ix, v in zip(ids, values.ravel().tolist()))
+
+
+READERS = {
+    "trace": (TRACE_HEADER, read_trace_csv, lambda p: _oracle_read_dense(
+        p, TRACE_HEADER, lambda v: v > 0.0, "latency must be finite and > 0")),
+    "comm": (COMM_HEADER, read_comm_csv, lambda p: _oracle_read_dense(
+        p, COMM_HEADER, lambda v: v >= 0.0, "T_c must be finite and >= 0")),
+}
+
+
+def _outcome(read, path):
+    """("array", shape, bits) or ("error", message); any other exception escapes."""
+    try:
+        out = read(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("array", out.shape, out.view(np.uint64).tobytes())
+
+
+def _assert_reads_like_oracle(kind, path):
+    _, read, oracle = READERS[kind]
+    assert _outcome(read, path) == _outcome(oracle, path)
+
+
+# ---------------------------------------------------------------------------
+# Reader fuzz
+# ---------------------------------------------------------------------------
+
+_NOISE_LINES = st.sampled_from(["", "#", "# note", '# "unbalanced', "#1,2,3,4",
+                                " ", "\t"])
+_BAD_FIELDS = st.sampled_from(["x", "", "1.0", "1.5", "-1", "7", "1e3", "+1", "0x1",
+                               "inf", "-inf", "nan", "NaN", "0", "-0.0", "1e400",
+                               "99999999999999999999", '"1"'])
+_MUTATIONS = st.sampled_from(["drop", "duplicate", "field", "pad", "short", "long",
+                              "noise"])
+
+
+@st.composite
+def csv_files(draw):
+    """(kind, file name, text) of a trace or comm file built from random rows."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    header = READERS[kind][0]
+    ndim = len(header) - 1
+    shape = draw(st.tuples(*[st.integers(1, 3)] * ndim))
+    values = st.one_of(st.floats(min_value=1e-3, max_value=10.0).map(repr),
+                       st.integers(0, 9).map(str))
+    rows = [[*map(str, ix), draw(values)]
+            for ix in itertools.product(*map(range, shape))]
+    rows = draw(st.permutations(rows))
+    lines = [",".join(r) for r in rows]
+    for op, at in draw(st.lists(st.tuples(_MUTATIONS, st.integers(0, 10**6)),
+                                max_size=3)):
+        if not lines and op != "noise":
+            continue
+        i = at % max(1, len(lines))
+        fields = lines[i].split(",") if lines else []
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(at % (len(lines) + 1), lines[i])
+        elif op == "field":
+            fields[at % len(fields)] = draw(_BAD_FIELDS)
+            lines[i] = ",".join(fields)
+        elif op == "pad":
+            lines[i] = ",".join(f" {f}\t" for f in fields)
+        elif op == "short":
+            lines[i] = ",".join(fields[:-1])
+        elif op == "long":
+            lines[i] = ",".join(fields + ["0"])
+        else:
+            lines.insert(at % (len(lines) + 1), draw(_NOISE_LINES))
+    head = draw(st.sampled_from([",".join(header)] * 4 + [" , ".join(header)] * 3
+                                + [",".join(header[:-1])]))
+    prelude = draw(st.lists(st.sampled_from(["", "# note", '# "unbalanced']),
+                            max_size=2))
+    all_lines = prelude + [head] + lines
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(all_lines),
+                         max_size=len(all_lines)))
+    text = "".join(ln + end for ln, end in zip(all_lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]  # no final newline
+    name = draw(st.sampled_from(["data.csv", "plain.csv.gz", "plain.csv.xz",
+                                 "plain.csv.bz2"]))
+    return kind, name, text
+
+
+@given(csv_files())
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_reader_matches_line_by_line_oracle(case):
+    kind, name, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        _assert_reads_like_oracle(kind, str(path))
+
+
+# ---------------------------------------------------------------------------
+# Named reader cases
+# ---------------------------------------------------------------------------
+
+_TRACE_TEXT = ("iteration,worker,micro_batch,latency_seconds\n"
+               "0,0,0,0.5\n0,0,1,0.25\n1,0,0,0.125\n1,0,1,2.0\n")
+_TRACE_ARRAY = np.array([[[0.5, 0.25]], [[0.125, 2.0]]])
+
+
+@pytest.mark.parametrize("name", ["plain.csv.gz", "plain.csv.bz2", "plain.csv.xz",
+                                  "plain.csv.lzma"])
+def test_plain_text_under_an_archive_name_reads(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(_TRACE_TEXT)
+    assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def _no_line_path(path):
+    raise AssertionError("line path taken")
+
+
+def test_url_like_relative_path_is_read_as_a_file(tmp_path, monkeypatch):
+    (tmp_path / "http:" / "localhost").mkdir(parents=True)
+    (tmp_path / "http:" / "localhost" / "t.csv").write_text(_TRACE_TEXT)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(latency, "_data_lines", _no_line_path)
+    assert np.array_equal(read_trace_csv("http://localhost/t.csv"), _TRACE_ARRAY)
+
+
+def test_unbalanced_quote_in_comment_before_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text('# run "seven\n\n' + _TRACE_TEXT)
+    assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def test_comment_as_last_row(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_TEXT + "# end of trace")
+    assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def test_malformed_row_after_comment_names_its_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_TEXT + "# note\n2,0,0,fast\n")
+    with pytest.raises(ValueError, match=f"^{path}:7: expected iteration,"):
+        read_trace_csv(path)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def test_no_comment_after_the_header_skips_the_line_path(tmp_path, monkeypatch):
+    path = tmp_path / "trace.csv"
+    text = "# config_hash=abc\n\n" + _TRACE_TEXT.replace("\n", "\r\n")
+    path.write_text(text.replace("0,0,1,", "\n0,0,1,"))
+    monkeypatch.setattr(latency, "_data_lines", _no_line_path)
+    assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
+
+
+def test_bytes_path_reads(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(_TRACE_TEXT)
+    assert np.array_equal(read_trace_csv(str(path).encode()), _TRACE_ARRAY)
+
+
+# ---------------------------------------------------------------------------
+# Writers against the csv.writer oracle
+# ---------------------------------------------------------------------------
+
+_SPECIAL = [-0.0, 0.0, float("nan"), float("inf"), 1e16, 5e-324, 0.1, 1.0 / 3.0,
+            -2.5, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("comment", [None, "", "config_hash=abc version=0.1.0"])
+def test_trace_writer_bytes_match_csv_writer(tmp_path, comment):
+    values = np.array(_SPECIAL + _SPECIAL[:2]).reshape(2, 3, 2)
+    write_trace_csv(tmp_path / "new.csv", values, comment=comment)
+    _oracle_write_dense(tmp_path / "old.csv", TRACE_HEADER, values, comment)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_comm_writer_bytes_match_csv_writer(tmp_path):
+    values = np.array(_SPECIAL)
+    write_comm_csv(tmp_path / "new.csv", values, comment="c")
+    _oracle_write_dense(tmp_path / "old.csv", COMM_HEADER, values, "c")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@given(st.integers(0, 2), st.lists(st.integers(0, 4), min_size=1, max_size=3),
+       st.integers(1, 7))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_writer_blocks_match_csv_writer(kind, shape, block_rows):
+    header = [TRACE_HEADER, COMM_HEADER, ["a", "b", "v"]][kind]
+    shape = (shape * 3)[:len(header) - 1]
+    values = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7.0
+    saved = latency._WRITE_BLOCK_ROWS
+    latency._WRITE_BLOCK_ROWS = block_rows
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+            latency._write_dense(new, header, values, "c")
+            _oracle_write_dense(old, header, values, "c")
+            assert new.read_bytes() == old.read_bytes()
+    finally:
+        latency._WRITE_BLOCK_ROWS = saved
