@@ -12,6 +12,7 @@ from its own derived random stream.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import inspect
@@ -30,8 +31,10 @@ import numpy as np
 from . import __version__
 from .latency import (NOISE_KINDS, FleetSpec, WorkerLatencyModel, read_comm_csv,
                       read_trace_csv)
-from .simulate import (SimConfig, auto_tau, iter_records_csv, local_sgd_run,
-                       run_detailed, scale_sweep, stats_to_json)
+# simulate streams its records with run_records_csv. run_detailed stays
+# importable here: perfbench's tracer patches it by this name.
+from .simulate import (SimConfig, auto_tau, local_sgd_run, run_detailed,
+                       run_records_csv, scale_sweep, stats_to_json)
 from .threshold import TraceTensor, format_curve_csv, select_threshold
 from . import analytic, sgd
 
@@ -204,12 +207,14 @@ def _parse_fleet(doc) -> FleetSpec:
         raise ConfigError(f"invalid fleet: {exc}") from exc
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Write the text chunks to path through a temporary file and a rename."""
+@contextlib.contextmanager
+def _atomic_open(path: Path):
+    """A text file that replaces path, through a rename, once the block ends
+    without an exception."""
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -217,10 +222,32 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path through a temporary file and a rename."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextlib.contextmanager
+def _new_out_dir(args):
+    """_out_dir for a block that writes while it computes: if the block
+    raises, the directories made here are removed again, once empty."""
+    out = Path(args.out)
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        yield out
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):
+                d.rmdir()
+        raise
 
 
 def _threads() -> int:
@@ -264,7 +291,7 @@ def cmd_simulate(args) -> int:
         report = {"mode": "local-sgd", "config_hash": _config_hash(doc),
                   "version": __version__, **dataclasses.asdict(result)}
         _atomic_write(_out_dir(args) / "summary.json",
-                      [json.dumps(report, indent=2, sort_keys=True) + "\n"])
+                      json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"local-sgd speedup {result.local_sgd_speedup:.4f}, "
               f"with threshold {result.dropcompute_speedup:.4f}")
         return 0
@@ -275,15 +302,15 @@ def cmd_simulate(args) -> int:
     if cfg["tau"] == "auto":
         config = dataclasses.replace(
             config, tau=auto_tau(config, cfg["warmup_iterations"]))
-    sim = run_detailed(config)
 
-    out = _out_dir(args)
-    _atomic_write(out / "records.csv", iter_records_csv(sim.records, _stamp(doc)))
-    summary = stats_to_json(sim.stats, config_hash=_config_hash(doc),
-                            version=__version__)
-    _atomic_write(out / "summary.json", [summary + "\n"])
-    print(f"s_eff {sim.stats.s_eff:.4f}, drop rate {sim.stats.drop_rate:.4f}, "
-          f"mean step {sim.stats.mean_step_drop:.4f}s")
+    # The run happens while records.csv is written, so a run that raises
+    # must not leave the output directory behind.
+    with _new_out_dir(args) as out, _atomic_open(out / "records.csv") as fh:
+        stats = run_records_csv(config, fh, _stamp(doc))
+    summary = stats_to_json(stats, config_hash=_config_hash(doc), version=__version__)
+    _atomic_write(out / "summary.json", summary + "\n")
+    print(f"s_eff {stats.s_eff:.4f}, drop rate {stats.drop_rate:.4f}, "
+          f"mean step {stats.mean_step_drop:.4f}s")
     return 0
 
 
@@ -329,15 +356,18 @@ def cmd_select_threshold(args) -> int:
         print("warning: no communication-time file given, assuming T_c = 0",
               file=sys.stderr)
     elif comm.shape[0] != tensor.shape[0]:
-        raise ConfigError("comm.csv iteration count does not match the trace")
+        raise ConfigError(f"{args.comm}: {comm.shape[0]} iterations, "
+                          f"the trace has {tensor.shape[0]}")
     grid = _read_input(_read_grid_file, args.grid) if args.grid else None
 
     trace = TraceTensor(tensor, comm)
     result = select_threshold(trace, grid)
 
     out = _out_dir(args)
-    stamp = f"trace={Path(args.trace).name} version={__version__}"
-    _atomic_write(out / "curve.csv", [format_curve_csv(result, stamp)])
+    # A line break in the name would end the comment line early.
+    name = Path(args.trace).name.replace("\r", "\\r").replace("\n", "\\n")
+    stamp = f"trace={name} version={__version__}"
+    _atomic_write(out / "curve.csv", format_curve_csv(result, stamp))
     print(f"tau_star {result.tau_star!r} "
           f"s_eff {result.s_eff_at_tau_star():.6f}")
     return 0
@@ -380,7 +410,7 @@ def cmd_scale_sweep(args) -> int:
         writer.writerow([p.n_workers, repr(p.tau) if p.tau is not None else "",
                          repr(p.throughput_base), repr(p.throughput_drop),
                          repr(p.s_eff), repr(p.linear_ref), repr(s_analytic)])
-    _atomic_write(out / "sweep.csv", [buf.getvalue()])
+    _atomic_write(out / "sweep.csv", buf.getvalue())
     print(f"swept {len(points)} fleet sizes, "
           f"s_eff range [{min(p.s_eff for p in points):.4f}, "
           f"{max(p.s_eff for p in points):.4f}]")
@@ -455,8 +485,7 @@ def cmd_sgd_bench(args) -> int:
     report = {"config_hash": _config_hash(doc), "version": __version__,
               "results": body}
     out = _out_dir(args)
-    _atomic_write(out / "report.json",
-                  [json.dumps(report, indent=2, sort_keys=True) + "\n"])
+    _atomic_write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

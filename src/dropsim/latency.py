@@ -407,6 +407,17 @@ COMM_HEADER = ["iteration", "T_c_seconds"]
 _SKIP = "#\n"
 
 
+def comment_line(comment) -> str:
+    """The '# comment' line the CSV writers put before their header ('' for
+    no comment). A line break in it would leave text where the readers
+    expect the header, so it raises ValueError."""
+    if not comment:
+        return ""
+    if "\n" in comment or "\r" in comment:
+        raise ValueError(f"comment must be one line, got {comment!r}")
+    return f"# {comment}\n"
+
+
 def _data_lines(path) -> list:
     """(physical line number, text) of every data row; rescans the file."""
     with open(path) as fh:
@@ -525,10 +536,9 @@ def _write_dense(path, header, values: np.ndarray, comment) -> None:
     tails = ["".join(f"{i}," for i in ix)
              for ix in itertools.product(*map(range, values.shape[1:]))]
     step = max(1, _WRITE_BLOCK_ROWS // max(1, len(tails)))
+    head = comment_line(comment) + ",".join(header) + "\r\n"
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        fh.write(",".join(header) + "\r\n")
+        fh.write(head)
         for start in range(0, len(values), step):
             block = values[start:start + step]
             cells = [""] * (4 * block.size)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import threshold
-from .latency import FleetSpec
+from .latency import FleetSpec, comment_line
 from .stats import RngStream, StreamGenerator
 
 __all__ = [
@@ -38,10 +38,10 @@ __all__ = [
     "run",
     "run_detailed",
     "run_from_trace",
+    "run_records_csv",
     "auto_tau",
     "scale_sweep",
     "local_sgd_run",
-    "iter_records_csv",
     "write_records_csv",
     "stats_to_json",
 ]
@@ -255,14 +255,14 @@ def _add_in_order(totals: np.ndarray, block: IterationBlock) -> np.ndarray:
     return np.cumsum(np.vstack([totals, rows]), axis=0)[-1]
 
 
-def _fold(blocks, n: int, m: int, tau, iterations: int, keep: bool) -> tuple:
-    """RunStats over (first iteration, IterationBlock) pairs, plus records if kept."""
+def _fold(blocks, n: int, m: int, tau, iterations: int, on_block=None) -> RunStats:
+    """RunStats over (first iteration, IterationBlock) pairs; on_block, when
+    given, is called with each pair as it is folded."""
     totals = np.zeros(4)
-    records = []
     for first, block in blocks:
         totals = _add_in_order(totals, block)
-        if keep:
-            records.extend(block.record(k, first + k) for k in range(len(block.s_eff)))
+        if on_block is not None:
+            on_block(first, block)
     sum_base, sum_drop, sum_completed, sum_seff = totals.tolist()
     mean_base = sum_base / iterations
     mean_drop = sum_drop / iterations
@@ -280,7 +280,13 @@ def _fold(blocks, n: int, m: int, tau, iterations: int, keep: bool) -> tuple:
         throughput=n * mean_completed / mean_drop,
         throughput_base=n * m / mean_base,
     )
-    return stats, tuple(records)
+    return stats
+
+
+def _keep_records(records: list):
+    """A fold hook that appends each block's IterationRecords to records."""
+    return lambda first, block: records.extend(
+        block.record(k, first + k) for k in range(len(block.s_eff)))
 
 
 def _simulated_blocks(config: SimConfig, root: RngStream, trace=None):
@@ -317,7 +323,7 @@ def run(config: SimConfig, rng: Optional[RngStream] = None) -> RunStats:
     """Run all iterations and aggregate; memory does not grow with the iteration count."""
     root = rng if rng is not None else RngStream(config.seed, 0)
     return _fold(_simulated_blocks(config, root), config.fleet.n, config.m_per_step,
-                 config.tau, config.iterations, keep=False)[0]
+                 config.tau, config.iterations)
 
 
 def run_detailed(config: SimConfig, rng: Optional[RngStream] = None) -> SimRun:
@@ -328,9 +334,25 @@ def run_detailed(config: SimConfig, rng: Optional[RngStream] = None) -> SimRun:
     """
     root = rng if rng is not None else RngStream(config.seed, 0)
     trace = np.empty((config.iterations, config.fleet.n, config.m_per_step))
-    stats, records = _fold(_simulated_blocks(config, root, trace), config.fleet.n,
-                           config.m_per_step, config.tau, config.iterations, keep=True)
-    return SimRun(stats, records, trace, np.full(config.iterations, config.t_comm))
+    records = []
+    stats = _fold(_simulated_blocks(config, root, trace), config.fleet.n,
+                  config.m_per_step, config.tau, config.iterations, _keep_records(records))
+    return SimRun(stats, tuple(records), trace, np.full(config.iterations, config.t_comm))
+
+
+def run_records_csv(config: SimConfig, fh, comment: Optional[str] = None) -> RunStats:
+    """Like run, but writes the run's records CSV to the text file fh one
+    block at a time, so memory does not grow with the iteration count.
+
+    The text is what write_records_csv writes for run_detailed(config).records
+    and comment; no trace or IterationRecord is built.
+    """
+    fh.write(_records_head(comment))
+    return _fold(_simulated_blocks(config, RngStream(config.seed, 0)), config.fleet.n,
+                 config.m_per_step, config.tau, config.iterations,
+                 lambda first, block: fh.write(_records_text(
+                     range(first, first + len(block.s_eff)), block.compute_times,
+                     block.stop_times, block.completed)))
 
 
 def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
@@ -349,8 +371,9 @@ def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
     blocks = ((first, _evaluate(trace[first:first + step], tau, comm[first:first + step],
                                 stop_at_accumulation_boundary))
               for first in range(0, iterations, step))
-    stats, records = _fold(blocks, n, m, tau, iterations, keep=True)
-    return SimRun(stats, records, trace, comm)
+    records = []
+    stats = _fold(blocks, n, m, tau, iterations, _keep_records(records))
+    return SimRun(stats, tuple(records), trace, comm)
 
 
 def auto_tau(config: SimConfig, warmup_iterations: int,
@@ -507,33 +530,66 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
     )
 
 
-def iter_records_csv(records, comment: Optional[str] = None):
-    """Text of a records CSV, a few iterations per chunk.
+def _by_value(values: np.ndarray, keys: np.ndarray, text) -> list:
+    """text(v) for each element v of values, called once per distinct key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    table = list(map(text, values[first].tolist()))
+    return list(map(table.__getitem__, inverse.tolist()))
 
-    An optional ``# comment`` line, the header iteration,worker,T_n,stop_time,
-    completed, then one row per worker and iteration: the csv module's
-    CRLF line ends and the repr of each time, so floats round-trip.
+
+def _records_text(iters, compute_times, stop_times, completed) -> str:
+    """Records CSV rows of B iterations: iters holds their indices, and row k
+    of the (B, N) arrays holds iteration iters[k]'s workers.
+
+    Each row is six cells of one flat list, filled by slice assignment and
+    joined once: "i,", "w,", repr(T_n), ",", repr(stop_time), ",completed" and
+    the CRLF line end.
     """
-    if comment:
-        yield f"# {comment}\n"
-    yield ",".join(RECORDS_HEADER) + "\r\n"
-    records = iter(records)
-    while chunk := list(itertools.islice(records, _RECORDS_CHUNK)):
-        iters = [r.iter_index for r in chunk for _ in range(r.compute_times.shape[0])]
-        workers = [w for r in chunk for w in range(r.compute_times.shape[0])]
-        cols = (np.concatenate([r.compute_times for r in chunk]).tolist(),
-                np.concatenate([r.stop_times for r in chunk]).tolist(),
-                np.concatenate([r.completed for r in chunk]).astype(np.int64).tolist())
-        # Workers that finish under tau stop at T_n: reuse its repr (zero
-        # excluded, since -0.0 == 0.0 but their reprs differ).
-        yield "".join([f"{i},{w},{(tr := repr(t))},{tr if s == t and t else repr(s)},{c}\r\n"
-                       for i, w, t, s, c in zip(iters, workers, *cols)])
+    t = np.asarray(compute_times, dtype=float)
+    b, n = t.shape
+    t = t.ravel()
+    s = np.asarray(stop_times, dtype=float).ravel()
+    c = np.asarray(completed).astype(np.int64).ravel()
+    t_text = list(map(repr, t.tolist()))
+    # Workers that finish under tau stop at T_n: reuse its repr (zero
+    # excluded, since -0.0 == 0.0 but their reprs differ). Other stops are
+    # repr'd once per bit pattern; in exact mode most of them equal tau.
+    s_text = t_text.copy()
+    other = np.flatnonzero((s != t) | (t == 0.0))
+    rest = s[other]
+    for k, text in zip(other.tolist(), _by_value(rest, rest.view(np.int64), repr)):
+        s_text[k] = text
+    cells = [""] * (6 * t.size)
+    cells[0::6] = itertools.chain.from_iterable(
+        map(itertools.repeat, map("{},".format, iters), itertools.repeat(n)))
+    cells[1::6] = [f"{w}," for w in range(n)] * b
+    cells[2::6] = t_text
+    cells[3::6] = itertools.repeat(",", t.size)
+    cells[4::6] = s_text
+    cells[5::6] = _by_value(c, c, ",{}\r\n".format)
+    return "".join(cells)
+
+
+def _records_head(comment: Optional[str]) -> str:
+    return comment_line(comment) + ",".join(RECORDS_HEADER) + "\r\n"
 
 
 def write_records_csv(path, records, comment: Optional[str] = None) -> None:
-    """Per-iteration, per-worker records: iteration,worker,T_n,stop_time,completed."""
+    """Per-iteration, per-worker records: an optional ``# comment`` line, the
+    header iteration,worker,T_n,stop_time,completed, then one row per worker
+    and iteration with the csv module's CRLF line ends and the repr of each
+    time, so floats round-trip.
+    """
+    head = _records_head(comment)  # a bad comment raises before the file is opened
     with open(path, "w", newline="") as fh:
-        fh.writelines(iter_records_csv(records, comment))
+        fh.write(head)
+        # A few iterations per chunk, stacked in runs of equal worker counts.
+        for _, same_n in itertools.groupby(records, key=lambda r: len(r.compute_times)):
+            while chunk := list(itertools.islice(same_n, _RECORDS_CHUNK)):
+                fh.write(_records_text([r.iter_index for r in chunk],
+                                       np.stack([r.compute_times for r in chunk]),
+                                       np.stack([r.stop_times for r in chunk]),
+                                       np.stack([r.completed for r in chunk])))
 
 
 def stats_to_json(stats: RunStats, **extra) -> str:

@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .latency import comment_line
+
 __all__ = [
     "TraceTensor",
     "ThresholdSearchResult",
@@ -189,8 +191,7 @@ def format_curve_csv(result: ThresholdSearchResult,
                      comment: Optional[str] = None) -> str:
     """The curve as CSV text: optional '# comment' line, header, one row per tau."""
     buf = io.StringIO()
-    if comment:
-        buf.write(f"# {comment}\n")
+    buf.write(comment_line(comment))
     writer = csv.writer(buf)
     writer.writerow(CURVE_HEADER)
     for row in result.curve:
@@ -200,5 +201,6 @@ def format_curve_csv(result: ThresholdSearchResult,
 
 def write_curve_csv(path, result: ThresholdSearchResult,
                     comment: Optional[str] = None) -> None:
+    text = format_curve_csv(result, comment)
     with open(path, "w", newline="") as fh:
-        fh.write(format_curve_csv(result, comment))
+        fh.write(text)

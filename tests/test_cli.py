@@ -266,7 +266,26 @@ class TestSelectThreshold:
         rc = cli.main(["select-threshold", "--trace", str(trace),
                        "--comm", str(comm), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "does not match" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {comm}: 5 iterations, the trace has 3\n"
+
+    def test_comm_length_mismatch_names_the_file(self, tmp_path, capsys, monkeypatch):
+        trace, _ = self._write_trace(tmp_path, np.full((1, 2, 2), 0.4))
+        ds.write_comm_csv(str(tmp_path / "c3.csv"), np.full(2, 0.2))
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["select-threshold", "--trace", "trace.csv", "--comm", "c3.csv",
+                       "--out", "o"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: c3.csv: 2 iterations, the trace has 1\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_line_break_in_trace_name_stays_in_the_comment(self, tmp_path, capsys):
+        trace = tmp_path / "a\nb\r.csv"
+        ds.write_trace_csv(str(trace), np.full((2, 2, 2), 0.5))
+        assert cli.main(["select-threshold", "--trace", str(trace),
+                         "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "curve.csv").read_text().splitlines()
+        assert lines[0] == f"# trace=a\\nb\\r.csv version={ds.__version__}"
+        assert lines[1] == "tau,s_eff,drop_rate,step_speedup"
 
     def test_explicit_grid_file(self, tmp_path, capsys):
         tensor = np.full((2, 2, 2), 0.5)

@@ -42,6 +42,43 @@ def test_cli_simulate_fixed_tau(tmp_path, capsys):
         "888b1a318648900bca52e3b07af90b931aca0a151494c892a28c4d77a1055ecd"
 
 
+def _cli_simulate_digest(tmp_path, doc) -> str:
+    (tmp_path / "s.json").write_text(json.dumps(doc))
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--config", str(tmp_path / "s.json"), "--out", str(out)]) == 0
+    return _sha((out / "records.csv").read_bytes(), (out / "summary.json").read_bytes())
+
+
+# Recorded before simulate streamed records.csv from the block engine, on
+# the paths the fixed-tau digest misses: an auto tau, no tau, and stops at
+# the accumulation boundary, where workers that count no micro-batch stop
+# at 0.0.
+def test_cli_simulate_auto_tau(tmp_path, capsys):
+    doc = {"fleet": {"workers": 8, "base_mean": 1.0,
+                     "noise": {"kind": "lognormal", "log_mean": -1.5, "log_std": 1.2}},
+           "m_per_step": 3, "t_comm": 0.2, "tau": "auto", "iterations": 60,
+           "warmup_iterations": 30, "seed": 13}
+    assert _cli_simulate_digest(tmp_path, doc) == \
+        "7766762e9102d4718c0d56407852ca1559e04f750441677dd46f5dde44e8c03a"
+
+
+def test_cli_simulate_no_tau(tmp_path, capsys):
+    doc = {"fleet": {"workers": 7, "base_mean": 0.5,
+                     "noise": {"kind": "normal", "loc": 0.0, "std": 0.1}},
+           "m_per_step": 5, "tau": None, "iterations": 40, "seed": 17}
+    assert _cli_simulate_digest(tmp_path, doc) == \
+        "072222e084c8a4f54a4c37948bc12fb699a036a4a7ab908fdbb578ea5be0e8f4"
+
+
+def test_cli_simulate_accumulation_boundary(tmp_path, capsys):
+    doc = {"fleet": {"workers": 6, "base_mean": 1.0,
+                     "noise": {"kind": "exponential", "rate": 2.0}},
+           "m_per_step": 4, "t_comm": 0.1, "tau": 1.6, "iterations": 50, "seed": 19,
+           "stop_at_accumulation_boundary": True}
+    assert _cli_simulate_digest(tmp_path, doc) == \
+        "f50cec27c6197f33f5117c046896217915215ed26bc1a50d5affba7df47a71f2"
+
+
 def test_cli_scale_sweep(tmp_path, capsys):
     doc = {"fleet": {"workers": 2, "base_mean": 1.0,
                      "noise": {"kind": "normal", "loc": 0.2, "std": 0.2}},
