@@ -11,11 +11,12 @@ synchronous step more and leave more for thresholding to recover.
 """
 
 import argparse
+import dataclasses
 import sys
 
 from dropsim import (BernoulliNoise, ExponentialNoise, FleetSpec, GammaNoise,
-                     LogNormalNoise, NormalNoise, SimConfig, WorkerLatencyModel,
-                     run, run_detailed, select_threshold, TraceTensor)
+                     LogNormalNoise, NormalNoise, SimConfig, WorkerLatencyModel, run)
+from dropsim.simulate import auto_tau
 
 BASE = 0.45  # seconds per micro-batch before noise
 
@@ -44,11 +45,10 @@ def main() -> int:
     for name, noise in FAMILIES.items():
         model = WorkerLatencyModel(BASE, noise)
         fleet = FleetSpec.homogeneous(args.workers, model)
-        warm = run_detailed(SimConfig(fleet, args.m, args.t_comm, None,
-                                      args.warmup, args.seed))
-        tau = select_threshold(TraceTensor(warm.trace, warm.comm_times)).tau_star
-        stats = run(SimConfig(fleet, args.m, args.t_comm, tau,
-                              args.iterations, args.seed + 1))
+        config = SimConfig(fleet, args.m, args.t_comm, None, args.iterations, args.seed)
+        # auto_tau draws its warmup apart from the streams run scores tau on.
+        tau = auto_tau(config, args.warmup)
+        stats = run(dataclasses.replace(config, tau=tau))
         ideal = args.m * model.moments()[0] + args.t_comm
         inflation = stats.mean_step_base / ideal
         print(f"{name:>12}  {noise.mean():9.4f}  {noise.variance():8.4f}  "

@@ -31,7 +31,6 @@ from .latency import (
     write_trace_csv,
 )
 from .simulate import (
-    IterationRecord,
     LocalSgdResult,
     RunStats,
     SimConfig,
@@ -99,7 +98,6 @@ __all__ = [
     "read_comm_csv",
     "write_comm_csv",
     "SimConfig",
-    "IterationRecord",
     "RunStats",
     "SweepPoint",
     "LocalSgdResult",

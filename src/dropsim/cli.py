@@ -99,7 +99,10 @@ _RUN = {"fleet": (_OBJECT,), "m_per_step": (_INTEGER,),
         "warmup_iterations": (_COUNT, 100)}
 _SIMULATE = {**_RUN, "tau": (_TAU, None), "mode": (_STRING, "synchronous"),
              "local_sgd": (_OBJECT, {})}
-_SIMULATE_LOCAL_SGD = {**_SIMULATE, "iterations": (_INTEGER, 2000)}
+# local-sgd ignores the synchronous run's fields but accepts them, so that one
+# config runs in either mode.
+_SIMULATE_LOCAL_SGD = {**_SIMULATE, "iterations": (_INTEGER, 2000),
+                       "m_per_step": (_INTEGER, None)}
 _SCALE_SWEEP = {**_RUN, "tau": (_TAU, "auto"), "n_list": (_INTEGERS,)}
 _LOCAL_SGD = {"sync_period": (_INTEGER,), "straggler_prob": (_NUMBER, 0.04),
               "straggler_delay": (_NUMBER, 1.0), "straggler_mode": (_STRING, "uniform"),

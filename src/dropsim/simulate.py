@@ -27,7 +27,6 @@ from .stats import RngStream, StreamGenerator
 
 __all__ = [
     "SimConfig",
-    "IterationRecord",
     "RunStats",
     "SimRun",
     "LocalSgdResult",
@@ -79,23 +78,14 @@ class SimConfig:
             raise ValueError("m_per_step must be >= 1")
         if not 0.0 <= self.t_comm < np.inf:
             raise ValueError(f"t_comm must be finite and >= 0, got {self.t_comm!r}")
-        if self.tau is not None and not (self.tau > 0.0):
-            raise ValueError("tau must be > 0 when present")
+        _check_tau(self.tau)
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """Per-worker outcome of one simulated iteration."""
-
-    iter_index: int
-    compute_times: np.ndarray  # T_n, full M micro-batch sums
-    stop_times: np.ndarray  # preemption-aware busy time per worker
-    completed: np.ndarray  # micro-batches counted per worker
-    step_base: float  # max_n T_n + T_c
-    step_drop: float  # max_n stop_n + T_c
-    s_eff: float  # per-iteration effective speedup
+def _check_tau(tau) -> None:
+    if tau is not None and not (tau > 0.0):
+        raise ValueError("tau must be > 0 when present")
 
 
 @dataclass(frozen=True)
@@ -118,7 +108,7 @@ class RunStats:
 @dataclass(frozen=True)
 class SimRun:
     stats: RunStats
-    records: tuple
+    records: IterationBlock  # row i is iteration i
     trace: np.ndarray  # (iterations, N, M) sampled latencies
     comm_times: np.ndarray  # (iterations,)
 
@@ -182,38 +172,32 @@ class _Sampler:
         return self.rng.derive_ids(*(np.atleast_1d(ix)[:, None] for ix in indices),
                                    np.arange(self.n))
 
-    def draw(self, ids: np.ndarray, out=None) -> np.ndarray:
-        """(B, N, M) latencies of the streams ids, written to out when given."""
+    def draw(self, ids: np.ndarray) -> np.ndarray:
+        """(B, N, M) latencies of the streams ids."""
         eps = np.empty((ids.shape[0], self.n, self.m))
         if not self.mixed:
             model = self.workers[0]
             for k, sid in enumerate(ids.tolist()):
                 eps[k] = model.noise.sample(self.at(sid), (self.n, self.m))
-            return model.times(eps, out)
+            return model.times(eps, eps)
         for k, row in enumerate(ids.tolist()):
             for w, sid in enumerate(row):
                 eps[k, w] = self.workers[w].noise.sample(self.at(sid), self.m)
-        out = np.empty_like(eps) if out is None else out
         for w, model in enumerate(self.workers):
-            model.times(eps[:, w], out[:, w])
-        return out
+            model.times(eps[:, w], eps[:, w])
+        return eps
 
 
 class IterationBlock(NamedTuple):
-    """Threshold outcome of B iterations; row k holds one IterationRecord's fields."""
+    """Threshold outcome of B iterations, one row per iteration."""
 
-    compute_times: np.ndarray  # (B, N)
-    stop_times: np.ndarray  # (B, N)
-    completed: np.ndarray  # (B, N)
-    step_base: np.ndarray  # (B,)
-    step_drop: np.ndarray  # (B,)
+    compute_times: np.ndarray  # (B, N) T_n, full M micro-batch sums
+    stop_times: np.ndarray  # (B, N) preemption-aware busy time per worker
+    completed: np.ndarray  # (B, N) micro-batches counted per worker
+    step_base: np.ndarray  # (B,) max_n T_n + T_c
+    step_drop: np.ndarray  # (B,) max_n stop_n + T_c
     mean_completed: np.ndarray  # (B,) per worker
-    s_eff: np.ndarray  # (B,)
-
-    def record(self, k: int, iter_index: int) -> IterationRecord:
-        return IterationRecord(iter_index, self.compute_times[k], self.stop_times[k],
-                               self.completed[k], float(self.step_base[k]),
-                               float(self.step_drop[k]), float(self.s_eff[k]))
+    s_eff: np.ndarray  # (B,) per-iteration effective speedup
 
 
 def _evaluate(times: np.ndarray, tau: Optional[float], t_comm,
@@ -277,29 +261,50 @@ def _fold(blocks, n: int, m: int, tau, iterations: int, on_block=None) -> RunSta
         mean_completed=mean_completed,
         drop_rate=1.0 - mean_completed / m,
         s_eff=sum_seff / iterations,
-        throughput=n * mean_completed / mean_drop,
+        # With nothing completed every step can take no time (boundary mode,
+        # T_c = 0); such a run does no work, as an idle step scores s_eff 0.
+        throughput=n * mean_completed / mean_drop if mean_completed else 0.0,
         throughput_base=n * m / mean_base,
     )
     return stats
 
 
-def _keep_records(records: list):
-    """A fold hook that appends each block's IterationRecords to records."""
-    return lambda first, block: records.extend(
-        block.record(k, first + k) for k in range(len(block.s_eff)))
-
-
-def _simulated_blocks(config: SimConfig, root: RngStream, trace=None):
-    """(first iteration, IterationBlock) over config.iterations, iteration i
-    drawn from root.derive(i); the latencies go into trace when given."""
+def _drawn_blocks(config: SimConfig, root: RngStream):
+    """(first iteration, (B, N, M) latencies) over config.iterations,
+    iteration i drawn from root.derive(i)."""
     sampler = _Sampler(config, root)
     step = _block_len(config.fleet.n, config.m_per_step)
     for first in range(0, config.iterations, step):
-        last = min(first + step, config.iterations)
-        ids = sampler.stream_ids((np.arange(first, last),))
-        times = sampler.draw(ids, None if trace is None else trace[first:last])
+        ids = sampler.stream_ids((np.arange(first, min(first + step, config.iterations)),))
+        yield first, sampler.draw(ids)
+
+
+def _simulated_blocks(config: SimConfig, root: RngStream):
+    """(first iteration, IterationBlock) of config's run drawn from root."""
+    for first, times in _drawn_blocks(config, root):
         yield first, _evaluate(times, config.tau, config.t_comm,
                                config.stop_at_accumulation_boundary)
+
+
+def _draw_trace(config: SimConfig, root: RngStream) -> np.ndarray:
+    """The (I, N, M) latencies of config's run drawn from root."""
+    trace = np.empty((config.iterations, config.fleet.n, config.m_per_step))
+    for first, times in _drawn_blocks(config, root):
+        trace[first:first + len(times)] = times
+    return trace
+
+
+def _replay(trace: np.ndarray, comm: np.ndarray, tau: Optional[float],
+            stop_at_boundary: bool) -> SimRun:
+    """SimRun of a checked (I, N, M) trace and its (I,) comm times under tau."""
+    iterations, n, m = trace.shape
+    step = _block_len(n, m)
+    blocks = [(first, _evaluate(trace[first:first + step], tau, comm[first:first + step],
+                                stop_at_boundary))
+              for first in range(0, iterations, step)]
+    stats = _fold(blocks, n, m, tau, iterations)
+    records = IterationBlock(*map(np.concatenate, zip(*(block for _, block in blocks))))
+    return SimRun(stats, records, trace, comm)
 
 
 def simulate_block(config: SimConfig, rng: RngStream, *indices) -> IterationBlock:
@@ -312,11 +317,11 @@ def simulate_block(config: SimConfig, rng: RngStream, *indices) -> IterationBloc
 
 
 def simulate_iteration(config: SimConfig, iter_index: int,
-                       rng: Optional[RngStream] = None) -> IterationRecord:
-    """Simulate one synchronous iteration and return its record: row 0 of
+                       rng: Optional[RngStream] = None) -> IterationBlock:
+    """Simulate one synchronous iteration: the one-row block
     simulate_block(config, rng, iter_index), rng defaulting to stream 0."""
     root = rng if rng is not None else RngStream(config.seed, 0)
-    return simulate_block(config, root, iter_index).record(0, iter_index)
+    return simulate_block(config, root, iter_index)
 
 
 def run(config: SimConfig, rng: Optional[RngStream] = None) -> RunStats:
@@ -333,11 +338,8 @@ def run_detailed(config: SimConfig, rng: Optional[RngStream] = None) -> SimRun:
     Memory scales with I*N*M; use run() for large sweeps.
     """
     root = rng if rng is not None else RngStream(config.seed, 0)
-    trace = np.empty((config.iterations, config.fleet.n, config.m_per_step))
-    records = []
-    stats = _fold(_simulated_blocks(config, root, trace), config.fleet.n,
-                  config.m_per_step, config.tau, config.iterations, _keep_records(records))
-    return SimRun(stats, tuple(records), trace, np.full(config.iterations, config.t_comm))
+    return _replay(_draw_trace(config, root), np.full(config.iterations, config.t_comm),
+                   config.tau, config.stop_at_accumulation_boundary)
 
 
 def run_records_csv(config: SimConfig, fh, comment: Optional[str] = None) -> RunStats:
@@ -345,51 +347,43 @@ def run_records_csv(config: SimConfig, fh, comment: Optional[str] = None) -> Run
     block at a time, so memory does not grow with the iteration count.
 
     The text is what write_records_csv writes for run_detailed(config).records
-    and comment; no trace or IterationRecord is built.
+    and comment; no trace is built.
     """
     fh.write(_records_head(comment))
     return _fold(_simulated_blocks(config, RngStream(config.seed, 0)), config.fleet.n,
                  config.m_per_step, config.tau, config.iterations,
                  lambda first, block: fh.write(_records_text(
-                     range(first, first + len(block.s_eff)), block.compute_times,
-                     block.stop_times, block.completed)))
+                     first, block.compute_times, block.stop_times, block.completed)))
 
 
 def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
                    stop_at_accumulation_boundary: bool = False) -> SimRun:
     """Replay a recorded (I, N, M) latency trace under a threshold.
 
-    The measured s_eff equals the threshold module's Algorithm evaluation of
-    the same trace up to floating rounding; used as the cross-check oracle.
+    comm_times holds one time per iteration, or one for all. The inputs must
+    pass threshold.TraceTensor's checks and tau SimConfig's (None or > 0);
+    ValueError otherwise. The measured s_eff equals the threshold module's
+    Algorithm evaluation of the same trace up to floating rounding; used as
+    the cross-check oracle.
     """
-    trace = np.asarray(trace, dtype=float)
-    if trace.ndim != 3:
-        raise ValueError("trace must be (iterations, workers, micro_batches)")
-    iterations, n, m = trace.shape
-    comm = np.array(np.broadcast_to(np.asarray(comm_times, dtype=float), (iterations,)))
-    step = _block_len(n, m)
-    blocks = ((first, _evaluate(trace[first:first + step], tau, comm[first:first + step],
-                                stop_at_accumulation_boundary))
-              for first in range(0, iterations, step))
-    records = []
-    stats = _fold(blocks, n, m, tau, iterations, _keep_records(records))
-    return SimRun(stats, tuple(records), trace, comm)
+    _check_tau(tau)
+    checked = threshold.TraceTensor(trace, np.broadcast_to(comm_times, np.shape(trace)[:1]))
+    return _replay(checked.latencies, checked.comm_times, tau, stop_at_accumulation_boundary)
 
 
 def auto_tau(config: SimConfig, warmup_iterations: int,
              rng: Optional[RngStream] = None) -> float:
-    """tau* of the threshold search on a no-drop warmup run of config's fleet.
+    """tau* of the threshold search on a warmup trace of config's fleet.
 
-    The warmup runs warmup_iterations iterations from rng, by default
+    The warmup draws warmup_iterations iterations from rng, by default
     RngStream(config.seed, AUTO_TAU_STREAM). run(config) and
     run_detailed(config) draw from RngStream(config.seed, 0), so tau* is
     never scored on the samples it was chosen from.
     """
-    warm_cfg = dataclasses.replace(config, tau=None, iterations=warmup_iterations)
     root = rng if rng is not None else RngStream(config.seed, AUTO_TAU_STREAM)
-    warm = run_detailed(warm_cfg, rng=root)
-    return threshold.select_threshold(
-        threshold.TraceTensor(warm.trace, warm.comm_times)).tau_star
+    trace = _draw_trace(dataclasses.replace(config, iterations=warmup_iterations), root)
+    return threshold.select_threshold(threshold.TraceTensor(
+        trace, np.full(warmup_iterations, config.t_comm))).tau_star
 
 
 def _sweep_point_stats(template: SimConfig, n: int, tau_policy,
@@ -537,9 +531,9 @@ def _by_value(values: np.ndarray, keys: np.ndarray, text) -> list:
     return list(map(table.__getitem__, inverse.tolist()))
 
 
-def _records_text(iters, compute_times, stop_times, completed) -> str:
-    """Records CSV rows of B iterations: iters holds their indices, and row k
-    of the (B, N) arrays holds iteration iters[k]'s workers.
+def _records_text(first: int, compute_times, stop_times, completed) -> str:
+    """Records CSV rows of B iterations: row k of the (B, N) arrays holds
+    iteration first + k's workers.
 
     Each row is six cells of one flat list, filled by slice assignment and
     joined once: "i,", "w,", repr(T_n), ",", repr(stop_time), ",completed" and
@@ -561,7 +555,8 @@ def _records_text(iters, compute_times, stop_times, completed) -> str:
         s_text[k] = text
     cells = [""] * (6 * t.size)
     cells[0::6] = itertools.chain.from_iterable(
-        map(itertools.repeat, map("{},".format, iters), itertools.repeat(n)))
+        map(itertools.repeat, map("{},".format, range(first, first + b)),
+            itertools.repeat(n)))
     cells[1::6] = [f"{w}," for w in range(n)] * b
     cells[2::6] = t_text
     cells[3::6] = itertools.repeat(",", t.size)
@@ -574,22 +569,19 @@ def _records_head(comment: Optional[str]) -> str:
     return comment_line(comment) + ",".join(RECORDS_HEADER) + "\r\n"
 
 
-def write_records_csv(path, records, comment: Optional[str] = None) -> None:
+def write_records_csv(path, records: IterationBlock, comment: Optional[str] = None) -> None:
     """Per-iteration, per-worker records: an optional ``# comment`` line, the
     header iteration,worker,T_n,stop_time,completed, then one row per worker
-    and iteration with the csv module's CRLF line ends and the repr of each
-    time, so floats round-trip.
+    of each row (iteration) of records, with the csv module's CRLF line ends
+    and the repr of each time, so floats round-trip.
     """
     head = _records_head(comment)  # a bad comment raises before the file is opened
     with open(path, "w", newline="") as fh:
         fh.write(head)
-        # A few iterations per chunk, stacked in runs of equal worker counts.
-        for _, same_n in itertools.groupby(records, key=lambda r: len(r.compute_times)):
-            while chunk := list(itertools.islice(same_n, _RECORDS_CHUNK)):
-                fh.write(_records_text([r.iter_index for r in chunk],
-                                       np.stack([r.compute_times for r in chunk]),
-                                       np.stack([r.stop_times for r in chunk]),
-                                       np.stack([r.completed for r in chunk])))
+        for first in range(0, len(records.s_eff), _RECORDS_CHUNK):
+            rows = slice(first, first + _RECORDS_CHUNK)
+            fh.write(_records_text(first, records.compute_times[rows],
+                                   records.stop_times[rows], records.completed[rows]))
 
 
 def stats_to_json(stats: RunStats, **extra) -> str:

@@ -107,7 +107,7 @@ class TestSimulate:
             4, ds.WorkerLatencyModel(1.0, ds.NormalNoise(0.0, 0.1)))
         warm = ds.run_detailed(ds.SimConfig(fleet, 3, 0.2, None, 40, 5),
                                rng=ds.RngStream(5, simulate.AUTO_TAU_STREAM))
-        warm_t = np.concatenate([r.compute_times for r in warm.records])
+        warm_t = warm.records.compute_times.ravel()
         assert measured.size == 30 * 4 and warm_t.size == 40 * 4
         assert not np.isin(measured, warm_t).any()
 
@@ -164,6 +164,19 @@ class TestSimulate:
                                      .read_text())["mean_step_drop"]
         assert stops == {False: 1.0, True: 0.9}
 
+    def test_nothing_completing_reports_zero_throughput(self, tmp_path, capsys):
+        # Boundary mode, T_c = 0, and every 1 s micro-batch ends past tau:
+        # no worker counts one, so every step takes no time and does no work.
+        doc = _sim_config(noise={"kind": "none"}, tau=0.5, t_comm=0.0, iterations=5,
+                          stop_at_accumulation_boundary=True)
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+        assert [summary[k] for k in ("mean_completed", "mean_step_drop", "s_eff",
+                                     "throughput", "throughput_base")] == \
+            [0.0, 0.0, 0.0, 0.0, 4.0]
+        assert "s_eff 0.0000" in capsys.readouterr().out
+
     def test_unknown_noise_kind_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "c.json",
                           _sim_config(noise={"kind": "cauchy"}))
@@ -198,6 +211,21 @@ class TestLocalSgdMode:
                          "--out", str(tmp_path / "o")]) == 2
         assert "tau must be None or a number > 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_synchronous_fields_are_optional_and_ignored(self, tmp_path):
+        bare = {"fleet": {"workers": 8, "base_mean": 0.1, "noise": {"kind": "none"}},
+                "iterations": 200, "local_sgd": {"sync_period": 2}}
+        full = {**bare, "m_per_step": 64, "t_comm": 5.0, "tau": 0.001,
+                "warmup_iterations": 3, "stop_at_accumulation_boundary": True}
+        for name, doc in (("bare", bare), ("full", full)):
+            cfg = _write_json(tmp_path / f"{name}.json", doc)
+            assert cli.main(["simulate", "--config", cfg, "--mode", "local-sgd",
+                             "--out", str(tmp_path / name)]) == 0
+        reports = [json.loads((tmp_path / name / "summary.json").read_text())
+                   for name in ("bare", "full")]
+        for rep in reports:
+            del rep["config_hash"]
+        assert reports[0] == reports[1]
 
     def test_determinism(self, tmp_path):
         doc = _sim_config(workers=8, base=0.1, noise={"kind": "none"}, m=1,
@@ -431,6 +459,18 @@ class TestScaleSweep:
             cells = row.split(",")
             s_sim, s_analytic = float(cells[4]), float(cells[6])
             assert abs(s_sim - s_analytic) / s_analytic <= 0.05
+
+    def test_nothing_completing_reports_zero_throughput(self, tmp_path):
+        doc = self._sweep_doc(fleet={"workers": 2, "base_mean": 1.0,
+                                     "noise": {"kind": "none"}},
+                              t_comm=0.0, tau=0.5, stop_at_accumulation_boundary=True,
+                              iterations=5, n_list=[2, 4])
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = [r.split(",") for r in (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+                if r and not r.startswith("#")][1:]
+        assert [(row[0], float(row[3]), float(row[4])) for row in rows] == \
+            [("2", 0.0, 0.0), ("4", 0.0, 0.0)]  # n_workers, throughput_drop, s_eff
 
     def test_unsorted_n_list_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "c.json", self._sweep_doc(n_list=[32, 8, 128]))

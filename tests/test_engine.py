@@ -9,6 +9,7 @@ engine must reproduce it bit for bit, at any block size.
 import csv
 import io
 import math
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import dropsim as ds
 from dropsim import simulate
-from dropsim.simulate import IterationRecord, RunStats
+from dropsim.simulate import IterationBlock, RunStats
 from dropsim.stats import StreamGenerator, philox_generator
 
 _MODELS = {
@@ -59,6 +60,16 @@ def _oracle_times(config, i, root):
     return out
 
 
+class _Row(NamedTuple):
+    """The oracle's outcome of one iteration."""
+    compute_times: np.ndarray
+    stop_times: np.ndarray
+    completed: np.ndarray
+    step_base: float
+    step_drop: float
+    s_eff: float
+
+
 def _oracle_evaluate(times, tau, t_comm, stop_at_boundary):
     n, m = times.shape
     cum = np.cumsum(times, axis=1)
@@ -90,14 +101,15 @@ def _oracle_aggregate(records, n, m, tau, iterations):
         sum_seff += rec.s_eff
     mean_base, mean_drop = sum_base / iterations, sum_drop / iterations
     mean_completed = sum_completed / iterations
+    # Nothing completed: steps may take no time at all, and no work was done.
+    throughput = n * mean_completed / mean_drop if mean_completed else 0.0
     return RunStats(n, m, iterations, tau, mean_base, mean_drop, mean_completed,
                     1.0 - mean_completed / m, sum_seff / iterations,
-                    n * mean_completed / mean_drop, n * m / mean_base)
+                    throughput, n * m / mean_base)
 
 
 def _oracle_replay(trace, comm, tau, stop_at_boundary):
-    records = [IterationRecord(i, *_oracle_evaluate(trace[i], tau, float(comm[i]),
-                                                    stop_at_boundary))
+    records = [_Row(*_oracle_evaluate(trace[i], tau, float(comm[i]), stop_at_boundary))
                for i in range(trace.shape[0])]
     _, n, m = trace.shape
     return _oracle_aggregate(records, n, m, tau, trace.shape[0]), records
@@ -124,16 +136,25 @@ def _same_floats(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _rows(block):
+    """The oracle rows of an IterationBlock, row k being its iteration k."""
+    return [_Row(block.compute_times[k], block.stop_times[k], block.completed[k],
+                 block.step_base[k], block.step_drop[k], block.s_eff[k])
+            for k in range(len(block.s_eff))]
+
+
 def _assert_records_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.iter_index == w.iter_index
+    """got: an IterationBlock; want: oracle rows, row k for its iteration k."""
+    assert isinstance(got, IterationBlock)
+    assert all(len(field) == len(want) for field in got)
+    for field in ("step_base", "step_drop", "mean_completed", "s_eff"):
+        assert getattr(got, field).dtype == float, field
+    for g, w in zip(_rows(got), want):
         assert _same_floats(g.compute_times, w.compute_times)
         assert _same_floats(g.stop_times, w.stop_times)
         assert np.array_equal(g.completed, w.completed)
         assert g.completed.dtype == w.completed.dtype
         for field in ("step_base", "step_drop", "s_eff"):
-            assert type(getattr(g, field)) is float
             assert _same_floats(getattr(g, field), getattr(w, field)), field
 
 
@@ -181,14 +202,7 @@ def _configs(draw):
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_engine_matches_per_iteration_oracle(case):
     config, block_iterations = case
-    try:
-        want_stats, want_records, want_trace = _oracle_run(config, ds.RngStream(config.seed, 0))
-    except ZeroDivisionError:
-        # Every step took zero time (nothing completed, T_c = 0): no
-        # throughput exists, and the engine must not invent one.
-        with pytest.raises(ZeroDivisionError):
-            ds.run(config)
-        return
+    want_stats, want_records, want_trace = _oracle_run(config, ds.RngStream(config.seed, 0))
     n, m = config.fleet.n, config.m_per_step
     # Blocks of a few iterations, so that most runs cross block boundaries.
     with mock.patch.object(simulate, "_BLOCK_SAMPLES", n * m * block_iterations):
@@ -203,10 +217,10 @@ def test_engine_matches_per_iteration_oracle(case):
     _assert_records_equal(replay.records, want_records)
     _assert_stats_equal(replay.stats, want_stats)
     last = config.iterations - 1
-    _assert_records_equal([ds.simulate_iteration(config, last)], [want_records[last]])
+    _assert_records_equal(ds.simulate_iteration(config, last), [want_records[last]])
 
 
-@given(_configs(), st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12))
+@given(_configs(), st.lists(st.floats(0.0, 1.0), min_size=12, max_size=12))
 @settings(max_examples=30, derandomize=True, deadline=None)
 def test_replay_with_per_iteration_comm_matches_oracle(case, comm):
     config, block_iterations = case
@@ -215,25 +229,44 @@ def test_replay_with_per_iteration_comm_matches_oracle(case, comm):
     replay = (trace, comm, config.tau, config.stop_at_accumulation_boundary)
     with mock.patch.object(simulate, "_BLOCK_SAMPLES",
                            config.fleet.n * config.m_per_step * block_iterations):
-        try:
-            want_stats, want_records = _oracle_replay(*replay)
-        except ZeroDivisionError:
-            with pytest.raises(ZeroDivisionError):
-                ds.run_from_trace(*replay)
-            return
+        want_stats, want_records = _oracle_replay(*replay)
         got = ds.run_from_trace(*replay)
     _assert_records_equal(got.records, want_records)
     _assert_stats_equal(got.stats, want_stats)
 
 
 def test_idle_steps_score_positive_zero():
-    # Nothing completes and T_c < 0 makes both step times negative; the
-    # speedup of such a step is +0.0, as in the oracle, not -0.0.
+    # Boundary mode with T_c = 0: nothing completes, so every step takes no
+    # time. Such a step scores +0.0, as in the oracle, and the run's
+    # throughput is 0.0.
     trace = np.ones((3, 2, 2))
-    got = ds.run_from_trace(trace, -3.0, 0.5)
-    want_stats, want_records = _oracle_replay(trace, np.full(3, -3.0), 0.5, False)
+    got = ds.run_from_trace(trace, 0.0, 0.5, True)
+    want_stats, want_records = _oracle_replay(trace, np.zeros(3), 0.5, True)
     _assert_records_equal(got.records, want_records)
     _assert_stats_equal(got.stats, want_stats)
+    assert got.records.step_drop.tolist() == [0.0] * 3
+    assert _same_floats(got.records.s_eff, np.zeros(3))
+    assert _same_floats(got.stats.throughput, 0.0)
+
+
+@pytest.mark.parametrize("trace, comm, tau", [
+    (np.ones((3, 2, 2)), -3.0, 0.5),
+    (np.ones((3, 2, 2)), [0.0, math.nan, 0.0], 0.5),
+    (np.ones((3, 2, 2)), 0.0, -1.0),
+    (np.ones((3, 2, 2)), 0.0, 0.0),
+    (np.ones((3, 2, 2)), 0.0, math.nan),
+    (np.zeros((3, 2, 2)), 0.0, 0.5),
+    (np.full((3, 2, 2), -1.0), 0.0, None),
+    (np.full((3, 2, 2), math.nan), 0.0, None),
+    (np.ones((0, 2, 2)), 0.0, 0.5),
+    (np.ones((3, 2)), 0.0, 0.5),
+    (np.ones((3, 2, 2)), [0.0, 0.0], 0.5),
+], ids=["negative-comm", "nan-comm", "negative-tau", "zero-tau", "nan-tau",
+        "zero-latency", "negative-latency", "nan-latency", "no-iterations", "2d-trace",
+        "short-comm"])
+def test_replay_rejects_inputs_outside_the_contract(trace, comm, tau):
+    with pytest.raises(ValueError):
+        ds.run_from_trace(trace, comm, tau)
 
 
 def test_block_size_does_not_change_results():
@@ -244,7 +277,7 @@ def test_block_size_does_not_change_results():
         with mock.patch.object(simulate, "_BLOCK_SAMPLES", samples):
             got = ds.run_detailed(config)
         assert _same_floats(got.trace, want.trace)
-        _assert_records_equal(got.records, want.records)
+        _assert_records_equal(got.records, _rows(want.records))
         _assert_stats_equal(got.stats, want.stats)
 
 
@@ -256,7 +289,7 @@ def test_simulate_block_rows_are_single_iterations():
         rng = ds.RngStream(9, 4)
         block = simulate.simulate_block(config, rng, 7, np.arange(5), 0)
         want = [ds.simulate_iteration(config, 0, rng.derive(7, r)) for r in range(5)]
-        _assert_records_equal([block.record(r, 0) for r in range(5)], want)
+        _assert_records_equal(block, [row for one in want for row in _rows(one)])
 
 
 def test_timing_schedule_matches_per_run_oracle():
@@ -347,21 +380,28 @@ def _oracle_records_csv(records, comment=None):
         buf.write(f"# {comment}\n")
     writer = csv.writer(buf)
     writer.writerow(["iteration", "worker", "T_n", "stop_time", "completed"])
-    for rec in records:
+    for i, rec in enumerate(_rows(records)):
         for w in range(rec.compute_times.shape[0]):
-            writer.writerow([rec.iter_index, w, repr(float(rec.compute_times[w])),
+            writer.writerow([i, w, repr(float(rec.compute_times[w])),
                              repr(float(rec.stop_times[w])), int(rec.completed[w])])
     return buf.getvalue()
+
+
+def _block(compute_times, stop_times, completed):
+    """An IterationBlock of the records CSV columns; its per-step fields are 0."""
+    return IterationBlock(np.asarray(compute_times, dtype=float),
+                          np.asarray(stop_times, dtype=float), np.asarray(completed),
+                          *[np.zeros(len(compute_times))] * 4)
 
 
 def test_records_csv_matches_csv_writer(tmp_path):
     config = ds.SimConfig(ds.FleetSpec.homogeneous(7, _MODELS["bernoulli"]), 3, 0.1,
                           1.0, 75, 8, True)
     records = ds.run_detailed(config).records
-    odd = IterationRecord(75, np.array([0.0, -0.0, 1.5, math.nan, 2.0, 1e-300]),
-                          np.array([-0.0, 0.0, 1.5, math.nan, 1e16, 1e-300]),
-                          np.array([0, 1, 2, 3, 4, 5]), 1.0, 1.0, 1.0)
-    for recs, comment in ((records, None), (records + (odd,), "config_hash=x"), ((), None)):
+    odd = _block([[0.0, -0.0, 1.5, math.nan, 2.0, 1e-300]] * 40,
+                 [[-0.0, 0.0, 1.5, math.nan, 1e16, 1e-300]] * 40, [[0, 1, 2, 3, 4, 5]] * 40)
+    empty = _block(np.empty((0, 7)), np.empty((0, 7)), np.empty((0, 7), dtype=np.int64))
+    for recs, comment in ((records, None), (odd, "config_hash=x"), (empty, None)):
         path = tmp_path / "records.csv"
         simulate.write_records_csv(path, recs, comment)
         assert path.read_bytes() == _oracle_records_csv(recs, comment).encode()

@@ -97,9 +97,11 @@ def test_mixed_fleet_run_detailed():
             True: "98c778edf706e5050c661c803c88515cc7d557bd3fb7682df6f3b5bb4f370782"}
     for boundary, digest in want.items():
         sim = ds.run_detailed(ds.SimConfig(_mixed_fleet(), 3, 0.1, 2.2, 45, 31, boundary))
-        rows = [np.concatenate([r.compute_times, r.stop_times, r.completed.astype(float),
-                                [r.step_base, r.step_drop, r.s_eff]]).tobytes()
-                for r in sim.records]
+        r = sim.records
+        rows = [np.concatenate([r.compute_times[k], r.stop_times[k],
+                                r.completed[k].astype(float),
+                                [r.step_base[k], r.step_drop[k], r.s_eff[k]]]).tobytes()
+                for k in range(len(r.s_eff))]
         assert _sha(sim.trace.tobytes(), repr(sim.stats), *rows) == digest
 
 

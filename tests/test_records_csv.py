@@ -5,7 +5,6 @@ infinities, NaNs, stops equal to T_n and repeated stops."""
 
 import dataclasses
 import io
-import itertools
 import json
 
 import numpy as np
@@ -14,7 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dropsim as ds
 from dropsim import cli, simulate
-from dropsim.simulate import (IterationRecord, RECORDS_HEADER, run_records_csv,
+from dropsim.simulate import (IterationBlock, RECORDS_HEADER, run_records_csv,
                               write_records_csv)
 from dropsim.threshold import format_curve_csv, write_curve_csv
 
@@ -23,23 +22,20 @@ from dropsim.threshold import format_curve_csv, write_curve_csv
 # ---------------------------------------------------------------------------
 
 
-def _oracle_iter_records_csv(records, comment=None):
+def _oracle_iter_records_csv(records, comment=None, first=0):
+    """Rows of the IterationBlock records, its row k being iteration first + k."""
     if comment:
         yield f"# {comment}\n"
     yield ",".join(RECORDS_HEADER) + "\r\n"
-    records = iter(records)
-    while chunk := list(itertools.islice(records, 32)):
-        iters = [r.iter_index for r in chunk for _ in range(r.compute_times.shape[0])]
-        workers = [w for r in chunk for w in range(r.compute_times.shape[0])]
-        cols = (np.concatenate([r.compute_times for r in chunk]).tolist(),
-                np.concatenate([r.stop_times for r in chunk]).tolist(),
-                np.concatenate([r.completed for r in chunk]).astype(np.int64).tolist())
+    rows = zip(records.compute_times.tolist(), records.stop_times.tolist(),
+               records.completed.astype(np.int64).tolist())
+    for i, cols in enumerate(rows, first):
         yield "".join([f"{i},{w},{(tr := repr(t))},{tr if s == t and t else repr(s)},{c}\r\n"
-                       for i, w, t, s, c in zip(iters, workers, *cols)])
+                       for w, (t, s, c) in enumerate(zip(*cols))])
 
 
-def _oracle_text(records, comment=None) -> str:
-    return "".join(_oracle_iter_records_csv(records, comment))
+def _oracle_text(records, comment=None, first=0) -> str:
+    return "".join(_oracle_iter_records_csv(records, comment, first))
 
 
 def _written(path, records, comment=None) -> str:
@@ -48,9 +44,9 @@ def _written(path, records, comment=None) -> str:
         return fh.read()
 
 
-def _records(first, compute, stop, completed):
-    return [IterationRecord(first + k, compute[k], stop[k], completed[k], 0.0, 0.0, 0.0)
-            for k in range(len(compute))]
+def _records(compute, stop, completed):
+    """An IterationBlock of the records CSV columns; its per-step fields are 0."""
+    return IterationBlock(compute, stop, completed, *[np.zeros(len(compute))] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +59,10 @@ _times = st.one_of(st.sampled_from(_SPECIAL),
 
 
 @st.composite
-def blocks(draw, max_b=6, max_n=6):
+def blocks(draw, min_b=1, max_b=6, max_n=6):
     """(B, N) compute, stop and completed arrays; completed runs from 0 to M."""
-    b, n, m = draw(st.integers(1, max_b)), draw(st.integers(1, max_n)), draw(st.integers(1, 5))
+    b, n = draw(st.integers(min_b, max_b)), draw(st.integers(1, max_n))
+    m = draw(st.integers(1, 5))
     compute = np.array(draw(st.lists(_times, min_size=b * n, max_size=b * n))).reshape(b, n)
     # A few stop values that many workers share, as tau is in exact mode.
     pool = draw(st.lists(_times, min_size=1, max_size=3))
@@ -82,19 +79,19 @@ def blocks(draw, max_b=6, max_n=6):
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_block_text_matches_row_formatter(block, first):
     compute, stop, completed = block
-    text = simulate._records_text(range(first, first + len(compute)), compute, stop, completed)
-    want = _oracle_text(_records(first, compute, stop, completed))
+    text = simulate._records_text(first, compute, stop, completed)
+    want = _oracle_text(_records(compute, stop, completed), first=first)
     assert simulate._records_head(None) + text == want
 
 
-@given(st.lists(blocks(max_b=3), min_size=1, max_size=30),
+@given(blocks(min_b=simulate._RECORDS_CHUNK + 1, max_b=3 * simulate._RECORDS_CHUNK,
+              max_n=3),
        st.sampled_from([None, "", "config_hash=abc version=0.1.0"]))
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_write_records_csv_matches_row_formatter(tmp_path, parts, comment):
-    """Records of several worker counts, more of them than one chunk holds."""
-    records = list(itertools.chain.from_iterable(
-        _records(7 * k, *part) for k, part in enumerate(parts)))
+def test_write_records_csv_matches_row_formatter(tmp_path, block, comment):
+    """A block of more iterations than one chunk of the writer holds."""
+    records = _records(*block)
     assert _written(tmp_path / "r.csv", records, comment) == _oracle_text(records, comment)
 
 
@@ -106,7 +103,8 @@ def test_write_records_csv_matches_row_formatter_on_a_run(tmp_path):
 
 
 def test_empty_records_write_the_header_only(tmp_path):
-    assert _written(tmp_path / "r.csv", [], "c") == _oracle_text([], "c")
+    records = _records(np.empty((0, 3)), np.empty((0, 3)), np.empty((0, 3), dtype=np.int64))
+    assert _written(tmp_path / "r.csv", records, "c") == _oracle_text(records, "c")
 
 
 # ---------------------------------------------------------------------------

@@ -31,20 +31,21 @@ class TestSingleIteration:
     def test_deterministic_baseline(self):
         cfg = ds.SimConfig(_const_fleet(1), 2, t_comm=0.1, tau=None)
         rec = ds.simulate_iteration(cfg, 0)
-        assert rec.compute_times[0] == pytest.approx(0.9)
-        assert rec.step_base == pytest.approx(1.0)
-        assert rec.completed[0] == 2
-        assert rec.s_eff == 1.0
+        assert rec.compute_times.shape == (1, 1)
+        assert rec.compute_times[0, 0] == pytest.approx(0.9)
+        assert rec.step_base[0] == pytest.approx(1.0)
+        assert rec.completed[0, 0] == 2
+        assert rec.s_eff[0] == 1.0
 
     def test_hand_traced_drop(self):
         # One worker, two 0.45 s micro-batches, budget 0.5: the first batch
         # finishes (0.45 < 0.5), the second is cut at the budget.
         cfg = ds.SimConfig(_const_fleet(1), 2, t_comm=0.1, tau=0.5)
         rec = ds.simulate_iteration(cfg, 0)
-        assert rec.completed[0] == 1
-        assert rec.stop_times[0] == pytest.approx(0.5)
-        assert rec.step_drop == pytest.approx(0.6)
-        assert rec.s_eff == pytest.approx(5.0 / 6.0)
+        assert rec.completed[0, 0] == 1
+        assert rec.stop_times[0, 0] == pytest.approx(0.5)
+        assert rec.step_drop[0] == pytest.approx(0.6)
+        assert rec.s_eff[0] == pytest.approx(5.0 / 6.0)
 
     def test_threshold_above_compute_is_baseline(self):
         cfg_base = ds.SimConfig(_normal_fleet(8), 4, t_comm=0.2, tau=None, seed=3)
@@ -53,17 +54,17 @@ class TestSingleIteration:
         b = ds.simulate_iteration(cfg_tau, 5)
         assert np.array_equal(a.compute_times, b.compute_times)
         assert np.array_equal(a.completed, b.completed)
-        assert b.step_drop == b.step_base
-        assert b.s_eff == 1.0
+        assert b.step_drop[0] == b.step_base[0]
+        assert b.s_eff[0] == 1.0
 
     def test_strict_comparison_at_exact_boundary(self):
         # Budget equal to the cumulative time does not count the batch.
         cfg = ds.SimConfig(_const_fleet(1), 2, tau=0.45)
         rec = ds.simulate_iteration(cfg, 0)
-        assert rec.completed[0] == 0
+        assert rec.completed[0, 0] == 0
         just_above = ds.SimConfig(_const_fleet(1), 2, tau=np.nextafter(0.45, np.inf))
         rec2 = ds.simulate_iteration(just_above, 0)
-        assert rec2.completed[0] == 1
+        assert rec2.completed[0, 0] == 1
 
     def test_boundary_stop_mode(self):
         # Between-accumulations break: busy time ends at the last counted
@@ -72,19 +73,19 @@ class TestSingleIteration:
             _const_fleet(1), 3, tau=1.0, stop_at_accumulation_boundary=True
         )
         rec = ds.simulate_iteration(cfg, 0)
-        assert rec.completed[0] == 2
-        assert rec.stop_times[0] == pytest.approx(0.9)
+        assert rec.completed[0, 0] == 2
+        assert rec.stop_times[0, 0] == pytest.approx(0.9)
         default = ds.SimConfig(_const_fleet(1), 3, tau=1.0)
         rec2 = ds.simulate_iteration(default, 0)
-        assert rec2.stop_times[0] == pytest.approx(1.0)
+        assert rec2.stop_times[0, 0] == pytest.approx(1.0)
 
     def test_boundary_stop_zero_completed(self):
         cfg = ds.SimConfig(
             _const_fleet(1), 2, tau=0.1, stop_at_accumulation_boundary=True
         )
         rec = ds.simulate_iteration(cfg, 0)
-        assert rec.completed[0] == 0
-        assert rec.stop_times[0] == 0.0
+        assert rec.completed[0, 0] == 0
+        assert rec.stop_times[0, 0] == 0.0
 
     def test_per_worker_invariants(self):
         cfg = ds.SimConfig(_normal_fleet(16), 6, t_comm=0.3, tau=5.0, seed=11)
@@ -95,7 +96,7 @@ class TestSingleIteration:
             # A worker that finished everything under budget keeps all M.
             under = rec.compute_times < 5.0
             assert np.all(rec.completed[under] == 6)
-            assert rec.step_base == pytest.approx(np.max(rec.compute_times) + 0.3)
+            assert rec.step_base[0] == pytest.approx(np.max(rec.compute_times) + 0.3)
 
 
 class TestRun:
@@ -108,14 +109,13 @@ class TestRun:
 
     def test_step_time_is_max_plus_comm(self):
         sim = ds.run_detailed(ds.SimConfig(_normal_fleet(8), 4, t_comm=0.25, iterations=30, seed=2))
-        for rec in sim.records:
-            assert rec.step_base == np.max(rec.compute_times) + 0.25
+        rec = sim.records
+        assert np.array_equal(rec.step_base, np.max(rec.compute_times, axis=1) + 0.25)
 
     def test_drop_step_never_slower(self):
         cfg = ds.SimConfig(_normal_fleet(32), 12, t_comm=0.5, tau=11.8, iterations=200, seed=4)
         sim = ds.run_detailed(cfg)
-        for rec in sim.records:
-            assert rec.step_drop <= rec.step_base + 1e-15
+        assert np.all(sim.records.step_drop <= sim.records.step_base + 1e-15)
         assert sim.stats.mean_step_drop <= sim.stats.mean_step_base
 
     def test_drop_rate_limits(self):
@@ -166,7 +166,8 @@ class TestRun:
         sim = ds.run_detailed(ds.SimConfig(_normal_fleet(5), 3, iterations=7, seed=1))
         assert sim.trace.shape == (7, 5, 3)
         assert sim.comm_times.shape == (7,)
-        assert len(sim.records) == 7
+        # Not len(sim.records): that counts the IterationBlock's fields.
+        assert all(len(field) == 7 for field in sim.records)
 
 
 class TestRunFromTrace:
@@ -297,7 +298,7 @@ class TestRecordsOutput:
         assert len(lines) == 1 + 2 * 3
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
-        assert float(first[2]) == sim.records[0].compute_times[0]
+        assert float(first[2]) == sim.records.compute_times[0, 0]
 
     def test_stats_json_has_no_timestamps(self):
         stats = ds.run(ds.SimConfig(_normal_fleet(2), 2, iterations=2, seed=0))
@@ -320,7 +321,8 @@ def test_speedup_definition_consistency(n, m, tau, seed):
     cfg = ds.SimConfig(_normal_fleet(n, mu=0.5, sigma=0.05), m, t_comm=0.1, tau=tau, iterations=8, seed=seed)
     sim = ds.run_detailed(cfg)
     per_iter = []
-    for rec in sim.records:
-        frac = np.mean(rec.completed) / m
-        per_iter.append((rec.step_base / rec.step_drop) * frac)
+    rec = sim.records
+    for k in range(len(rec.s_eff)):
+        frac = np.mean(rec.completed[k]) / m
+        per_iter.append((rec.step_base[k] / rec.step_drop[k]) * frac)
     assert sim.stats.s_eff == pytest.approx(float(np.mean(per_iter)), rel=1e-12)
