@@ -11,7 +11,7 @@ stochastic-batch-size convergence guarantees on small exactly-known problems.
 
 __version__ = "0.1.0"
 
-from .stats import EULER_GAMMA, EmpiricalCdf, RngStream, phi_cdf, phi_inv, phi_pdf
+from .stats import EULER_GAMMA, RngStream, phi_cdf, phi_inv
 from .latency import (
     BernoulliNoise,
     BoundedLogNormalNoise,
@@ -47,8 +47,6 @@ from .analytic import (
     expected_completed,
     expected_max_time,
     expected_speedup,
-    max_time_cdf,
-    max_time_pdf_iid,
     optimal_threshold_analytic,
 )
 from .threshold import (
@@ -77,10 +75,8 @@ __all__ = [
     "__version__",
     "EULER_GAMMA",
     "RngStream",
-    "EmpiricalCdf",
     "phi_cdf",
     "phi_inv",
-    "phi_pdf",
     "NoNoise",
     "NormalNoise",
     "LogNormalNoise",
@@ -108,8 +104,6 @@ __all__ = [
     "scale_sweep",
     "local_sgd_run",
     "GaussianStepModel",
-    "max_time_cdf",
-    "max_time_pdf_iid",
     "expected_max_time",
     "expected_completed",
     "expected_speedup",

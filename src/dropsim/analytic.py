@@ -1,10 +1,10 @@
 """Closed-form estimators for synchronous step timing under thresholds.
 
 Per-worker cumulative compute time after m micro-batches is modeled as
-Gaussian N(m*mu, m*sigma^2). From that: the order-statistics CDF/PDF of the
-step time (max over N workers), a probit-based approximation of the expected
-maximum, the expected number of completed micro-batches under a threshold,
-the expected effective speedup, and the threshold maximizing it. The
+Gaussian N(m*mu, m*sigma^2). From that: a probit-based approximation of the
+expected step time (max over N workers), the expected number of completed
+micro-batches under a threshold, the expected effective speedup, and the
+threshold maximizing it. The
 expected-maximum approximation blends the 1-1/N and 1-1/(eN) quantiles with
 Euler-Mascheroni weights; its error grows when the per-micro-batch noise is
 far from Gaussian, which is why the speedup estimator accepts a measured
@@ -23,8 +23,6 @@ from .stats import EULER_GAMMA, phi_cdf, phi_inv
 
 __all__ = [
     "GaussianStepModel",
-    "max_time_cdf",
-    "max_time_pdf_iid",
     "expected_max_time",
     "expected_completed",
     "expected_speedup",
@@ -53,26 +51,6 @@ class GaussianStepModel:
             raise ValueError("n_workers must be >= 1")
         if self.t_comm < 0.0:
             raise ValueError("t_comm must be >= 0")
-
-
-def max_time_cdf(worker_cdfs, x):
-    """CDF of the max of independent worker times: the product of the CDFs."""
-    if len(worker_cdfs) == 0:
-        raise ValueError("need at least one worker CDF")
-    vals = [np.asarray(F(x), dtype=float) for F in worker_cdfs]
-    out = vals[0]
-    for v in vals[1:]:
-        out = out * v
-    return out
-
-
-def max_time_pdf_iid(f, F, n_workers: int, x):
-    """Density of the max of n i.i.d. times: N f(x) F(x)^(N-1)."""
-    if n_workers < 1:
-        raise ValueError("n_workers must be >= 1")
-    fx = np.asarray(f(x), dtype=float)
-    Fx = np.asarray(F(x), dtype=float)
-    return n_workers * fx * Fx ** (n_workers - 1)
 
 
 def _expected_max_compute(mu: float, sigma: float, m: int, n: int) -> float:

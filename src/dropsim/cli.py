@@ -393,6 +393,13 @@ def cmd_scale_sweep(args) -> int:
     model = template.fleet.workers[0]
     mu, var = model.moments()
     sigma = float(np.sqrt(var))
+    try:
+        s_analytic = [1.0 if p.tau is None else analytic.expected_speedup(
+            mu, sigma, template.m_per_step, p.n_workers, p.tau, template.t_comm,
+            measured_ET=p.mean_step_base - template.t_comm) for p in points]
+    except ValueError as exc:
+        raise ConfigError(f"scale-sweep has no closed-form s_eff_analytic "
+                          f"for this fleet: {exc}") from exc
 
     out = _out_dir(args)
     buf = io.StringIO()
@@ -402,17 +409,10 @@ def cmd_scale_sweep(args) -> int:
     writer = _csv.writer(buf)
     writer.writerow(["n_workers", "tau", "throughput_base", "throughput_drop",
                      "s_eff", "linear_ref", "s_eff_analytic"])
-    for p in points:
-        if p.tau is None or sigma == 0.0:
-            s_analytic = 1.0
-        else:
-            measured_et = p.mean_step_base - template.t_comm
-            s_analytic = analytic.expected_speedup(
-                mu, sigma, template.m_per_step, p.n_workers, p.tau,
-                template.t_comm, measured_ET=measured_et)
+    for p, s in zip(points, s_analytic):
         writer.writerow([p.n_workers, repr(p.tau) if p.tau is not None else "",
                          repr(p.throughput_base), repr(p.throughput_drop),
-                         repr(p.s_eff), repr(p.linear_ref), repr(s_analytic)])
+                         repr(p.s_eff), repr(p.linear_ref), repr(s)])
     _atomic_write(out / "sweep.csv", buf.getvalue())
     print(f"swept {len(points)} fleet sizes, "
           f"s_eff range [{min(p.s_eff for p in points):.4f}, "

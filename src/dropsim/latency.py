@@ -2,9 +2,9 @@
 
 A worker's micro-batch time is a deterministic base plus random noise. Noise
 comes from one of several parametric families or from an empirical trace
-(resampled with replacement). Parametric specs expose analytic moments and
-CDFs; the bounded-lognormal spec used for the simulated-delay environment
-integrates its censored moments numerically.
+(resampled with replacement). Parametric specs expose analytic moments; the
+bounded-lognormal spec used for the simulated-delay environment integrates
+its censored moments numerically.
 """
 from __future__ import annotations
 
@@ -58,9 +58,6 @@ class NoiseSpec:
     def variance(self) -> float:
         raise NotImplementedError
 
-    def cdf(self, x: float) -> float:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class NoNoise(NoiseSpec):
@@ -72,9 +69,6 @@ class NoNoise(NoiseSpec):
 
     def variance(self):
         return 0.0
-
-    def cdf(self, x):
-        return 1.0 if x >= 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -94,9 +88,6 @@ class NormalNoise(NoiseSpec):
 
     def variance(self):
         return self.std**2
-
-    def cdf(self, x):
-        return phi_cdf((x - self.loc) / self.std)
 
 
 @dataclass(frozen=True)
@@ -119,11 +110,6 @@ class LogNormalNoise(NoiseSpec):
     def variance(self):
         s2 = self.log_std**2
         return (math.exp(s2) - 1.0) * math.exp(2.0 * self.log_mean + s2)
-
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        return phi_cdf((math.log(x) - self.log_mean) / self.log_std)
 
 
 @dataclass(frozen=True)
@@ -173,14 +159,6 @@ class BoundedLogNormalNoise(NoiseSpec):
         m1 = self._censored_moment(1)
         return self._censored_moment(2) - m1 * m1
 
-    def cdf(self, x):
-        if x <= 0.0:
-            return 0.0
-        if x >= self.bound:
-            return 1.0
-        mu, s = self._scaled_params()
-        return phi_cdf((math.log(x) - mu) / s)
-
 
 @dataclass(frozen=True)
 class BernoulliNoise(NoiseSpec):
@@ -204,13 +182,6 @@ class BernoulliNoise(NoiseSpec):
     def variance(self):
         return self.p * (1.0 - self.p) * self.scale**2
 
-    def cdf(self, x):
-        if x < 0.0:
-            return 0.0
-        if x < self.scale:
-            return 1.0 - self.p
-        return 1.0
-
 
 @dataclass(frozen=True)
 class ExponentialNoise(NoiseSpec):
@@ -228,9 +199,6 @@ class ExponentialNoise(NoiseSpec):
 
     def variance(self):
         return 1.0 / self.rate**2
-
-    def cdf(self, x):
-        return 0.0 if x <= 0.0 else 1.0 - math.exp(-self.rate * x)
 
 
 @dataclass(frozen=True)
@@ -250,13 +218,6 @@ class GammaNoise(NoiseSpec):
 
     def variance(self):
         return self.shape / self.rate**2
-
-    def cdf(self, x):
-        from scipy import special
-
-        if x <= 0.0:
-            return 0.0
-        return float(special.gammainc(self.shape, self.rate * x))
 
 
 @dataclass(frozen=True)
@@ -285,9 +246,6 @@ class EmpiricalNoise(NoiseSpec):
 
     def variance(self):
         return float(self._values.var())
-
-    def cdf(self, x):
-        return float(np.count_nonzero(self._values <= x) / self._values.size)
 
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

@@ -1,9 +1,9 @@
 """Numerical kernels shared by every other module.
 
-Standard normal CDF and quantile, empirical CDFs, and addressable random
-number streams. The CDF routes through erfc; the quantile is a rational
-probit approximation sharpened by one Halley step, so both are testable
-against independent quadrature and bisection oracles.
+Standard normal CDF and quantile, and addressable random number streams.
+The CDF routes through erfc; the quantile is a rational probit
+approximation sharpened by one Halley step, so both are testable against
+independent quadrature and bisection oracles.
 """
 from __future__ import annotations
 
@@ -15,13 +15,11 @@ from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "EULER_GAMMA",
-    "EmpiricalCdf",
     "RngStream",
     "StreamGenerator",
     "philox_generator",
     "phi_cdf",
     "phi_inv",
-    "phi_pdf",
 ]
 
 # Euler-Mascheroni constant, 15 significant digits.
@@ -165,13 +163,6 @@ def phi_cdf(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def phi_pdf(x):
-    """Standard normal density; scalar in, scalar out, arrays elementwise."""
-    arr = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    return float(out) if arr.ndim == 0 else out
-
-
 # Acklam's rational approximation to the probit function. Raw accuracy is
 # about 1.15e-9 relative; a single Halley step against phi_cdf brings the
 # result to machine precision.
@@ -244,39 +235,3 @@ def phi_inv(p: float) -> float:
     e = phi_cdf(x) - p
     u = e * _SQRT_2PI * math.exp(0.5 * x * x)
     return x - u / (1.0 + 0.5 * x * u)
-
-
-@dataclass(frozen=True)
-class EmpiricalCdf:
-    """Empirical CDF over a nonempty sorted sample of latencies."""
-
-    sorted_samples: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalCdf":
-        arr = np.asarray(samples, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("EmpiricalCdf needs a nonempty 1-d sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("EmpiricalCdf samples must be finite")
-        return cls(np.sort(arr))
-
-    def __call__(self, x):
-        """Fraction of samples <= x; vectorized, nondecreasing, in [0, 1]."""
-        idx = np.searchsorted(self.sorted_samples, x, side="right")
-        out = idx / self.sorted_samples.size
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
-
-    def ks_distance(self, cdf) -> float:
-        """Kolmogorov-Smirnov distance to a reference CDF callable.
-
-        `cdf` is called once, on the whole sorted sample, so it must accept
-        an array and return the CDF elementwise.
-        """
-        n = self.sorted_samples.size
-        ref = np.asarray(cdf(self.sorted_samples), dtype=float)
-        upper = np.abs(np.arange(1, n + 1) / n - ref)
-        lower = np.abs(np.arange(0, n) / n - ref)
-        return float(max(upper.max(), lower.max()))

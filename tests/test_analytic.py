@@ -1,71 +1,16 @@
-"""Closed-form estimator checks: order-statistics formulas against
-quadrature and Monte-Carlo, the expected-maximum approximation, expected
-completed counts, speedup curves, and the analytic threshold optimum."""
+"""Closed-form estimator checks against Monte-Carlo: the expected-maximum
+approximation, expected completed counts, speedup curves, and the analytic
+threshold optimum."""
 
 import math
 import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import dropsim as ds
-from dropsim import EULER_GAMMA, phi_cdf, phi_inv, phi_pdf
+from dropsim import EULER_GAMMA, phi_cdf, phi_inv
 from dropsim.stats import RngStream
-
-
-class TestMaxTimeCdf:
-    def test_single_worker_identity(self):
-        f = lambda x: phi_cdf(x - 2.0)
-        for x in (-1.0, 0.0, 2.0, 3.5):
-            assert ds.max_time_cdf([f], x) == f(x)
-
-    def test_two_uniforms(self):
-        u = lambda x: min(1.0, max(0.0, x))
-        assert ds.max_time_cdf([u, u], 0.5) == pytest.approx(0.25)
-
-    def test_product_of_heterogeneous_cdfs(self):
-        f1 = lambda x: phi_cdf(x)
-        f2 = lambda x: phi_cdf((x - 1.0) / 2.0)
-        x = 0.7
-        assert ds.max_time_cdf([f1, f2], x) == pytest.approx(f1(x) * f2(x))
-
-    def test_matches_mc_distribution(self):
-        # Max of 10 iid normals: KS between formula and 10^5-draw MC.
-        n, draws = 10, 100_000
-        gen = RngStream(31).generator()
-        mx = gen.standard_normal((draws, n)).max(axis=1)
-        mx.sort()
-        grid = mx[:: draws // 200]
-        formula = np.array([ds.max_time_cdf([phi_cdf] * n, x) for x in grid])
-        empirical = np.searchsorted(mx, grid, side="right") / draws
-        assert np.max(np.abs(formula - empirical)) <= 0.01
-
-
-class TestMaxTimePdf:
-    def test_single_worker_identity(self):
-        for x in (-2.0, 0.0, 1.3):
-            assert ds.max_time_pdf_iid(phi_pdf, phi_cdf, 1, x) == pytest.approx(phi_pdf(x))
-
-    def test_two_workers_at_zero(self):
-        # 2 * pdf(0) * cdf(0) = pdf(0) ~ 0.39894.
-        val = ds.max_time_pdf_iid(phi_pdf, phi_cdf, 2, 0.0)
-        assert val == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-12)
-
-    @pytest.mark.parametrize("n", [1, 2, 8, 64])
-    def test_integrates_to_one(self, n):
-        val, err = integrate.quad(
-            lambda x: ds.max_time_pdf_iid(phi_pdf, phi_cdf, n, x), -np.inf, np.inf
-        )
-        assert abs(val - 1.0) <= 1e-4
-
-    def test_mode_shifts_right_with_scale(self):
-        xs = np.linspace(-3, 6, 2000)
-        modes = []
-        for n in (1, 4, 16, 64, 256):
-            dens = [ds.max_time_pdf_iid(phi_pdf, phi_cdf, n, x) for x in xs]
-            modes.append(xs[int(np.argmax(dens))])
-        assert all(a < b for a, b in zip(modes, modes[1:]))
 
 
 class TestExpectedMaxTime:

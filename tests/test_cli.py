@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,36 @@ class TestScaleSweep:
                 if r and not r.startswith("#")][1:]
         assert [(row[0], float(row[3]), float(row[4])) for row in rows] == \
             [("2", 0.0, 0.0), ("4", 0.0, 0.0)]  # n_workers, throughput_drop, s_eff
+
+    @pytest.mark.parametrize("extra, s_eff", [
+        ({"tau": 0.5, "stop_at_accumulation_boundary": True}, 0.0),
+        ({"tau": 2.5, "t_comm": 0.3}, 0.7678571428571429),
+    ])
+    def test_zero_noise_analytic_column_follows_tau(self, tmp_path, extra, s_eff):
+        # Deterministic micro-batches of 1 s: the closed form counts those
+        # finishing strictly under tau, as the simulation does.
+        doc = self._sweep_doc(fleet={"workers": 2, "base_mean": 1.0,
+                                     "noise": {"kind": "none"}},
+                              m_per_step=4, t_comm=0.0, iterations=5, n_list=[2, 4])
+        doc.update(extra)
+        cfg = _write_json(tmp_path / "c.json", doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # tau 0.5 <= M*mu/2
+            assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        rows = [r.split(",") for r in (tmp_path / "o" / "sweep.csv").read_text().splitlines()
+                if r and not r.startswith("#")][1:]
+        assert [(float(row[4]), float(row[6])) for row in rows] == [(s_eff, s_eff)] * 2
+
+    def test_nonpositive_model_mean_exits_2_before_writing(self, tmp_path, capsys):
+        # Every draw sits at the positive floor, so the simulation runs, but
+        # the closed form has no answer for a model mean of -2.
+        doc = self._sweep_doc(fleet={"workers": 2, "base_mean": 1.0,
+                                     "noise": {"kind": "normal", "loc": -3.0, "std": 0.1}},
+                              tau=1.5, iterations=5, n_list=[2, 4])
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "mu must be > 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unsorted_n_list_exits_2(self, tmp_path, capsys):
         cfg = _write_json(tmp_path / "c.json", self._sweep_doc(n_list=[32, 8, 128]))

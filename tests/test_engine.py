@@ -255,6 +255,8 @@ def test_idle_steps_score_positive_zero():
     (np.ones((3, 2, 2)), 0.0, -1.0),
     (np.ones((3, 2, 2)), 0.0, 0.0),
     (np.ones((3, 2, 2)), 0.0, math.nan),
+    (np.ones((3, 2, 2)), 0.0, "abc"),
+    (np.ones((3, 2, 2)), 0.0, True),
     (np.zeros((3, 2, 2)), 0.0, 0.5),
     (np.full((3, 2, 2), -1.0), 0.0, None),
     (np.full((3, 2, 2), math.nan), 0.0, None),
@@ -262,8 +264,8 @@ def test_idle_steps_score_positive_zero():
     (np.ones((3, 2)), 0.0, 0.5),
     (np.ones((3, 2, 2)), [0.0, 0.0], 0.5),
 ], ids=["negative-comm", "nan-comm", "negative-tau", "zero-tau", "nan-tau",
-        "zero-latency", "negative-latency", "nan-latency", "no-iterations", "2d-trace",
-        "short-comm"])
+        "string-tau", "bool-tau", "zero-latency", "negative-latency", "nan-latency",
+        "no-iterations", "2d-trace", "short-comm"])
 def test_replay_rejects_inputs_outside_the_contract(trace, comm, tau):
     with pytest.raises(ValueError):
         ds.run_from_trace(trace, comm, tau)

@@ -186,6 +186,12 @@ class TestRunFromTrace:
         assert out.stats.mean_step_base == pytest.approx(1.45)
 
 
+@pytest.mark.parametrize("tau", ["abc", "1.0", True, False, -1.0, 0.0, math.nan])
+def test_sim_config_rejects_tau_outside_the_rule(tau):
+    with pytest.raises(ValueError, match="tau must be None or a number > 0"):
+        ds.SimConfig(_const_fleet(4), 4, tau=tau)
+
+
 class TestScaleSweep:
     def test_zero_variance_perfect_scaling(self):
         template = ds.SimConfig(_const_fleet(2), 4, t_comm=0.1, iterations=20, seed=1)
@@ -214,6 +220,12 @@ class TestScaleSweep:
             ds.scale_sweep(template, [8, 4])
         with pytest.raises(ValueError):
             ds.scale_sweep(template, [])
+
+    @pytest.mark.parametrize("max_workers", [0, -2])
+    def test_rejects_fewer_than_one_thread(self, max_workers):
+        template = ds.SimConfig(_const_fleet(2), 4, iterations=5)
+        with pytest.raises(ValueError, match="max_workers must be >= 1"):
+            ds.scale_sweep(template, [2, 4], max_workers=max_workers)
 
     def test_fixed_tau_policy(self):
         template = ds.SimConfig(_normal_fleet(4), 12, t_comm=0.5, iterations=40, seed=2)
