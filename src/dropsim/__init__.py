@@ -23,7 +23,6 @@ from .latency import (
     NoNoise,
     NormalNoise,
     WorkerLatencyModel,
-    from_trace,
     read_comm_csv,
     read_trace_csv,
     simulated_delay_noise,
@@ -52,7 +51,6 @@ from .analytic import (
 from .threshold import (
     ThresholdSearchResult,
     TraceTensor,
-    consensus_check,
     default_grid,
     select_threshold,
 )
@@ -62,10 +60,8 @@ from .sgd import (
     MarginReport,
     SgdProblem,
     TrainingPlan,
-    TrajectoryStats,
     apply_compensation,
     lr_correction,
-    run_stochastic_sgd,
     theorem_step_size,
     verify_convex_bound,
     verify_nonconvex_bound,
@@ -88,7 +84,6 @@ __all__ = [
     "WorkerLatencyModel",
     "FleetSpec",
     "simulated_delay_noise",
-    "from_trace",
     "read_trace_csv",
     "write_trace_csv",
     "read_comm_csv",
@@ -112,15 +107,12 @@ __all__ = [
     "ThresholdSearchResult",
     "select_threshold",
     "default_grid",
-    "consensus_check",
     "SgdProblem",
     "BatchSchedule",
-    "TrajectoryStats",
     "MarginReport",
     "TrainingPlan",
     "CompensationResult",
     "theorem_step_size",
-    "run_stochastic_sgd",
     "verify_convex_bound",
     "verify_nonconvex_bound",
     "apply_compensation",

@@ -80,7 +80,8 @@ def expected_completed(mu: float, sigma: float, m: int, tau: float) -> float:
 
     Sum over m of Phi((tau - m*mu)/sqrt(m*sigma^2)). The approximation is
     derived for tau > M*mu/2; smaller thresholds trigger a warning rather
-    than an error since the sum itself stays well defined.
+    than an error since the sum itself stays well defined. At sigma = 0 the
+    count is exact and never warns.
     """
     if not (mu > 0.0):
         raise ValueError("mu must be > 0")
@@ -92,12 +93,12 @@ def expected_completed(mu: float, sigma: float, m: int, tau: float) -> float:
         raise ValueError("tau must be > 0")
     if math.isinf(tau):
         return float(m)
-    if tau <= m * mu / 2.0:
-        warnings.warn("expected_completed evaluated at tau <= M*mu/2, outside "
-                      "the approximation's derivation domain", stacklevel=2)
     ms = np.arange(1, m + 1, dtype=float)
     if sigma == 0.0:
         return float(np.count_nonzero(ms * mu < tau))
+    if tau <= m * mu / 2.0:
+        warnings.warn("expected_completed evaluated at tau <= M*mu/2, outside "
+                      "the approximation's derivation domain", stacklevel=2)
     return float(np.sum(phi_cdf((tau - ms * mu) / (np.sqrt(ms) * sigma))))
 
 

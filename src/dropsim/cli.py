@@ -231,16 +231,11 @@ def _atomic_write(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @contextlib.contextmanager
 def _new_out_dir(args):
-    """_out_dir for a block that writes while it computes: if the block
-    raises, the directories made here are removed again, once empty."""
+    """The output directory args.out, made for the block that writes into
+    it: if the block raises, the directories made here are removed again,
+    once empty, so a failed write leaves no directory behind."""
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -293,8 +288,9 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"invalid local_sgd config: {exc}") from exc
         report = {"mode": "local-sgd", "config_hash": _config_hash(doc),
                   "version": __version__, **dataclasses.asdict(result)}
-        _atomic_write(_out_dir(args) / "summary.json",
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+        with _new_out_dir(args) as out:
+            _atomic_write(out / "summary.json",
+                          json.dumps(report, indent=2, sort_keys=True) + "\n")
         print(f"local-sgd speedup {result.local_sgd_speedup:.4f}, "
               f"with threshold {result.dropcompute_speedup:.4f}")
         return 0
@@ -366,11 +362,11 @@ def cmd_select_threshold(args) -> int:
     trace = TraceTensor(tensor, comm)
     result = select_threshold(trace, grid)
 
-    out = _out_dir(args)
     # A line break in the name would end the comment line early.
     name = Path(args.trace).name.replace("\r", "\\r").replace("\n", "\\n")
     stamp = f"trace={name} version={__version__}"
-    _atomic_write(out / "curve.csv", format_curve_csv(result, stamp))
+    with _new_out_dir(args) as out:
+        _atomic_write(out / "curve.csv", format_curve_csv(result, stamp))
     print(f"tau_star {result.tau_star!r} "
           f"s_eff {result.s_eff_at_tau_star():.6f}")
     return 0
@@ -401,7 +397,6 @@ def cmd_scale_sweep(args) -> int:
         raise ConfigError(f"scale-sweep has no closed-form s_eff_analytic "
                           f"for this fleet: {exc}") from exc
 
-    out = _out_dir(args)
     buf = io.StringIO()
     buf.write(f"# {_stamp(doc)}\n")
     import csv as _csv
@@ -413,7 +408,8 @@ def cmd_scale_sweep(args) -> int:
         writer.writerow([p.n_workers, repr(p.tau) if p.tau is not None else "",
                          repr(p.throughput_base), repr(p.throughput_drop),
                          repr(p.s_eff), repr(p.linear_ref), repr(s)])
-    _atomic_write(out / "sweep.csv", buf.getvalue())
+    with _new_out_dir(args) as out:
+        _atomic_write(out / "sweep.csv", buf.getvalue())
     print(f"swept {len(points)} fleet sizes, "
           f"s_eff range [{min(p.s_eff for p in points):.4f}, "
           f"{max(p.s_eff for p in points):.4f}]")
@@ -487,8 +483,9 @@ def cmd_sgd_bench(args) -> int:
 
     report = {"config_hash": _config_hash(doc), "version": __version__,
               "results": body}
-    out = _out_dir(args)
-    _atomic_write(out / "report.json", json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with _new_out_dir(args) as out:
+        _atomic_write(out / "report.json",
+                      json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "FleetSpec",
     "simulated_delay_noise",
     "NOISE_KINDS",
-    "from_trace",
     "read_trace_csv",
     "write_trace_csv",
     "read_comm_csv",
@@ -336,22 +335,6 @@ class FleetSpec:
     @property
     def is_homogeneous(self) -> bool:
         return all(w is self.workers[0] or w == self.workers[0] for w in self.workers)
-
-
-def from_trace(samples, noise_mode: str = "additive_absolute") -> WorkerLatencyModel:
-    """Latency model that bootstraps recorded micro-batch times.
-
-    The recorded values are treated as total times: the model resamples them
-    directly (base is folded out by centering noise on zero base offset).
-    """
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise ValueError("trace must contain at least one sample")
-    if not np.all(arr > 0.0):
-        raise ValueError("trace samples must be positive")
-    base = float(arr.mean())
-    centered = tuple(float(x - base) for x in arr)
-    return WorkerLatencyModel(base, EmpiricalNoise(centered), noise_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ bookkeeping for dropped-sample compensation and learning-rate corrections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,12 +25,10 @@ from .stats import RngStream
 __all__ = [
     "SgdProblem",
     "BatchSchedule",
-    "TrajectoryStats",
     "MarginReport",
     "TrainingPlan",
     "CompensationResult",
     "theorem_step_size",
-    "run_stochastic_sgd",
     "run_many",
     "verify_convex_bound",
     "verify_nonconvex_bound",
@@ -81,8 +79,11 @@ class SgdProblem:
     def quadratic(cls, dimension: int = 10, smoothness: float = 1.0,
                   sigma: float = 1.0, distance: float = 10.0,
                   actual_sigma: Optional[float] = None,
-                  verify_variance: bool = True, seed: int = 0) -> "SgdProblem":
-        """Diagonal quadratic with spectrum spanning [0.1, smoothness]."""
+                  seed: int = 0) -> "SgdProblem":
+        """Diagonal quadratic with spectrum spanning [0.1, smoothness].
+
+        The problem is deterministic: `seed` is accepted, so that existing
+        callers and configs still run, and it seeds nothing."""
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if not (smoothness > 0.0) or sigma < 0.0 or distance < 0.0:
@@ -93,12 +94,9 @@ class SgdProblem:
             curv = np.linspace(0.1 * smoothness, smoothness, dimension)
         theta_star = np.zeros(dimension)
         theta1 = theta_star + distance / math.sqrt(dimension) * np.ones(dimension)
-        prob = cls(kind="quadratic", dimension=dimension, smoothness=smoothness,
+        return cls(kind="quadratic", dimension=dimension, smoothness=smoothness,
                    sigma=sigma, theta1=theta1, theta_star=theta_star,
                    loss_star=0.0, curvature=curv, actual_sigma=actual_sigma)
-        if verify_variance:
-            prob._check_sampler_variance(seed)
-        return prob
 
     @classmethod
     def logistic_synthetic(cls, dimension: int = 10, n_samples: int = 512,
@@ -217,23 +215,6 @@ class SgdProblem:
         common = self.l2_reg * theta + self.sin_amplitude * np.cos(theta)
         return data_term + batch[:, None] * common
 
-    def _check_sampler_variance(self, seed: int, draws: int = 20000,
-                                rel_tol: float = 0.05) -> None:
-        """Monte-Carlo sanity check that the noise sampler hits its moments."""
-        target = self.sigma if self.actual_sigma is None else self.actual_sigma
-        if target == 0.0:
-            return
-        gen = RngStream(seed, 0).derive(99).generator()
-        theta = np.tile(self.theta1, (draws, 1))
-        ones = np.ones(draws, dtype=int)
-        d_sum = self.grad_sum(theta, ones, gen)
-        dev = d_sum - self.grad(theta)
-        measured = float(np.mean(np.sum(dev**2, axis=1)))
-        if abs(measured - target**2) > rel_tol * target**2:
-            raise ValueError(
-                f"sampler variance {measured:.4f} deviates from "
-                f"declared {target**2:.4f} by more than {rel_tol:.0%}")
-
 
 def _sigmoid(u):
     """1 / (1 + exp(-u)) for u >= 0 and exp(u) / (1 + exp(u)) below, so exp
@@ -300,20 +281,6 @@ class BatchSchedule:
         per_micro = self.b_max // (self.sim.fleet.n * self.sim.m_per_step)
         block = simulate_block(self.sim, rng, step, np.arange(n_runs), 0)
         return per_micro * block.completed.sum(axis=1)
-
-
-@dataclass(frozen=True)
-class TrajectoryStats:
-    """Outcome of one stochastic-batch SGD run."""
-
-    theta_bar: np.ndarray  # weighted average of iterates (weights alpha_i)
-    theta_sampled: np.ndarray  # iterate sampled with prob alpha_i / sum
-    theta_final: np.ndarray
-    realized_k: float  # sum of alpha_i, equals the requested K
-    steps: int
-    eta: float
-    iterates: Optional[np.ndarray] = None  # (steps, d) pre-update points
-    weights: Optional[np.ndarray] = None  # (steps,) alpha_i
 
 
 @dataclass(frozen=True)
@@ -440,26 +407,6 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
     return out
 
 
-def run_stochastic_sgd(problem: SgdProblem, schedule: BatchSchedule,
-                       k_total: float, eta_mode: str = "convex_theorem",
-                       normalization: str = "fixed_bmax",
-                       rng: Optional[RngStream] = None,
-                       store_iterates: bool = True) -> TrajectoryStats:
-    """One trajectory; see run_many for the lockstep multi-run variant."""
-    res = run_many(problem, schedule, k_total, eta_mode, normalization, rng,
-                   n_runs=1, store_iterates=store_iterates)
-    return TrajectoryStats(
-        theta_bar=res["theta_bar"][0],
-        theta_sampled=res["theta_sampled"][0],
-        theta_final=res["theta_final"][0],
-        realized_k=float(res["realized_k"][0]),
-        steps=res["steps"],
-        eta=res["eta"],
-        iterates=res["iterates"][0] if store_iterates else None,
-        weights=res["weights"][0] if store_iterates else None,
-    )
-
-
 def convex_bound_rhs(problem: SgdProblem, schedule: BatchSchedule,
                      k_total: float) -> float:
     dist = float(np.linalg.norm(problem.theta1 - problem.theta_star))
@@ -479,6 +426,10 @@ def _report(theorem, problem, schedule, k_total, eta, per_seed, bound) -> Margin
     per_seed = np.asarray(per_seed, dtype=float)
     emp = float(per_seed.mean())
     stderr = float(per_seed.std(ddof=1) / math.sqrt(per_seed.size)) if per_seed.size > 1 else 0.0
+    # inf <= inf would pass, so a run that overflowed must not get a verdict.
+    if not all(map(math.isfinite, (emp, stderr, bound))):
+        raise ValueError(f"the {theorem} check overflowed: empirical {emp!r}, "
+                         f"stderr {stderr!r}, bound {bound!r}")
     return MarginReport(
         theorem=theorem,
         problem_kind=problem.kind,

@@ -23,7 +23,6 @@ __all__ = [
     "ThresholdSearchResult",
     "select_threshold",
     "default_grid",
-    "consensus_check",
     "format_curve_csv",
     "write_curve_csv",
     "CURVE_HEADER",
@@ -160,31 +159,6 @@ def select_threshold(trace: TraceTensor,
         drop_rate=drop_rate,
         step_speedup=step_speedup,
     )
-
-
-def consensus_check(traces_per_worker, grid: Optional[np.ndarray] = None) -> bool:
-    """All workers reach the identical threshold from their trace copies.
-
-    Returns True iff every worker's tensor matches the first worker's
-    bitwise and all selection outputs (tau and the whole curve) are
-    identical. Any divergence, in inputs or results, returns False.
-    """
-    traces = list(traces_per_worker)
-    if not traces:
-        raise ValueError("need at least one worker trace")
-    first = traces[0]
-    for t in traces[1:]:
-        if t.shape != first.shape:
-            return False
-        if not (np.array_equal(t.latencies, first.latencies)
-                and np.array_equal(t.comm_times, first.comm_times)):
-            return False
-    results = [select_threshold(t, grid) for t in traces]
-    ref = results[0]
-    for r in results[1:]:
-        if r.tau_star != ref.tau_star or not np.array_equal(r.s_eff, ref.s_eff):
-            return False
-    return True
 
 
 def format_curve_csv(result: ThresholdSearchResult,

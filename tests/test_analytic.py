@@ -65,10 +65,15 @@ class TestExpectedMaxTime:
 
 class TestExpectedCompleted:
     def test_deterministic_counts(self):
-        assert ds.expected_completed(1.0, 0.0, 2, 1.5) == 1.0
-        assert ds.expected_completed(1.0, 0.0, 12, 12.5) == 12.0
-        # Strict comparison: a budget exactly at the boundary drops the batch.
-        assert ds.expected_completed(1.0, 0.0, 2, 2.0) == 1.0
+        # The count is exact, so no domain warning, even at tau <= M*mu/2.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ds.expected_completed(1.0, 0.0, 2, 1.5) == 1.0
+            assert ds.expected_completed(1.0, 0.0, 12, 12.5) == 12.0
+            # Strict comparison: a budget exactly at the boundary drops the batch.
+            assert ds.expected_completed(1.0, 0.0, 2, 2.0) == 1.0
+            assert ds.expected_completed(1.0, 0.0, 12, 0.5) == 0.0
+            assert ds.expected_completed(1.0, 0.0, 12, 3.5) == 3.0
 
     def test_gaussian_sum_value(self):
         # Eleven nearly-sure terms plus a half at the boundary term.

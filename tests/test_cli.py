@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -485,9 +484,7 @@ class TestScaleSweep:
                               m_per_step=4, t_comm=0.0, iterations=5, n_list=[2, 4])
         doc.update(extra)
         cfg = _write_json(tmp_path / "c.json", doc)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # tau 0.5 <= M*mu/2
-            assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         rows = [r.split(",") for r in (tmp_path / "o" / "sweep.csv").read_text().splitlines()
                 if r and not r.startswith("#")][1:]
         assert [(float(row[4]), float(row[6])) for row in rows] == [(s_eff, s_eff)] * 2
@@ -607,6 +604,31 @@ class TestSgdBench:
         assert cli.main(["sgd-bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "quadratic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", [{"distance": 1e16}, {"sigma": 1e160}])
+    def test_extreme_finite_quadratic_gets_a_finite_report(self, tmp_path, problem):
+        # A gradient of about 1e15, or a noise level whose square overflows,
+        # is still a valid problem with a finite answer.
+        doc = self._bench_doc(k_total=1000, seeds=3, theorem="convex")
+        doc["problem"].update(problem)
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["sgd-bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "report.json").read_text()
+        assert "NaN" not in text and "Infinity" not in text
+        entry = json.loads(text)["results"][0]
+        assert all(math.isfinite(entry[k]) for k in ("empirical", "empirical_stderr", "bound"))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_run_exits_2_without_a_report(self, tmp_path, capsys):
+        # The loss at distance 1e200 overflows to inf, and inf <= inf must
+        # not read as a pass.
+        doc = self._bench_doc(k_total=1000, seeds=3, theorem="convex")
+        doc["problem"]["distance"] = 1e200
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["sgd-bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "overflowed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_report_bytes_reproducible(self, tmp_path):
         cfg = _write_json(tmp_path / "c.json", self._bench_doc(
             k_total=5000, seeds=5, theorem="convex"))
@@ -632,6 +654,33 @@ def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, command, doc, seed)
         cli.main([command, "--config", cfg, "--seed", seed, "--out", str(tmp_path / "o")])
     assert exit_.value.code == 2
     assert "--seed: must be an integer in [0, 2^64)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("simulate --mode local-sgd", _sim_config(workers=2, base=0.1, noise={"kind": "none"},
+                                              m=1, tau=None, iterations=20,
+                                              local_sgd={"sync_period": 2})),
+    ("select-threshold", None),
+    ("scale-sweep", _sim_config(tau=2.5, iterations=5, n_list=[2])),
+    ("sgd-bench", {"problem": {"kind": "quadratic"}, "schedule": {"kind": "none", "b_max": 10},
+                   "k_total": 100, "seeds": 2}),
+])
+def test_failed_write_leaves_no_directory(tmp_path, monkeypatch, command, doc):
+    # Each command makes its output directories for its write alone, so a
+    # write that fails removes the directories it made.
+    if doc is None:
+        ds.write_trace_csv(str(tmp_path / "trace.csv"), np.full((2, 2, 2), 0.5))
+        args = ["--trace", str(tmp_path / "trace.csv")]
+    else:
+        args = ["--config", _write_json(tmp_path / "c.json", doc)]
+
+    def fail(path, text):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "_atomic_write", fail)
+    with pytest.raises(OSError, match="disk full"):
+        cli.main([*command.split(), *args, "--out", str(tmp_path / "o" / "deeper")])
     assert not (tmp_path / "o").exists()
 
 

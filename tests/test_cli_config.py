@@ -260,6 +260,9 @@ def _has_type(value, declared: str) -> bool:
             and all(type(v) in (int, float) for v in value)}[declared]
 
 
+# The fuzz reaches sigma > 0 with tau <= M*mu/2 (mu 1, sigma 1, M 3, tau
+# 0.15), where the closed form warns that it is outside its domain.
+@pytest.mark.filterwarnings("ignore:expected_completed evaluated")
 @given(_mutated())
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_fuzzed_config_never_raises(case):

@@ -32,7 +32,7 @@ class TestProblems:
         assert np.min(prob.curvature) == pytest.approx(0.1)
 
     def test_quadratic_loss_grad_consistency(self):
-        prob = ds.SgdProblem.quadratic(dimension=4, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(dimension=4)
         theta = np.array([1.0, -2.0, 0.5, 3.0])
         g = prob.grad(theta)
         h = 1e-6
@@ -74,9 +74,8 @@ class TestProblems:
             assert top <= prob.smoothness + 1e-9
 
     def test_staged_mismatch_keeps_declared_sigma(self):
-        # The construction-time MC check validates the sampler against the
-        # noise it actually injects, so a staged mismatch still constructs
-        # and the declared sigma (used by bounds and step sizes) is kept.
+        # A staged mismatch keeps the declared sigma (used by bounds and step
+        # sizes); the sampler injects actual_sigma, see TestGradSum.
         prob = ds.SgdProblem.quadratic(sigma=1.0, actual_sigma=10.0)
         assert prob.sigma == 1.0
         assert prob.actual_sigma == 10.0
@@ -85,7 +84,7 @@ class TestProblems:
 class TestGradSum:
     def test_unbiased_quadratic(self):
         # Frozen point, 10^5 draws: mean of D - b * grad is 0 within 4 SE.
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        prob = ds.SgdProblem.quadratic()
         r, b = 100_000, 8
         theta = np.tile(prob.theta1, (r, 1))
         gen = ds.RngStream(21).generator()
@@ -106,15 +105,17 @@ class TestGradSum:
         assert np.all(np.abs(dev.mean(axis=0)) <= 4.0 * se)
 
     def test_variance_matches_declared_sigma(self):
-        # Per-sample second moment within 2% at 10^6 draws.
-        prob = ds.SgdProblem.quadratic(sigma=1.0, verify_variance=False)
+        # Per-sample second moment within 2% at 10^6 draws: sigma^2, or
+        # actual_sigma^2 when a mismatch is staged.
         r = 1_000_000
-        theta = np.tile(prob.theta1, (r, 1))
-        gen = ds.RngStream(23).generator()
-        d_sum = prob.grad_sum(theta, np.ones(r, dtype=int), gen)
-        dev = d_sum - prob.grad(theta)
-        measured = float(np.mean(np.sum(dev**2, axis=1)))
-        assert measured == pytest.approx(1.0, rel=0.02)
+        for actual_sigma, target in ((None, 1.0), (10.0, 100.0)):
+            prob = ds.SgdProblem.quadratic(sigma=1.0, actual_sigma=actual_sigma)
+            theta = np.tile(prob.theta1, (r, 1))
+            gen = ds.RngStream(23).generator()
+            d_sum = prob.grad_sum(theta, np.ones(r, dtype=int), gen)
+            dev = d_sum - prob.grad(theta)
+            measured = float(np.mean(np.sum(dev**2, axis=1)))
+            assert measured == pytest.approx(target, rel=0.02), actual_sigma
 
     def test_logistic_sigma_covers_sampler(self):
         # Declared sigma bounds the measured per-sample deviation at probes.
@@ -176,69 +177,73 @@ class TestRunMechanics:
     def test_noiseless_descent_contracts_exactly(self):
         # sigma = 0, no drops, manual rate: plain gradient descent; each
         # coordinate contracts by |1 - eta * lambda| per step.
-        prob = ds.SgdProblem.quadratic(dimension=6, sigma=0.0, distance=5.0, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(dimension=6, sigma=0.0, distance=5.0)
         eta = 0.5
         steps = 40
         sched = ds.BatchSchedule(10)
-        traj = ds.run_stochastic_sgd(prob, sched, 10 * steps, eta_mode=eta, rng=ds.RngStream(1))
+        res = run_many(prob, sched, 10 * steps, eta_mode=eta, rng=ds.RngStream(1),
+                       n_runs=1, store_iterates=True)
         expected = prob.theta_star + (prob.theta1 - prob.theta_star) * (1 - eta * prob.curvature) ** steps
-        assert traj.steps == steps
-        assert np.allclose(traj.theta_final, expected, rtol=0, atol=1e-12)
+        assert res["steps"] == steps
+        assert np.allclose(res["theta_final"][0], expected, rtol=0, atol=1e-12)
 
     def test_realized_k_is_exact(self):
         # The last batch is clipped so sum(alpha) = K even mid-step.
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        prob = ds.SgdProblem.quadratic()
         for k in (100, 150, 1999, 20_000):
-            traj = ds.run_stochastic_sgd(prob, _bern(p=0.3), k, rng=ds.RngStream(2))
-            assert traj.realized_k == k
-            assert float(traj.weights.sum()) == k
+            res = run_many(prob, _bern(p=0.3), k, rng=ds.RngStream(2), n_runs=1,
+                           store_iterates=True)
+            assert float(res["realized_k"][0]) == k
+            assert float(res["weights"][0].sum()) == k
 
     def test_weighted_average_identity(self):
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
-        traj = ds.run_stochastic_sgd(prob, _bern(p=0.2), 5000, rng=ds.RngStream(3))
-        w = traj.weights
+        prob = ds.SgdProblem.quadratic()
+        res = run_many(prob, _bern(p=0.2), 5000, rng=ds.RngStream(3), n_runs=1,
+                       store_iterates=True)
+        w = res["weights"][0]
         assert float((w / w.sum()).sum()) == pytest.approx(1.0, abs=1e-12)
-        manual = (w[:, None] * traj.iterates).sum(axis=0) / w.sum()
-        assert np.allclose(traj.theta_bar, manual, atol=1e-12)
+        manual = (w[:, None] * res["iterates"][0]).sum(axis=0) / w.sum()
+        assert np.allclose(res["theta_bar"][0], manual, atol=1e-12)
 
     def test_sampled_iterate_is_an_iterate(self):
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
-        traj = ds.run_stochastic_sgd(prob, _bern(p=0.2), 3000, rng=ds.RngStream(4))
-        matches = np.all(traj.iterates == traj.theta_sampled[None, :], axis=1)
+        prob = ds.SgdProblem.quadratic()
+        res = run_many(prob, _bern(p=0.2), 3000, rng=ds.RngStream(4), n_runs=1,
+                       store_iterates=True)
+        matches = np.all(res["iterates"][0] == res["theta_sampled"][0][None, :], axis=1)
         assert matches.any()
 
     def test_sampling_frequency_proportional_to_weight(self):
         # Two-step schedule with known weights: first step keeps the full
         # batch, second is clipped to half, so picks split 2:1.
-        prob = ds.SgdProblem.quadratic(sigma=0.0, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(sigma=0.0)
         sched = ds.BatchSchedule(100)
         res = run_many(prob, sched, 150, eta_mode=0.01, rng=ds.RngStream(5), n_runs=4000, store_iterates=True)
         first = np.all(res["theta_sampled"] == res["iterates"][:, 0, :], axis=1)
         assert float(first.mean()) == pytest.approx(100.0 / 150.0, abs=0.02)
 
     def test_determinism(self):
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        prob = ds.SgdProblem.quadratic()
         a = run_many(prob, _bern(p=0.1), 10_000, rng=ds.RngStream(6), n_runs=3)
         b = run_many(prob, _bern(p=0.1), 10_000, rng=ds.RngStream(6), n_runs=3)
         assert np.array_equal(a["theta_final"], b["theta_final"])
         assert np.array_equal(a["theta_sampled"], b["theta_sampled"])
 
     def test_k_smaller_than_bmax_rejected(self):
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        prob = ds.SgdProblem.quadratic()
         with pytest.raises(ValueError):
             run_many(prob, ds.BatchSchedule(100), 50)
 
     def test_fractional_k_or_no_runs_rejected(self):
         # Batches sum to exactly K, so K must be whole; before this check a
         # K of 1000.5 stepped with empty batches up to the step budget.
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        prob = ds.SgdProblem.quadratic()
         with pytest.raises(ValueError, match="whole number"):
             run_many(prob, ds.BatchSchedule(100), 1000.5)
         with pytest.raises(ValueError, match="n_runs"):
             run_many(prob, ds.BatchSchedule(100), 1000, n_runs=0)
 
     def test_eta_mode_validation(self):
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        prob = ds.SgdProblem.quadratic()
         with pytest.raises(ValueError):
             run_many(prob, ds.BatchSchedule(100), 1000, eta_mode="bogus")
         with pytest.raises(ValueError):
@@ -247,7 +252,7 @@ class TestRunMechanics:
 
 class TestStepSizes:
     def test_convex_formula(self):
-        prob = ds.SgdProblem.quadratic(verify_variance=False)
+        prob = ds.SgdProblem.quadratic()
         sched = ds.BatchSchedule(100)
         k = 100_000
         expected = min(10.0 / (1.0 * math.sqrt(8 * k)), 1.0 / (8 * 1.0 * 100))
@@ -265,14 +270,14 @@ class TestStepSizes:
         assert ds.theorem_step_size(prob, sched, k, "nonconvex_theorem") == pytest.approx(expected, rel=1e-12)
 
     def test_sigma_zero_uses_cap(self):
-        prob = ds.SgdProblem.quadratic(sigma=0.0, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(sigma=0.0)
         sched = ds.BatchSchedule(50)
         assert ds.theorem_step_size(prob, sched, 1000, "convex_theorem") == 1.0 / (8 * 50)
 
 
 class TestConvexBound:
     def test_noiseless_trivial(self):
-        prob = ds.SgdProblem.quadratic(sigma=0.0, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(sigma=0.0)
         rep = ds.verify_convex_bound(prob, ds.BatchSchedule(100), 10_000, seeds=3, seed=1)
         assert rep.passed
         assert rep.empirical < 0.2 * rep.bound
@@ -300,7 +305,7 @@ class TestConvexBound:
     def test_suboptimality_slope_in_sqrt_k_regime(self):
         # Noise-dominated configuration: the sigma branch of the step size
         # binds across the whole K range, giving the 1/sqrt(K)-to-1/K band.
-        prob = ds.SgdProblem.quadratic(sigma=10.0, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(sigma=10.0)
         sched = ds.BatchSchedule(10, kind="per_worker_bernoulli", n_workers=5, p_drop=0.1)
         ks = [1000, 10_000, 100_000, 1_000_000]
         emp = []
@@ -324,7 +329,7 @@ class TestConvexBound:
 
 class TestNonconvexBound:
     def test_noiseless_trivial(self):
-        prob = ds.SgdProblem.quadratic(sigma=0.0, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(sigma=0.0)
         rep = ds.verify_nonconvex_bound(prob, ds.BatchSchedule(100), 50_000, seeds=3, seed=1)
         assert rep.passed
 
@@ -443,7 +448,7 @@ class TestLrCorrection:
         # within 2 combined standard errors pairwise. The sigma branch of the
         # step size must bind: at the cap rate the actual-batch arm takes a
         # visibly larger effective step and the floors separate.
-        prob = ds.SgdProblem.quadratic(dimension=2, sigma=10.0, verify_variance=False)
+        prob = ds.SgdProblem.quadratic(dimension=2, sigma=10.0)
         sched = ds.BatchSchedule(10, kind="per_worker_bernoulli", n_workers=10, p_drop=0.1)
         k = 20_000
         n_runs = 30
