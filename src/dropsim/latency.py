@@ -435,6 +435,22 @@ def _read_dense(path, header, valid, rule: str) -> np.ndarray:
     _reject_first(path, ~(valid(value) & (value < np.inf)),
                   lambda r: f"{rule}, got {value[r]}")
     ids = tuple(rows[h] for h in header[:-1])
+    # The rules hold exactly when the ids are >= 0, their ranges span as
+    # many cells as there are rows, and no cell repeats: then every cell is
+    # filled once, so no id column has a gap.
+    shape = tuple(int(col.max()) + 1 for col in ids)
+    flat = None
+    if min(int(col.min()) for col in ids) >= 0 and math.prod(shape) == rows.size:
+        flat = np.ravel_multi_index(ids, shape)
+    if flat is None or np.bincount(flat).max() > 1:
+        _reject_ids(path, header, ids)
+    out = np.empty(rows.size)
+    out[flat] = value
+    return out.reshape(shape)
+
+
+def _reject_ids(path, header, ids) -> None:
+    """Raise ValueError for the first id rule the rows break, at its line."""
     for col, name in zip(ids, header):
         # The ids are gap-free when no id exceeds the smallest missing one.
         # An id at or past the row count always leaves a gap below it, so
@@ -445,19 +461,15 @@ def _read_dense(path, header, valid, rule: str) -> np.ndarray:
                       lambda r: f"{name} ids must run 0..K-1 without gaps, got {col[r]}")
     shape = tuple(int(col.max()) + 1 for col in ids)
     cells = math.prod(shape)
-    if cells > rows.size:
-        raise ValueError(f"{path}: {rows.size} rows cannot fill all "
+    if cells > ids[0].size:
+        raise ValueError(f"{path}: {ids[0].size} rows cannot fill all "
                          f"{'x'.join(map(str, shape))} ({', '.join(header[:-1])}) cells")
+    # Gap-free ids with no more cells than rows: some cell repeats.
     flat = np.ravel_multi_index(ids, shape)
-    # With no more cells than rows, a missing cell implies a repeated one.
-    if np.bincount(flat, minlength=cells).max() > 1:
-        repeat = np.ones(flat.size, dtype=bool)
-        repeat[np.unique(flat, return_index=True)[1]] = False
-        _reject_first(path, repeat, lambda r: "duplicate "
-                      + ", ".join(f"{h}={c[r]}" for h, c in zip(header, ids)))
-    out = np.empty(cells)
-    out[flat] = value
-    return out.reshape(shape)
+    repeat = np.ones(flat.size, dtype=bool)
+    repeat[np.unique(flat, return_index=True)[1]] = False
+    _reject_first(path, repeat, lambda r: "duplicate "
+                  + ", ".join(f"{h}={c[r]}" for h, c in zip(header, ids)))
 
 
 # Rows per block of text the writers build before writing it out.

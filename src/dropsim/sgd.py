@@ -88,6 +88,8 @@ class SgdProblem:
             raise ValueError("dimension must be >= 1")
         if not (smoothness > 0.0) or sigma < 0.0 or distance < 0.0:
             raise ValueError("smoothness > 0, sigma >= 0, distance >= 0 required")
+        if actual_sigma is not None and actual_sigma < 0.0:
+            raise ValueError("actual_sigma >= 0 required")
         if dimension == 1:
             curv = np.array([smoothness])
         else:

@@ -89,32 +89,55 @@ def default_grid(trace: TraceTensor) -> np.ndarray:
     cumulative time; a constant trace collapses to the M distinct values. A
     final anchor just above the largest full-step time is always included:
     at that anchor nothing is ever dropped, pinning s_eff = 1 on the curve.
+    The quantiles are read off one sort of the pooled times, so they equal
+    np.quantile(pooled, levels, method="inverted_cdf") without its partition.
     """
-    cum = np.cumsum(trace.latencies, axis=2)
-    pooled = cum.ravel()
+    return _pooled_grid(np.cumsum(trace.latencies, axis=2))
+
+
+def _pooled_grid(cum: np.ndarray) -> np.ndarray:
+    """default_grid from the (I, N, M) cumulative times.
+
+    Quantile q of the n sorted values is the order statistic at
+    ceil(n*q - 1), clipped at 0: numpy's "inverted_cdf" rule (floor, plus
+    one when the fraction is > 0).
+    """
+    pooled = np.sort(cum, axis=None)
     levels = np.linspace(0.01, 1.0, 256)
-    qs = np.quantile(pooled, levels, method="inverted_cdf")
-    max_step = cum[:, :, -1].max()
-    # Strict below-threshold counting makes tau == max_step drop one batch;
-    # the next float up is the exact no-drop anchor.
-    anchor = np.nextafter(max_step, np.inf)
-    grid = np.unique(np.concatenate([qs, [anchor]]))
-    return grid[grid > 0.0]
+    index = np.maximum(np.ceil(pooled.size * levels - 1), 0).astype(np.intp)
+    # Latencies are > 0, so the largest cumulative time is the largest
+    # full-step time. Strict below-threshold counting makes tau == that
+    # drop one batch; the next float up is the exact no-drop anchor.
+    anchor = np.nextafter(pooled[-1], np.inf)
+    return np.unique(np.append(pooled[index], anchor))
 
 
 def _mean_completed(cum: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Mean over workers of #{m : cumulative < tau}, per (iteration, tau).
 
-    A cumulative time c counts at grid point j exactly when j >= k, with k
-    the number of grid points <= c, so a histogram of k per iteration,
-    accumulated along the (ascending) grid, gives every count at once.
+    Sorts each iteration's N*M cumulative times in place, so `cum`'s rows
+    come back sorted: searchsorted is several times faster on ascending
+    keys, each search starting where the last one ended, and the counts do
+    not depend on the order. A cumulative time c counts at grid point j
+    exactly when j >= k, with k the number of grid points <= c, so a
+    histogram of k per iteration, accumulated along the (ascending) grid,
+    gives every count at once.
     """
     iters, n, _ = cum.shape
+    rows = cum.reshape(iters, -1)
+    rows.sort(axis=1)
     width = grid.size + 1
-    k = np.searchsorted(grid, cum, side="right")
-    k += np.arange(0, iters * width, width)[:, None, None]
+    k = np.searchsorted(grid, rows, side="right")
+    k += np.arange(0, iters * width, width)[:, None]
     hist = np.bincount(k.ravel(), minlength=iters * width).reshape(iters, width)
     return np.cumsum(hist[:, :-1], axis=1) / n
+
+
+# Iterations per block of the curve are chosen so that each block's
+# per-(iteration, tau) and per-(iteration, sample) arrays hold at most this
+# many cells: the selector's working memory stays a few MB per array however
+# many iterations the trace has.
+_BLOCK_CELLS = 1 << 18
 
 
 def select_threshold(trace: TraceTensor,
@@ -127,29 +150,45 @@ def select_threshold(trace: TraceTensor,
     ((T_i + T_c[i]) / (min(tau, T_i) + T_c[i])) * (mean completed / M).
     The curve averages over iterations; ties on the maximum go to the
     largest tau (fewest drops).
+
+    The curve is evaluated over blocks of iterations, and each block's rows
+    are added to running totals one iteration at a time, in order: numpy's
+    mean(axis=0) adds the rows of a C-order (I, G) array with G >= 2 in that
+    order, so the curve is bit for bit the one from whole (I, G) arrays
+    while the working memory stays bounded. numpy sums a single column
+    pairwise instead, so a one-point grid takes all iterations in one block.
     """
+    cum = np.cumsum(trace.latencies, axis=2)
     if grid is None:
-        grid = default_grid(trace)
+        grid = _pooled_grid(cum)
     else:
         grid = np.unique(np.asarray(grid, dtype=float))
         grid = grid[grid > 0.0]
     if grid.size == 0:
         raise ValueError("threshold grid is empty")
 
-    m = trace.shape[2]
-    cum = np.cumsum(trace.latencies, axis=2)
-    step_compute = cum[:, :, -1].max(axis=1)  # T_i
-    step_base = step_compute + trace.comm_times
+    iters, n, m = cum.shape
+    comm = trace.comm_times
+    step_compute = cum[:, :, -1].max(axis=1)  # T_i, before the rows are sorted
+    step_base = step_compute + comm
 
-    mean_completed = _mean_completed(cum, grid)  # (I, G)
+    block = max(1, _BLOCK_CELLS // max(grid.size + 1, n * m))
+    if grid.size == 1:
+        block = iters  # its (I, 1) arrays are no larger than the trace
+    totals = [np.empty((0, grid.size))] * 3
+    for lo in range(0, iters, block):
+        at = slice(lo, lo + block)
+        mean_completed = _mean_completed(cum[at], grid)  # (block, G)
+        denom = np.minimum(grid[None, :], step_compute[at, None]) + comm[at, None]
+        ratio = step_base[at, None] / denom  # per-iteration step speedup
+        s_per_iter = ratio * (mean_completed / m)
+        totals = [np.vstack((total, rows)).sum(axis=0) for total, rows in
+                  zip(totals, (s_per_iter, mean_completed, ratio))]
+    s_total, completed_total, ratio_total = totals
 
-    denom = np.minimum(grid[None, :], step_compute[:, None]) + trace.comm_times[:, None]
-    ratio = step_base[:, None] / denom  # per-iteration step speedup
-    s_per_iter = ratio * (mean_completed / m)
-
-    s_eff = s_per_iter.mean(axis=0)
-    drop_rate = 1.0 - mean_completed.mean(axis=0) / m
-    step_speedup = ratio.mean(axis=0)
+    s_eff = s_total / iters
+    drop_rate = 1.0 - (completed_total / iters) / m
+    step_speedup = ratio_total / iters
 
     best = grid.size - 1 - int(np.argmax(s_eff[::-1]))  # ties -> largest tau
     return ThresholdSearchResult(

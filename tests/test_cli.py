@@ -587,6 +587,14 @@ class TestSgdBench:
         rep = json.loads((tmp_path / "o" / "report.json").read_text())
         assert rep["results"][0]["pass"] is False
 
+    def test_negative_actual_sigma_exits_2_without_a_report(self, tmp_path, capsys):
+        doc = self._bench_doc(theorem="convex")
+        doc["problem"]["actual_sigma"] = -10.0
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["sgd-bench", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "actual_sigma" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_single_seed_notes_insufficiency(self, tmp_path):
         cfg = _write_json(tmp_path / "c.json", self._bench_doc(theorem="convex"))
         rc = cli.main(["sgd-bench", "--config", cfg, "--seeds", "1",

@@ -80,6 +80,11 @@ class TestProblems:
         assert prob.sigma == 1.0
         assert prob.actual_sigma == 10.0
 
+    def test_negative_actual_sigma_rejected(self):
+        # grad_sum would inject noise of scale |actual_sigma|.
+        with pytest.raises(ValueError, match="actual_sigma"):
+            ds.SgdProblem.quadratic(sigma=1.0, actual_sigma=-10.0)
+
 
 class TestGradSum:
     def test_unbiased_quadratic(self):

@@ -3,12 +3,14 @@ evaluator, grid construction, replay equivalence against the simulator,
 and the decentralized-consensus property."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropsim as ds
+from dropsim import threshold
 from dropsim.threshold import _mean_completed, write_curve_csv
 
 
@@ -225,6 +227,85 @@ def test_histogram_kernel_matches_brute_force(case):
     cum, grid = case
     brute = (cum[..., None] < grid).sum(axis=2).mean(axis=1)
     assert np.array_equal(_mean_completed(cum, grid), brute)
+
+
+@st.composite
+def _pooled_traces(draw):
+    """Traces of 1 to a few thousand pooled samples: continuous, tied or constant."""
+    iters, n, m = (draw(st.integers(min_value=1, max_value=k)) for k in (30, 12, 12))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    kind = draw(st.sampled_from(["continuous", "ties", "constant"]))
+    if kind == "continuous":
+        lat = 0.01 + gen.lognormal(-1.0, 1.0, (iters, n, m))
+    elif kind == "ties":
+        lat = gen.choice([0.25, 0.5, 1.0, 0.1], (iters, n, m))
+    else:
+        lat = np.full((iters, n, m), draw(st.sampled_from([0.2, 1.0, 3.7])))
+    return ds.TraceTensor(lat)
+
+
+@given(_pooled_traces())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_default_grid_is_numpys_inverted_cdf_quantile(trace):
+    cum = np.cumsum(trace.latencies, axis=2)
+    qs = np.quantile(cum.ravel(), np.linspace(0.01, 1.0, 256), method="inverted_cdf")
+    anchor = np.nextafter(cum[:, :, -1].max(), np.inf)
+    expected = np.unique(np.concatenate([qs, [anchor]]))
+    assert ds.default_grid(trace).tobytes() == expected.tobytes()
+
+
+def _unblocked_curve(trace, grid):
+    """The curve from whole (I, G) arrays, with brute-force counts."""
+    cum = np.cumsum(trace.latencies, axis=2)
+    m = cum.shape[2]
+    completed = (cum[..., None] < grid).sum(axis=2).mean(axis=1)
+    step_compute = cum[:, :, -1].max(axis=1)
+    comm = trace.comm_times
+    ratio = (step_compute + comm)[:, None] / (
+        np.minimum(grid[None, :], step_compute[:, None]) + comm[:, None])
+    return ((ratio * (completed / m)).mean(axis=0),
+            1.0 - completed.mean(axis=0) / m, ratio.mean(axis=0))
+
+
+class TestSortedKernel:
+    def test_trace_untouched_and_repeat_calls_identical(self):
+        gen = ds.RngStream(17).generator()
+        trace = _random_trace(gen, 12, 5, 7, heavy=True)
+        before = trace.latencies.tobytes()
+        for grid in (None, np.linspace(0.1, 6.0, 50)):
+            a = ds.select_threshold(trace, grid)
+            b = ds.select_threshold(trace, grid)
+            assert trace.latencies.tobytes() == before
+            assert a.tau_star == b.tau_star
+            for field in ("grid", "s_eff", "drop_rate", "step_speedup"):
+                assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+
+    @pytest.mark.parametrize("workers, micro, grid", [
+        (4, 4, None), (4, 4, np.linspace(0.2, 3.0, 1024)), (8, 16, np.array([9.0]))],
+        ids=["default", "dense", "one-point"])
+    def test_tall_trace_matches_unblocked_formula(self, workers, micro, grid):
+        gen = ds.RngStream(18).generator()
+        trace = _random_trace(gen, 3000, workers, micro, heavy=True)
+        grid = ds.default_grid(trace) if grid is None else grid
+        # Tall enough for several blocks of iterations. A one-point grid
+        # takes them in one, since numpy sums an (I, 1) column pairwise.
+        assert 3000 > threshold._BLOCK_CELLS // max(grid.size + 1, workers * micro)
+        res = ds.select_threshold(trace, grid)
+        for got, want in zip((res.s_eff, res.drop_rate, res.step_speedup),
+                             _unblocked_curve(trace, grid)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_tall_trace_peak_memory_bounded(self):
+        # 12.8 MB of latencies; whole (I, G) arrays would take about 800 MB.
+        gen = ds.RngStream(19).generator()
+        trace = ds.TraceTensor(0.05 + gen.random((100_000, 4, 4)))
+        tracemalloc.start()
+        try:
+            ds.select_threshold(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestConsensus:

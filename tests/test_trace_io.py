@@ -263,6 +263,19 @@ def test_bytes_path_reads(tmp_path):
     assert np.array_equal(read_trace_csv(str(path).encode()), _TRACE_ARRAY)
 
 
+def test_row_shuffled_trace_reads_like_the_ordered_one(tmp_path):
+    # The id checks look at the set of id tuples, not at the row order.
+    values = 0.05 + np.random.default_rng(2).random((7, 5, 4))
+    write_trace_csv(tmp_path / "ordered.csv", values, comment="c")
+    head, *rows = (tmp_path / "ordered.csv").read_text().splitlines(keepends=True)[1:]
+    order = np.random.default_rng(3).permutation(len(rows))
+    (tmp_path / "shuffled.csv").write_text(head + "".join(rows[i] for i in order))
+    ordered = read_trace_csv(tmp_path / "ordered.csv")
+    shuffled = read_trace_csv(tmp_path / "shuffled.csv")
+    assert ordered.tobytes() == values.tobytes()
+    assert shuffled.tobytes() == ordered.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Writers against the csv.writer oracle
 # ---------------------------------------------------------------------------
