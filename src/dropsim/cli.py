@@ -186,8 +186,8 @@ def _config_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
-def _stamp(doc: dict) -> str:
-    return f"config_hash={_config_hash(doc)} version={__version__}"
+def _stamp(config_hash: str) -> str:
+    return f"config_hash={config_hash} version={__version__}"
 
 
 def _parse_noise(doc):
@@ -304,9 +304,10 @@ def cmd_simulate(args) -> int:
 
     # The run happens while records.csv is written, so a run that raises
     # must not leave the output directory behind.
+    config_hash = _config_hash(doc)
     with _new_out_dir(args) as out, _atomic_open(out / "records.csv") as fh:
-        stats = run_records_csv(config, fh, _stamp(doc))
-    summary = stats_to_json(stats, config_hash=_config_hash(doc), version=__version__)
+        stats = run_records_csv(config, fh, _stamp(config_hash))
+    summary = stats_to_json(stats, config_hash=config_hash, version=__version__)
     _atomic_write(out / "summary.json", summary + "\n")
     print(f"s_eff {stats.s_eff:.4f}, drop rate {stats.drop_rate:.4f}, "
           f"mean step {stats.mean_step_drop:.4f}s")
@@ -398,7 +399,7 @@ def cmd_scale_sweep(args) -> int:
                           f"for this fleet: {exc}") from exc
 
     buf = io.StringIO()
-    buf.write(f"# {_stamp(doc)}\n")
+    buf.write(f"# {_stamp(_config_hash(doc))}\n")
     import csv as _csv
 
     writer = _csv.writer(buf)

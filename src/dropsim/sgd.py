@@ -57,6 +57,8 @@ class SgdProblem:
     Hessian at theta_1 (exact there, since all logits vanish at theta_1 = 0)
     plus the sine term's curvature bound; sigma is the largest per-sample
     gradient deviation measured exactly on the dataset at probe points.
+    theta_star is reached from theta_1 by damped Newton steps, to roundoff;
+    where the sine term makes the loss nonconvex it is a local minimum.
     """
 
     kind: str
@@ -86,10 +88,11 @@ class SgdProblem:
         callers and configs still run, and it seeds nothing."""
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if not (smoothness > 0.0) or sigma < 0.0 or distance < 0.0:
-            raise ValueError("smoothness > 0, sigma >= 0, distance >= 0 required")
-        if actual_sigma is not None and actual_sigma < 0.0:
-            raise ValueError("actual_sigma >= 0 required")
+        if not (_finite(smoothness, sigma, distance) and smoothness > 0.0
+                and sigma >= 0.0 and distance >= 0.0):
+            raise ValueError("finite smoothness > 0, sigma >= 0, distance >= 0 required")
+        if actual_sigma is not None and not (_finite(actual_sigma) and actual_sigma >= 0.0):
+            raise ValueError("finite actual_sigma >= 0 required")
         if dimension == 1:
             curv = np.array([smoothness])
         else:
@@ -104,12 +107,10 @@ class SgdProblem:
     def logistic_synthetic(cls, dimension: int = 10, n_samples: int = 512,
                            l2_reg: float = 0.1, sin_amplitude: float = 0.0,
                            seed: int = 7) -> "SgdProblem":
-        from scipy import optimize
-
         if dimension < 1 or n_samples < 2:
             raise ValueError("dimension >= 1 and n_samples >= 2 required")
-        if l2_reg <= 0.0 or sin_amplitude < 0.0:
-            raise ValueError("l2_reg > 0 and sin_amplitude >= 0 required")
+        if not (_finite(l2_reg, sin_amplitude) and l2_reg > 0.0 and sin_amplitude >= 0.0):
+            raise ValueError("finite l2_reg > 0 and sin_amplitude >= 0 required")
         gen = RngStream(seed, 0).generator()
         x = gen.normal(0.0, 1.0, (n_samples, dimension))
         w_true = np.linspace(1.0, -1.0, dimension)
@@ -127,12 +128,7 @@ class SgdProblem:
                    smoothness=smooth, sigma=0.0, theta1=theta1,
                    theta_star=theta1, loss_star=0.0, data_x=x, data_y=y,
                    l2_reg=l2_reg, sin_amplitude=sin_amplitude)
-
-        res = optimize.minimize(prob.loss, theta1, jac=prob.grad,
-                                method="L-BFGS-B",
-                                options={"maxiter": 20000, "ftol": 1e-16,
-                                         "gtol": 1e-12})
-        theta_star = res.x
+        theta_star = _newton_minimum(prob, theta1)
         loss_star = float(prob.loss(theta_star))
 
         # Noise constant: exact per-sample deviation over the dataset, taken
@@ -236,6 +232,87 @@ def _power_iteration(mat: np.ndarray, iters: int = 200) -> float:
             return 0.0
         v = w / lam
     return lam
+
+
+def _finite(*values: float) -> bool:
+    return all(math.isfinite(v) for v in values)
+
+
+# The logistic optimum: damped Newton steps through a Cholesky factorisation.
+# Where the Hessian is not positive definite (the sine term can make it
+# indefinite), the smallest shift of this ladder, times the Hessian's
+# infinity norm, that lets the factorisation succeed is added to its
+# diagonal; the last entry makes H + shift I strictly diagonally dominant,
+# so it always succeeds.
+_SHIFT_LADDER = (0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 2.0)
+_NEWTON_MAX_ITER = 200
+_ARMIJO = 1e-4
+_MIN_STEP = 2.0**-40
+# The loss's rounding error, relative to max(|loss|, 1).
+_LOSS_ROUNDOFF = 64 * np.finfo(float).eps
+
+
+def _logistic_hessian(prob: SgdProblem, theta: np.ndarray) -> np.ndarray:
+    """Exact Hessian of a logistic_synthetic loss at one point. The data
+    weight s(1 - s) is taken as s(m) s(-m), which keeps its precision where
+    s is near 1; einsum sums in a fixed order, whatever the BLAS threads."""
+    x = prob.data_x
+    margin = prob.data_y * (x @ theta)
+    weight = _sigmoid(margin) * _sigmoid(-margin)
+    hess = np.einsum("nd,ne->de", weight[:, None] * x, x) / x.shape[0]
+    hess[np.diag_indices_from(hess)] += prob.l2_reg - prob.sin_amplitude * np.sin(theta)
+    return hess
+
+
+def _newton_direction(hess: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, bool]:
+    """-(H + shift I)^-1 g for the smallest shift of the ladder at which the
+    Cholesky factorisation succeeds, and whether that shift was 0."""
+    scale = float(np.abs(hess).sum(axis=1).max()) or 1.0
+    eye = np.eye(hess.shape[0])
+    for shift in _SHIFT_LADDER:
+        try:
+            low = np.linalg.cholesky(hess + shift * scale * eye)
+        except np.linalg.LinAlgError:
+            continue
+        return -np.linalg.solve(low.T, np.linalg.solve(low, g)), shift == 0.0
+    raise AssertionError("a diagonally dominant matrix failed to factorise")
+
+
+def _newton_minimum(prob: SgdProblem, theta: np.ndarray) -> np.ndarray:
+    """A local minimum of prob's loss, reached from theta by damped Newton
+    steps with Armijo backtracking on the loss.
+
+    Once the step's predicted decrease falls below the loss's rounding
+    error, the loss can no longer rank points, so an unshifted full step is
+    kept while it lowers the gradient norm. The search stops where a full
+    step lowers neither the loss nor the gradient norm, where backtracking
+    finds no decrease, or after _NEWTON_MAX_ITER steps; it always returns
+    the last point it accepted.
+    """
+    f = prob.loss(theta)
+    g = prob.grad(theta)
+    g_norm = float(np.linalg.norm(g))
+    for _ in range(_NEWTON_MAX_ITER):
+        if g_norm == 0.0:
+            break
+        step, unshifted = _newton_direction(_logistic_hessian(prob, theta), g)
+        slope = float(g @ step)
+        resolvable = -slope > _LOSS_ROUNDOFF * max(abs(f), 1.0)
+        t = 1.0
+        while True:
+            cand = theta + t * step
+            f_cand = prob.loss(cand)
+            if f_cand <= f + _ARMIJO * t * slope or (unshifted and not resolvable):
+                break
+            t *= 0.5
+            if t < _MIN_STEP:
+                return theta
+        g_cand = prob.grad(cand)
+        g_cand_norm = float(np.linalg.norm(g_cand))
+        if not (f_cand < f or g_cand_norm < g_norm):
+            break
+        theta, f, g, g_norm = cand, f_cand, g_cand, g_cand_norm
+    return theta
 
 
 @dataclass(frozen=True)

@@ -139,7 +139,10 @@ def test_sgd_bench_convex_quadratic(tmp_path, capsys):
 
 def test_sgd_bench_nonconvex_logistic(tmp_path, capsys):
     # Two workers that each drop half the time: a quarter of the steps
-    # deliver no samples to a run, so grad_sum sees b = 0 rows.
+    # deliver no samples to a run, so grad_sum sees b = 0 rows. Re-recorded
+    # when the logistic optimum moved from L-BFGS-B to a Newton solve: its
+    # theta_star is exact to roundoff, loss_star is 1 ulp lower, and so the
+    # report's bound and margin moved in their last digits.
     report = _sgd_bench_report(
         tmp_path, "nonconvex",
         {"kind": "logistic_synthetic", "dimension": 5, "n_samples": 96,
@@ -147,7 +150,7 @@ def test_sgd_bench_nonconvex_logistic(tmp_path, capsys):
         {"kind": "per_worker_bernoulli", "b_max": 16, "n_workers": 2, "p_drop": 0.5},
         3000, 10, "nonconvex")
     assert _sha(report) == \
-        "0ca839690123615589c701af53cc4818e51a5039f5abecde3fbd378036e2504e"
+        "f17ec5562e80aec174460596a250ded5583e1524a5c139c6325ee7a4de47c687"
 
 
 def test_timing_driven_convex_bound():

@@ -153,7 +153,7 @@ def test_cli_records_equal_run_detailed_records(tmp_path, capsys, extra):
     if extra["tau"] == "auto":
         config = dataclasses.replace(config, tau=ds.simulate.auto_tau(config, 40))
     sim = ds.run_detailed(config)
-    write_records_csv(tmp_path / "want.csv", sim.records, cli._stamp(doc))
+    write_records_csv(tmp_path / "want.csv", sim.records, cli._stamp(cli._config_hash(doc)))
     assert (tmp_path / "o" / "records.csv").read_bytes() == \
         (tmp_path / "want.csv").read_bytes()
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())

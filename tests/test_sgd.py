@@ -4,17 +4,35 @@ convergence bounds with their step sizes, compensation arithmetic, and the
 learning-rate corrections."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy import stats as sps
 
 import dropsim as ds
 from dropsim.sgd import (
+    _logistic_hessian,
     convex_bound_rhs,
     nonconvex_bound_rhs,
     run_many,
 )
+
+# perfbench's sgd-verify nonconvex problem at workload seed 1.
+_PERFBENCH_NONCONVEX = {"sin_amplitude": 0.05, "seed": 30212171}
+
+
+def _run_python(code: str, **env) -> str:
+    src = Path(ds.__file__).resolve().parents[1]
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return done.stdout
 
 
 def _bern(b_max=100, p=0.1, n_workers=10):
@@ -84,6 +102,69 @@ class TestProblems:
         # grad_sum would inject noise of scale |actual_sigma|.
         with pytest.raises(ValueError, match="actual_sigma"):
             ds.SgdProblem.quadratic(sigma=1.0, actual_sigma=-10.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["smoothness", "sigma", "distance", "actual_sigma"])
+    def test_quadratic_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ds.SgdProblem.quadratic(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["l2_reg", "sin_amplitude"])
+    def test_logistic_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ds.SgdProblem.logistic_synthetic(**{field: value})
+
+
+# (dimension, n_samples, seed) x (sin_amplitude, l2_reg). The problem is
+# convex where sin_amplitude <= l2_reg; the last three pairs are not.
+_ORACLE_DATA = [(10, 512, 7), (5, 96, 4), (3, 32, 11), (10, 512, 30212171)]
+_ORACLE_LANDSCAPES = [(0.0, 0.1), (0.05, 0.1), (0.1, 0.1), (1.0, 0.1), (3.0, 0.01),
+                      (0.05, 1e-8)]
+
+
+class TestLogisticOptimum:
+    """The Newton optimum against scipy's L-BFGS-B, the optimizer it replaced."""
+
+    @pytest.mark.parametrize("amplitude,l2_reg", _ORACLE_LANDSCAPES)
+    @pytest.mark.parametrize("dimension,n_samples,seed", _ORACLE_DATA)
+    def test_against_lbfgsb(self, dimension, n_samples, seed, amplitude, l2_reg):
+        prob = ds.SgdProblem.logistic_synthetic(dimension, n_samples, l2_reg, amplitude, seed)
+        res = optimize.minimize(prob.loss, prob.theta1, jac=prob.grad, method="L-BFGS-B",
+                                options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-12})
+        oracle_loss = float(prob.loss(res.x))
+        g_norm = float(np.linalg.norm(prob.grad(prob.theta_star)))
+        assert g_norm <= max(1e-12, float(np.linalg.norm(prob.grad(res.x))))
+        assert np.linalg.eigvalsh(_logistic_hessian(prob, prob.theta_star))[0] >= 0.0
+        assert prob.loss_star <= prob.loss(prob.theta1)
+        if amplitude <= l2_reg:
+            assert prob.loss_star <= oracle_loss + 4 * np.spacing(abs(oracle_loss))
+            assert np.max(np.abs(prob.theta_star - res.x)) <= 1e-7
+
+    def test_hessian_matches_gradient_differences(self):
+        prob = ds.SgdProblem.logistic_synthetic(dimension=4, n_samples=64,
+                                                sin_amplitude=1.0, seed=5)
+        theta = ds.RngStream(6).generator().standard_normal(4)
+        h = 1e-6
+        numeric = np.array([(prob.grad(theta + h * e) - prob.grad(theta - h * e)) / (2 * h)
+                            for e in np.eye(4)])
+        assert np.allclose(_logistic_hessian(prob, theta), numeric, rtol=1e-6, atol=1e-8)
+
+    def test_build_leaves_scipy_optimize_unloaded(self):
+        # Importing scipy.optimize costs about 49 MB of RSS and 0.4 s.
+        out = _run_python("import sys, dropsim\n"
+                          "dropsim.SgdProblem.logistic_synthetic()\n"
+                          "print('scipy.optimize' in sys.modules)\n")
+        assert out == "False\n"
+
+    def test_bit_identical_at_any_blas_thread_count(self):
+        code = ("import dropsim\n"
+                f"for kw in ({{}}, {_PERFBENCH_NONCONVEX!r}):\n"
+                "    p = dropsim.SgdProblem.logistic_synthetic(**kw)\n"
+                "    print(p.theta_star.tobytes().hex(), repr(p.loss_star), repr(p.sigma))\n")
+        one, two = (_run_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+        assert len(one.splitlines()) == 2
+        assert one == two
 
 
 class TestGradSum:
