@@ -41,16 +41,21 @@ class GaussianStepModel:
     t_comm: float = 0.0
 
     def __post_init__(self):
-        if not (self.mu > 0.0):
-            raise ValueError("mu must be > 0")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        _check(self.mu, self.sigma, self.t_comm)
         if self.m_per_step < 1:
             raise ValueError("m_per_step must be >= 1")
         if self.n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if self.t_comm < 0.0:
-            raise ValueError("t_comm must be >= 0")
+
+
+def _check(mu: float, sigma: float, t_comm: float = 0.0) -> None:
+    """Raise ValueError unless mu > 0, sigma >= 0 and t_comm >= 0, all finite."""
+    if not 0.0 < mu < math.inf:
+        raise ValueError("mu must be > 0")
+    if not 0.0 <= sigma < math.inf:
+        raise ValueError("sigma must be >= 0")
+    if not 0.0 <= t_comm < math.inf:
+        raise ValueError("t_comm must be >= 0")
 
 
 def _expected_max_compute(mu: float, sigma: float, m: int, n: int) -> float:
@@ -83,10 +88,7 @@ def expected_completed(mu: float, sigma: float, m: int, tau: float) -> float:
     than an error since the sum itself stays well defined. At sigma = 0 the
     count is exact and never warns.
     """
-    if not (mu > 0.0):
-        raise ValueError("mu must be > 0")
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    _check(mu, sigma)
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (tau > 0.0):
@@ -113,10 +115,11 @@ def expected_speedup(mu: float, sigma: float, m: int, n: int, tau: float,
     when given, replaces the probit approximation of E[T]; pass the measured
     mean max compute time when the latency law is far from Gaussian.
     """
+    _check(mu, sigma, t_comm)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if t_comm < 0.0:
-        raise ValueError("t_comm must be >= 0")
+    if measured_ET is not None and not 0.0 < measured_ET < math.inf:
+        raise ValueError(f"measured_ET must be finite and > 0, got {measured_ET!r}")
     et = measured_ET if measured_ET is not None else _expected_max_compute(mu, sigma, m, n)
     frac = expected_completed(mu, sigma, m, tau) / m
     return frac * (et + t_comm) / (min(tau, et) + t_comm)
@@ -156,14 +159,9 @@ def optimal_threshold_analytic(mu: float, sigma: float, m: int,
     tau = M*mu (every threshold that admits all M batches is optimal; the
     smallest is returned).
     """
-    if not (mu > 0.0):
-        raise ValueError("mu must be > 0")
-    if sigma < 0.0:
-        raise ValueError("sigma must be >= 0")
+    _check(mu, sigma, t_comm)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if t_comm < 0.0:
-        raise ValueError("t_comm must be >= 0")
     if sigma == 0.0:
         return m * mu
 

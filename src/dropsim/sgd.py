@@ -53,8 +53,8 @@ class SgdProblem:
     kind "logistic_synthetic": l2-regularized logistic regression on a fixed
     synthetic dataset, optionally plus sin_amplitude * sum_k sin(theta_k)
     for a nonconvex landscape; per-sample gradients come from uniformly
-    sampled data points. Smoothness is taken from power iteration on the
-    Hessian at theta_1 (exact there, since all logits vanish at theta_1 = 0)
+    sampled data points. Smoothness is the top eigenvalue of the Hessian at
+    theta_1 (the peak data curvature, since every logit is zero there)
     plus the sine term's curvature bound; sigma is the largest per-sample
     gradient deviation measured exactly on the dataset at probe points.
     theta_star is reached from theta_1 by damped Newton steps, to roundoff;
@@ -122,7 +122,7 @@ class SgdProblem:
         # weight sits at its global maximum 1/4 exactly; the sine term adds
         # at most sin_amplitude everywhere.
         hess = 0.25 * (x.T @ x) / n_samples + l2_reg * np.eye(dimension)
-        smooth = _power_iteration(hess) + sin_amplitude
+        smooth = float(np.linalg.eigvalsh(hess)[-1]) + sin_amplitude
 
         prob = cls(kind="logistic_synthetic", dimension=dimension,
                    smoothness=smooth, sigma=0.0, theta1=theta1,
@@ -220,18 +220,6 @@ def _sigmoid(u):
     numerator of either branch (1 or e; nan stays nan)."""
     e = np.exp(-np.abs(u))
     return np.maximum(e, u >= 0) / (1.0 + e)
-
-
-def _power_iteration(mat: np.ndarray, iters: int = 200) -> float:
-    v = np.ones(mat.shape[0]) / math.sqrt(mat.shape[0])
-    lam = 0.0
-    for _ in range(iters):
-        w = mat @ v
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-    return lam
 
 
 def _finite(*values: float) -> bool:

@@ -476,7 +476,7 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
         raise ValueError("sync_period must be >= 1")
     if not (0.0 <= straggler_prob <= 1.0):
         raise ValueError("straggler_prob must be in [0, 1]")
-    if straggler_delay < 0.0:
+    if not 0.0 <= straggler_delay < np.inf:
         raise ValueError("straggler_delay must be >= 0")
     if mode not in ("uniform", "single_server"):
         raise ValueError(f"unknown straggler mode {mode!r}")

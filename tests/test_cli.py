@@ -2,6 +2,7 @@
 determinism, and agreement between the CLI's emitted numbers and the library
 calls they wrap. All invocations run in-process through cli.main."""
 
+import ast
 import json
 import math
 import os
@@ -693,9 +694,8 @@ def test_failed_write_leaves_no_directory(tmp_path, monkeypatch, command, doc):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy costs about half a second of start-up; only the functions that
-    # need it (phi_cdf, censored moments, the gamma CDF, the logistic
-    # optimum) import it, on first call.
+    # scipy costs about half a second of start-up and 17 MB of RSS; the
+    # normal CDF now comes from math.erfc, so even a call leaves it unloaded.
     src = Path(ds.__file__).resolve().parents[1]
     code = ("import sys, dropsim.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
@@ -705,4 +705,53 @@ def test_cli_import_leaves_scipy_unloaded():
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+    assert done.stdout.split("\n")[:2] == ["[]", "False"]
+
+
+def test_all_four_commands_leave_scipy_unloaded(tmp_path):
+    # scipy is a test dependency only. The scale-sweep's simulated-delay
+    # noise takes the censored moments and the closed-form speedup, which
+    # need the normal CDF; the logistic sgd-bench solves for its optimum.
+    ds.write_trace_csv(str(tmp_path / "trace.csv"),
+                       ds.RngStream(3).generator().lognormal(0.0, 0.3, (20, 4, 3)))
+    sweep = _sim_config(workers=2, noise={"kind": "simulated_delay"}, tau="auto",
+                        iterations=8, n_list=[2, 4], warmup_iterations=4)
+    sweep["fleet"]["noise_mode"] = "additive_scaled_by_mean"
+    bench = {"problem": {"kind": "logistic_synthetic", "dimension": 3, "n_samples": 32},
+             "schedule": {"kind": "none", "b_max": 10},
+             "k_total": 1000, "seeds": 2, "theorem": "nonconvex"}
+    commands = [
+        ["simulate", "--config", _write_json(tmp_path / "sim.json", _sim_config(iterations=5))],
+        ["select-threshold", "--trace", str(tmp_path / "trace.csv")],
+        ["scale-sweep", "--config", _write_json(tmp_path / "sweep.json", sweep)],
+        ["sgd-bench", "--config", _write_json(tmp_path / "bench.json", bench)],
+    ]
+    code = ("import sys, dropsim.cli\n"
+            f"for i, argv in enumerate({commands!r}):\n"
+            "    assert dropsim.cli.main([*argv, '--out', f'{sys.argv[1]}/o{i}']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(ds.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert all((tmp_path / f"o{i}").is_dir() for i in range(4))
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    package = Path(ds.__file__).resolve().parent
+    third_party = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            third_party.update(f"{path.name}: {name}" for name in names
+                               if name.split(".")[0] not in sys.stdlib_module_names
+                               and name.split(".")[0] != "numpy")
+    assert sorted(third_party) == []

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from dropsim import (
     BernoulliNoise,
@@ -132,6 +132,39 @@ class TestBoundedDelay:
         x = _draws(spec)
         assert np.mean(x) == pytest.approx(spec.mean(), rel=0.01)
         assert np.var(x) == pytest.approx(spec.variance(), rel=0.01)
+
+    @pytest.mark.parametrize("spec", [_DELAY] + [
+        BoundedLogNormalNoise(log_mean, log_std, divisor, factor * math.exp(log_mean) / divisor)
+        for log_mean, log_std, divisor in [(4.0, 1.0, 2.0 * math.exp(4.5)), (-1.0, 0.3, 1.0),
+                                           (2.0, 2.5, 10.0)]
+        for factor in (1e-3, 1.0, 1e3)], ids=repr)
+    def test_moments_match_quadrature(self, spec):
+        # The closed form against quadrature over z = (ln x - mu) / s below
+        # the bound plus scipy's normal tail above it.
+        mu = spec.log_mean - math.log(spec.scale_divisor)
+        s = spec.log_std
+        z = (math.log(spec.bound) - mu) / s
+        tail = stats.norm.sf(z)
+
+        def oracle(k):
+            body, _ = integrate.quad(lambda t: math.exp(k * (mu + s * t)) * stats.norm.pdf(t),
+                                     -np.inf, z, epsabs=0.0, epsrel=1e-13, limit=200)
+            return body + spec.bound**k * tail
+
+        for k in (1, 2):
+            assert spec._censored_moment(k) == pytest.approx(oracle(k), rel=1e-9, abs=0.0)
+        assert spec.mean() == spec._censored_moment(1)
+        if spec is _DELAY:
+            assert spec.variance() == pytest.approx(oracle(2) - oracle(1) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("log_mean, log_std, divisor", [
+        (4.0, 1.0, 2.0 * math.exp(4.5)), (-1.0, 0.3, 1.0), (0.5, 0.8, 3.0)])
+    def test_far_bound_gives_the_lognormal_moments(self, log_mean, log_std, divisor):
+        median = math.exp(log_mean) / divisor
+        spec = BoundedLogNormalNoise(log_mean, log_std, divisor, 1e6 * median)
+        free = LogNormalNoise(log_mean - math.log(divisor), log_std)
+        assert spec.mean() == pytest.approx(free.mean(), rel=1e-12, abs=0.0)
+        assert spec.variance() == pytest.approx(free.variance(), rel=1e-12, abs=0.0)
 
     def test_draws_respect_bound(self):
         spec = simulated_delay_noise()

@@ -78,8 +78,8 @@ class TestProblems:
         assert prob.loss(prob.theta1) > prob.loss_star
 
     def test_logistic_smoothness_dominates_hessian(self):
-        # Power-iteration L at theta1 is the global data-curvature peak;
-        # random probe Hessians must not exceed it.
+        # L is the top Hessian eigenvalue at theta1, the global
+        # data-curvature peak; random probe Hessians must not exceed it.
         prob = ds.SgdProblem.logistic_synthetic(dimension=5, n_samples=64)
         gen = ds.RngStream(4).generator()
         x, y = prob.data_x, prob.data_y
@@ -90,6 +90,15 @@ class TestProblems:
             hess = (x.T * w) @ x / x.shape[0] + prob.l2_reg * np.eye(5)
             top = float(np.linalg.eigvalsh(hess)[-1])
             assert top <= prob.smoothness + 1e-9
+
+    @pytest.mark.parametrize("seed", [7, 177, 195])
+    def test_logistic_smoothness_is_the_top_hessian_eigenvalue(self, seed):
+        # A smoothness below the top eigenvalue makes the theorem step size
+        # too large and the bound too small; 200 power-iteration steps left
+        # seed 195 1.5% low.
+        prob = ds.SgdProblem.logistic_synthetic(seed=seed, sin_amplitude=0.05)
+        top = float(np.linalg.eigvalsh(_logistic_hessian(prob, prob.theta1))[-1])
+        assert prob.smoothness == pytest.approx(top + 0.05, rel=1e-12)
 
     def test_staged_mismatch_keeps_declared_sigma(self):
         # A staged mismatch keeps the declared sigma (used by bounds and step
@@ -161,7 +170,8 @@ class TestLogisticOptimum:
         code = ("import dropsim\n"
                 f"for kw in ({{}}, {_PERFBENCH_NONCONVEX!r}):\n"
                 "    p = dropsim.SgdProblem.logistic_synthetic(**kw)\n"
-                "    print(p.theta_star.tobytes().hex(), repr(p.loss_star), repr(p.sigma))\n")
+                "    print(p.theta_star.tobytes().hex(), repr(p.loss_star), repr(p.sigma),\n"
+                "          repr(p.smoothness))\n")
         one, two = (_run_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
         assert len(one.splitlines()) == 2
         assert one == two
