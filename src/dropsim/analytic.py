@@ -174,7 +174,8 @@ def optimal_threshold_analytic(mu: float, sigma: float, m: int,
     lo = m * mu / 2.0
     hi = m * mu + 6.0 * math.sqrt(m) * sigma
     grid = np.logspace(math.log10(lo), math.log10(hi), 512)
-    vals = np.array([objective(t) for t in grid])
+    # objective at every grid point at once: each row sums as objective's does
+    vals = np.sum(phi_cdf((grid[:, None] - ms * mu) / scale), axis=1) / (grid + t_comm)
     best = int(np.argmax(vals))
     b_lo = grid[max(best - 1, 0)]
     b_hi = grid[min(best + 1, grid.size - 1)]

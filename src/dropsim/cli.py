@@ -154,14 +154,21 @@ def _read_kind(doc, tables: dict, noun: str, where: str) -> dict:
     return _read(doc, tables.get(kind), where)
 
 
-def _finite(parse):
-    """json number hook: `parse` a literal that is finite as a float, so
-    NaN, Infinity, 1e400 and 400-digit integers are rejected."""
-    def hook(text: str):
-        if not math.isfinite(float(text)):
-            raise ValueError(f"number {text[:24]} is not finite")
-        return parse(text)
-    return hook
+def _finite_float(text: str) -> float:
+    """json float hook: the literal's value, so NaN, Infinity and 1e400 are
+    rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text[:24]} is not finite")
+    return value
+
+
+def _finite_int(text: str) -> int:
+    """json int hook: an integer that is finite as a float. The float test
+    comes first, so that a 400- or 5000-digit integer is "not finite"
+    rather than past int()'s digit limit."""
+    _finite_float(text)
+    return int(text)
 
 
 def _load_config(path: str) -> dict:
@@ -170,8 +177,8 @@ def _load_config(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text, parse_float=_finite(float), parse_int=_finite(int),
-                         parse_constant=_finite(float))
+        doc = json.loads(text, parse_float=_finite_float, parse_int=_finite_int,
+                         parse_constant=_finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:

@@ -294,6 +294,8 @@ class WorkerLatencyModel:
     def times(self, eps: np.ndarray, out=None) -> np.ndarray:
         """Micro-batch times for an array of noise draws, as `sample` maps them."""
         t = self.base_mean + self._noise_scale() * eps
+        if out is None and isinstance(t, np.ndarray):
+            out = t  # a new array: the floor can overwrite it
         return np.maximum(t, POSITIVE_FLOOR_FRACTION * self.base_mean, out=out)
 
     def moments(self) -> tuple[float, float]:

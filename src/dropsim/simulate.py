@@ -182,9 +182,10 @@ class _Sampler:
             for k, sid in enumerate(ids.tolist()):
                 eps[k] = model.noise.sample(self.at(sid), (self.n, self.m))
             return model.times(eps, eps)
+        samplers = [model.noise.sample for model in self.workers]
         for k, row in enumerate(ids.tolist()):
-            for w, sid in enumerate(row):
-                eps[k, w] = self.workers[w].noise.sample(self.at(sid), self.m)
+            for w, (sid, sample) in enumerate(zip(row, samplers)):
+                eps[k, w] = sample(self.at(sid), self.m)
         for w, model in enumerate(self.workers):
             model.times(eps[:, w], eps[:, w])
         return eps
@@ -380,12 +381,15 @@ def auto_tau(config: SimConfig, warmup_iterations: int,
     The warmup draws warmup_iterations iterations from rng, by default
     RngStream(config.seed, AUTO_TAU_STREAM). run(config) and
     run_detailed(config) draw from RngStream(config.seed, 0), so tau* is
-    never scored on the samples it was chosen from.
+    never scored on the samples it was chosen from. The search runs on the
+    warmup draw itself, turned into cumulative times in place, so it holds
+    about two warmup-sized arrays: the draw and the grid's pooled sort.
     """
     root = rng if rng is not None else RngStream(config.seed, AUTO_TAU_STREAM)
     trace = _draw_trace(dataclasses.replace(config, iterations=warmup_iterations), root)
-    return threshold.select_threshold(threshold.TraceTensor(
-        trace, np.full(warmup_iterations, config.t_comm))).tau_star
+    threshold._check_latencies(trace)
+    cum = np.cumsum(trace, axis=2, out=trace)
+    return threshold._select(cum, np.full(warmup_iterations, config.t_comm), None).tau_star
 
 
 def _sweep_point_stats(template: SimConfig, n: int, tau_policy,
@@ -490,10 +494,10 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
         raise ValueError("iterations must cover at least one sync period")
     root = RngStream(seed, 0)
 
-    times = np.empty((steps, n))
     if fleet.is_homogeneous:
-        times[:] = fleet.workers[0].sample(root.derive(0).generator(), (steps, n))
+        times = fleet.workers[0].sample(root.derive(0).generator(), (steps, n))
     else:
+        times = np.empty((steps, n))
         for w, model in enumerate(fleet.workers):
             times[:, w] = model.sample(root.derive(0, w).generator(), steps)
 
@@ -505,8 +509,11 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
         p_group = min(straggler_prob * n / group, 1.0)
         straggle = np.zeros((steps, n), dtype=bool)
         straggle[:, :group] = u[:, :group] < p_group
+    del u
 
-    delayed = times + straggler_delay * straggle
+    # times + straggler_delay * straggle, in times' own buffer: times are
+    # > 0, so adding 0.0 where a worker does not straggle changes no bit.
+    delayed = np.add(times, straggler_delay, out=times, where=straggle)
     if tau is None:
         mean_step = float(np.mean([m.moments()[0] for m in fleet.workers]))
         tau = mean_step + straggler_delay / 10.0

@@ -140,7 +140,11 @@ class StreamGenerator:
         self._bitgen = np.random.Philox(_PhiloxKey(int(seed) & _MASK64, 0))
         self._gen = np.random.Generator(self._bitgen)
         # A fresh Philox: counter 0, empty output buffer, no cached 32-bit half.
+        # Its words are held as lists, which numpy's state setter reads
+        # about twice as fast as uint64 arrays.
         self._state = self._bitgen.state
+        self._state["state"] = {k: v.tolist() for k, v in self._state["state"].items()}
+        self._state["buffer"] = self._state["buffer"].tolist()
         self._key = self._state["state"]["key"]  # [seed, stream_id]
 
     def at(self, stream_id: int) -> np.random.Generator:

@@ -31,6 +31,12 @@ __all__ = [
 CURVE_HEADER = ["tau", "s_eff", "drop_rate", "step_speedup"]
 
 
+def _check_latencies(lat: np.ndarray) -> None:
+    """Raise ValueError unless every latency is finite and > 0."""
+    if not np.all(np.isfinite(lat)) or not np.all(lat > 0.0):
+        raise ValueError("latencies must be finite and > 0")
+
+
 @dataclass(frozen=True)
 class TraceTensor:
     """Latency samples t[i][n][m] plus per-iteration communication times."""
@@ -42,8 +48,7 @@ class TraceTensor:
         lat = np.asarray(self.latencies, dtype=float)
         if lat.ndim != 3 or min(lat.shape) < 1:
             raise ValueError("latencies must be a nonempty (I, N, M) tensor")
-        if not np.all(np.isfinite(lat)) or not np.all(lat > 0.0):
-            raise ValueError("latencies must be finite and > 0")
+        _check_latencies(lat)
         comm = self.comm_times
         comm = np.zeros(lat.shape[0]) if comm is None else np.asarray(comm, dtype=float)
         if comm.shape != (lat.shape[0],):
@@ -158,7 +163,14 @@ def select_threshold(trace: TraceTensor,
     while the working memory stays bounded. numpy sums a single column
     pairwise instead, so a one-point grid takes all iterations in one block.
     """
-    cum = np.cumsum(trace.latencies, axis=2)
+    return _select(np.cumsum(trace.latencies, axis=2), trace.comm_times, grid)
+
+
+def _select(cum: np.ndarray, comm: np.ndarray,
+            grid: Optional[np.ndarray]) -> ThresholdSearchResult:
+    """select_threshold from the (I, N, M) cumulative times of a checked
+    trace and its (I,) comm times. cum is the caller's to give up: its rows
+    come back sorted."""
     if grid is None:
         grid = _pooled_grid(cum)
     else:
@@ -168,7 +180,6 @@ def select_threshold(trace: TraceTensor,
         raise ValueError("threshold grid is empty")
 
     iters, n, m = cum.shape
-    comm = trace.comm_times
     step_compute = cum[:, :, -1].max(axis=1)  # T_i, before the rows are sorted
     step_base = step_compute + comm
 

@@ -10,6 +10,7 @@ import pytest
 
 import dropsim as ds
 from dropsim import EULER_GAMMA, phi_cdf, phi_inv
+from dropsim.analytic import _golden_section_max
 from dropsim.stats import RngStream
 
 
@@ -199,6 +200,29 @@ class TestOptimalThreshold:
             s_at = ds.expected_speedup(1.0, 0.1, 12, n, tau_star, 0.5)
             s_off = ds.expected_speedup(1.0, 0.1, 12, n, tau_star * 1.05, 0.5)
             assert s_at >= s_off
+
+    @pytest.mark.parametrize("mu, sigma, m, tc", [
+        (1.0, 0.1, 12, 0.5), (1.0, 0.1, 12, 0.0), (0.05, 0.03, 1, 0.2),
+        (0.3, 0.2, 7, 2.0), (2.0, 0.5, 300, 1.0), (1.0, 1e-9, 12, 0.5)])
+    def test_grid_is_the_per_point_loop(self, mu, sigma, m, tc):
+        # Reference: the same search with the grid scored one point at a
+        # time; the tiny-sigma case keeps the best grid point.
+        ms = np.arange(1, m + 1, dtype=float)
+        scale = np.sqrt(ms) * sigma
+
+        def objective(tau):
+            return float(np.sum(phi_cdf((tau - ms * mu) / scale)) / (tau + tc))
+
+        lo, hi = m * mu / 2.0, m * mu + 6.0 * math.sqrt(m) * sigma
+        grid = np.logspace(math.log10(lo), math.log10(hi), 512)
+        vals = np.array([objective(t) for t in grid])
+        best = int(np.argmax(vals))
+        refined = _golden_section_max(objective, grid[max(best - 1, 0)],
+                                      grid[min(best + 1, grid.size - 1)])
+        want = refined if objective(refined) >= vals[best] else float(grid[best])
+        got = ds.optimal_threshold_analytic(mu, sigma, m, tc)
+        assert got.hex() == want.hex()
+        assert objective(got).hex() == objective(want).hex()
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -135,7 +135,7 @@ def test_readme_config_tables_match_cli_tables():
 
 
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
-                                     "1" + "0" * 400])
+                                     "1" + "0" * 400, "1" + "0" * 5000])
 @pytest.mark.parametrize("name, keys", [
     ("simulate", ("t_comm",)),
     ("simulate", ("fleet", "noise", "std")),

@@ -3,6 +3,7 @@ with the closed-form estimators, scaling sweeps, and the Local-SGD variant."""
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,16 @@ def _const_fleet(n, base=0.45):
 
 def _normal_fleet(n, mu=1.0, sigma=0.1):
     return ds.FleetSpec.homogeneous(n, ds.WorkerLatencyModel(mu, ds.NormalNoise(0.0, sigma)))
+
+
+def _peak_bytes(call):
+    """tracemalloc's peak over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _heavy_fleet(n, base=1.0):
@@ -250,6 +261,22 @@ class TestAutoTau:
         want = ds.select_threshold(ds.TraceTensor(warm.trace, warm.comm_times)).tau_star
         assert ds.simulate.auto_tau(cfg, 20, rng) == want
 
+    def test_search_holds_about_two_warmups(self):
+        # The draw, turned into cumulative times in place, plus the default
+        # grid's pooled sort; a copy for TraceTensor and one for np.cumsum
+        # would bring it to more than four.
+        n, warmup, m = 512, 100, 12
+        model = ds.WorkerLatencyModel(0.1, ds.LogNormalNoise(math.log(0.02), 0.5))
+        cfg = ds.SimConfig(ds.FleetSpec.homogeneous(n, model), m, t_comm=0.05, seed=1)
+        assert _peak_bytes(lambda: ds.simulate.auto_tau(cfg, warmup)) <= 2.5 * warmup * n * m * 8
+
+    def test_overflowing_warmup_is_rejected(self):
+        # exp(800) overflows to inf, which the selector must not rank.
+        model = ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(800.0, 1.0))
+        cfg = ds.SimConfig(ds.FleetSpec.homogeneous(4, model), 3)
+        with pytest.raises(ValueError, match="latencies must be finite and > 0"):
+            ds.simulate.auto_tau(cfg, 5)
+
 
 class TestLocalSgd:
     def test_no_stragglers_no_gain(self):
@@ -292,6 +319,15 @@ class TestLocalSgd:
         for tau in (2, 0.5, np.float64(0.5)):
             res = ds.local_sgd_run(fleet, 4, 0.04, 1.0, iterations=200, tau=tau, seed=2)
             assert res.tau == tau and res.dropcompute_speedup >= res.local_sgd_speedup
+
+    def test_peak_memory_within_three_step_arrays(self):
+        # The sampled times are floored and delayed in their own buffer, and
+        # the uniform draws live only until the straggler mask is built.
+        steps, n = 2000, 256
+        fleet = _normal_fleet(n, mu=0.1, sigma=0.01)
+        peak = _peak_bytes(lambda: ds.local_sgd_run(fleet, 4, 0.04, 1.0, iterations=steps,
+                                                    seed=1))
+        assert peak <= 3 * steps * n * 8
 
     def test_determinism(self):
         fleet = _const_fleet(8, base=0.1)
