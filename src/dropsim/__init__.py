@@ -61,7 +61,6 @@ from .sgd import (
     SgdProblem,
     TrainingPlan,
     apply_compensation,
-    lr_correction,
     theorem_step_size,
     verify_convex_bound,
     verify_nonconvex_bound,
@@ -116,5 +115,4 @@ __all__ = [
     "verify_convex_bound",
     "verify_nonconvex_bound",
     "apply_compensation",
-    "lr_correction",
 ]

@@ -5,9 +5,7 @@ keys and wrongly typed values are rejected so typos fail loudly); tabular
 results go to CSV with a comment line recording the config hash and tool
 version, reports go to JSON with sorted keys. All outputs are written
 atomically and contain no timestamps, so a fixed seed reproduces files byte
-for byte. DROPSIM_THREADS caps the worker threads used for sweep points;
-results are identical at any thread count because every sweep point draws
-from its own derived random stream.
+for byte.
 """
 from __future__ import annotations
 
@@ -255,13 +253,6 @@ def _new_out_dir(args):
         raise
 
 
-def _threads() -> int:
-    raw = os.environ.get("DROPSIM_THREADS", "1")
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise ConfigError(f"DROPSIM_THREADS must be an integer >= 1, got {raw!r}")
-    return int(raw)
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -390,7 +381,7 @@ def cmd_scale_sweep(args) -> int:
     template = _sim_config(cfg, args.seed, "scale-sweep config")
     try:
         points = scale_sweep(template, cfg["n_list"], cfg["tau"],
-                             cfg["warmup_iterations"], max_workers=_threads())
+                             cfg["warmup_iterations"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

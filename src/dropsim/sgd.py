@@ -9,7 +9,7 @@ b_max in place of the batch size. This module provides problems with exactly
 known constants (smoothness, noise level, minimizer), batch-size schedules
 (fixed, per-worker Bernoulli drops, timing-driven drops), the theorem step
 sizes, empirical verification of both convergence bounds, and the
-bookkeeping for dropped-sample compensation and learning-rate corrections.
+bookkeeping for dropped-sample compensation.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ __all__ = [
     "verify_convex_bound",
     "verify_nonconvex_bound",
     "apply_compensation",
-    "lr_correction",
 ]
 
 # Hard ceiling on optimizer steps relative to the drop-free step count;
@@ -558,56 +557,27 @@ class CompensationResult:
     strategy: str
     extra_ratio: float  # R = M / M_completed - 1
     plan: TrainingPlan
-    resample_queue: Optional[tuple] = None
 
 
 def apply_compensation(strategy: str, base_plan: TrainingPlan,
-                       completed_ratio: float,
-                       dropped_indices=None) -> CompensationResult:
+                       completed_ratio: float) -> CompensationResult:
     """Adjust a training plan to recover compute lost to drops.
 
     completed_ratio is mean completed / M. "extra_steps" stretches the step
     count by 1 + R with R = 1/ratio - 1; "increased_batch" scales b_max by
-    the same factor so the expected realized batch matches the original;
-    "resample_dropped" re-enqueues the given dropped sample indices for the
-    next epoch, leaving the plan untouched.
+    the same factor so the expected realized batch matches the original.
     """
     if not (0.0 < completed_ratio <= 1.0):
         raise ValueError("completed_ratio must be in (0, 1]; "
                          "a zero completion rate cannot be compensated")
-    if strategy not in ("extra_steps", "increased_batch", "resample_dropped"):
-        raise ValueError(f"unknown compensation strategy {strategy!r}")
     extra = 1.0 / completed_ratio - 1.0
     if strategy == "extra_steps":
         plan = TrainingPlan(int(math.ceil(base_plan.iterations * (1.0 + extra))),
                             base_plan.b_max)
-        return CompensationResult(strategy, extra, plan)
-    if strategy == "increased_batch":
+    elif strategy == "increased_batch":
         plan = TrainingPlan(base_plan.iterations,
                             int(round(base_plan.b_max * (1.0 + extra))))
-        return CompensationResult(strategy, extra, plan)
-    queue = tuple(dropped_indices) if dropped_indices is not None else ()
-    return CompensationResult(strategy, extra, base_plan, resample_queue=queue)
+    else:
+        raise ValueError(f"unknown compensation strategy {strategy!r}")
+    return CompensationResult(strategy, extra, plan)
 
-
-def lr_correction(mode: str, eta: float, p_drop: float = 0.0,
-                  realized_b=None, b_max: Optional[int] = None):
-    """Learning-rate adjustments for dropped samples.
-
-    "none" returns eta unchanged; "constant_factor" scales by the expected
-    keep rate 1 - p_drop; "stochastic" returns the per-step rates
-    eta * b_max / b_i, the rates that make the fixed-denominator update
-    equal to dividing each gradient sum by its realized batch.
-    """
-    if not (0.0 <= p_drop < 1.0):
-        raise ValueError("p_drop must be in [0, 1)")
-    if mode == "none":
-        return eta
-    if mode == "constant_factor":
-        return eta * (1.0 - p_drop)
-    if mode == "stochastic":
-        if realized_b is None or b_max is None:
-            raise ValueError("stochastic correction needs realized_b and b_max")
-        b = np.asarray(realized_b, dtype=float)
-        return np.where(b > 0.0, eta * b_max / np.where(b > 0.0, b, 1.0), 0.0)
-    raise ValueError(f"unknown lr correction mode {mode!r}")

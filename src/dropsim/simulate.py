@@ -490,7 +490,7 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
 
     n = fleet.n
     steps = (iterations // sync_period) * sync_period
-    if steps == 0:
+    if steps <= 0:
         raise ValueError("iterations must cover at least one sync period")
     root = RngStream(seed, 0)
 

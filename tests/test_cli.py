@@ -213,6 +213,17 @@ class TestLocalSgdMode:
         assert "tau must be None or a number > 0" in capsys.readouterr().err
         assert not (tmp_path / "o" / "summary.json").exists()
 
+    @pytest.mark.parametrize("iterations", [-5, 3])
+    def test_fewer_iterations_than_a_sync_period_exits_2(self, tmp_path, capsys, iterations):
+        doc = _sim_config(workers=8, base=0.1, noise={"kind": "none"}, m=1,
+                          tau=None, iterations=iterations, local_sgd={"sync_period": 4})
+        cfg = _write_json(tmp_path / "c.json", doc)
+        assert cli.main(["simulate", "--config", cfg, "--mode", "local-sgd",
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "invalid local_sgd config: iterations must cover at least one sync period" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o" / "summary.json").exists()
+
     def test_synchronous_fields_are_optional_and_ignored(self, tmp_path):
         bare = {"fleet": {"workers": 8, "base_mean": 0.1, "noise": {"kind": "none"}},
                 "iterations": 200, "local_sgd": {"sync_period": 2}}
@@ -519,25 +530,6 @@ class TestScaleSweep:
         assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("threads", ["0", "-4"])
-    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, threads):
-        cfg = _write_json(tmp_path / "c.json", self._sweep_doc(n_list=[2, 4]))
-        monkeypatch.setenv("DROPSIM_THREADS", threads)
-        assert cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert f"DROPSIM_THREADS must be an integer >= 1, got '{threads}'" in \
-            capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
-
-    def test_thread_count_does_not_change_bytes(self, tmp_path, monkeypatch):
-        doc = self._sweep_doc(iterations=60, warmup_iterations=30)
-        cfg = _write_json(tmp_path / "c.json", doc)
-        monkeypatch.setenv("DROPSIM_THREADS", "1")
-        cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "t1")])
-        monkeypatch.setenv("DROPSIM_THREADS", "8")
-        cli.main(["scale-sweep", "--config", cfg, "--out", str(tmp_path / "t8")])
-        assert (tmp_path / "t1" / "sweep.csv").read_bytes() == \
-            (tmp_path / "t8" / "sweep.csv").read_bytes()
-
     def test_stamp_line_present(self, tmp_path):
         doc = self._sweep_doc(iterations=30, warmup_iterations=20, n_list=[2, 4])
         cfg = _write_json(tmp_path / "c.json", doc)
@@ -696,16 +688,20 @@ def test_failed_write_leaves_no_directory(tmp_path, monkeypatch, command, doc):
 def test_cli_import_leaves_scipy_unloaded():
     # scipy costs about half a second of start-up and 17 MB of RSS; the
     # normal CDF now comes from math.erfc, so even a call leaves it unloaded.
+    # statistics (for phi_inv) loads fractions and decimal, about 7 ms of
+    # start-up, so it waits for the first phi_inv call.
     src = Path(ds.__file__).resolve().parents[1]
     code = ("import sys, dropsim.cli\n"
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
             "dropsim.phi_cdf(0.5)\n"
-            "print('scipy.special' in sys.modules)\n")
+            "print('scipy.special' in sys.modules)\n"
+            "print([m for m in ('statistics', 'fractions', 'decimal') if m in sys.modules])\n"
+            "print(dropsim.phi_inv(0.5))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.split("\n")[:2] == ["[]", "False"]
+    assert done.stdout.split("\n")[:4] == ["[]", "False", "[]", "0.0"]
 
 
 def test_all_four_commands_leave_scipy_unloaded(tmp_path):

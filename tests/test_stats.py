@@ -84,6 +84,13 @@ class TestPhiInv:
     def test_round_trip_x(self, x):
         assert abs(phi_inv(phi_cdf(x)) - x) < 1e-7
 
+    @pytest.mark.parametrize("k", [20, 30, 40, 50])
+    def test_upper_tail_mirrors_lower_tail(self, k):
+        # 1 - 2**-k is exact in binary, so phi_inv(1 - p) = -phi_inv(p) holds
+        # with no rounding in the argument.
+        lo = phi_inv(2.0**-k)
+        assert phi_inv(1.0 - 2.0**-k) == pytest.approx(-lo, rel=1e-15, abs=0.0)
+
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, float("nan")])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
@@ -91,8 +98,9 @@ class TestPhiInv:
 
 
 def test_euler_gamma_value():
-    # Euler-Mascheroni constant used by the expected-maximum blend.
-    assert EULER_GAMMA == pytest.approx(0.5772156649015329, abs=1e-12)
+    # Euler-Mascheroni constant used by the expected-maximum blend: the double
+    # nearest to 0.57721566490153286060651209...
+    assert EULER_GAMMA == 0.5772156649015329
 
 
 class TestRngStream:
