@@ -42,7 +42,6 @@ from .simulate import (
     simulate_iteration,
 )
 from .analytic import (
-    GaussianStepModel,
     expected_completed,
     expected_max_time,
     expected_speedup,
@@ -97,7 +96,6 @@ __all__ = [
     "run_from_trace",
     "scale_sweep",
     "local_sgd_run",
-    "GaussianStepModel",
     "expected_max_time",
     "expected_completed",
     "expected_speedup",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,30 +21,11 @@ import numpy as np
 from .stats import EULER_GAMMA, phi_cdf, phi_inv
 
 __all__ = [
-    "GaussianStepModel",
     "expected_max_time",
     "expected_completed",
     "expected_speedup",
     "optimal_threshold_analytic",
 ]
-
-
-@dataclass(frozen=True)
-class GaussianStepModel:
-    """Per-micro-batch moments plus fleet shape for the closed forms."""
-
-    mu: float
-    sigma: float
-    m_per_step: int
-    n_workers: int
-    t_comm: float = 0.0
-
-    def __post_init__(self):
-        _check(self.mu, self.sigma, self.t_comm)
-        if self.m_per_step < 1:
-            raise ValueError("m_per_step must be >= 1")
-        if self.n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
 
 
 def _check(mu: float, sigma: float, t_comm: float = 0.0) -> None:
@@ -58,26 +38,34 @@ def _check(mu: float, sigma: float, t_comm: float = 0.0) -> None:
         raise ValueError("t_comm must be >= 0")
 
 
-def _expected_max_compute(mu: float, sigma: float, m: int, n: int) -> float:
-    """Expected max over n workers of the full-step compute time, no comm term.
+def expected_max_time(mu: float, sigma: float, m: int, n: int,
+                      t_comm: float = 0.0) -> float:
+    """Expected synchronous step time: expected max over n workers of the
+    compute time of m micro-batches, plus t_comm.
 
     Blended-probit approximation of the Gaussian maximum:
     sqrt(m sigma^2) * ((1-g) Phi^-1(1-1/n) + g Phi^-1(1-1/(e n))) + m mu,
     with g the Euler-Mascheroni constant. Exact special cases: n = 1 and
     sigma = 0 both give m*mu.
     """
+    _check(mu, sigma, t_comm)
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n == 1 or sigma == 0.0:
-        return m * mu
+        return m * mu + t_comm
     g = EULER_GAMMA
     scale = math.sqrt(m) * sigma
     q = (1.0 - g) * phi_inv(1.0 - 1.0 / n) + g * phi_inv(1.0 - 1.0 / (math.e * n))
-    return scale * q + m * mu
+    return scale * q + m * mu + t_comm
 
 
-def expected_max_time(model: GaussianStepModel) -> float:
-    """Expected synchronous step time: expected max compute plus t_comm."""
-    return _expected_max_compute(model.mu, model.sigma, model.m_per_step,
-                                 model.n_workers) + model.t_comm
+def _phi_sum(tau, mu: float, sigma: float, m: int):
+    """Sum over k = 1..m of Phi((tau - k*mu)/sqrt(k sigma^2)), along the
+    last axis: a float for a scalar tau, one sum per row for a column."""
+    ks = np.arange(1, m + 1, dtype=float)
+    return np.sum(phi_cdf((tau - ks * mu) / (np.sqrt(ks) * sigma)), axis=-1)
 
 
 def expected_completed(mu: float, sigma: float, m: int, tau: float) -> float:
@@ -95,13 +83,12 @@ def expected_completed(mu: float, sigma: float, m: int, tau: float) -> float:
         raise ValueError("tau must be > 0")
     if math.isinf(tau):
         return float(m)
-    ms = np.arange(1, m + 1, dtype=float)
     if sigma == 0.0:
-        return float(np.count_nonzero(ms * mu < tau))
+        return float(np.count_nonzero(np.arange(1, m + 1, dtype=float) * mu < tau))
     if tau <= m * mu / 2.0:
         warnings.warn("expected_completed evaluated at tau <= M*mu/2, outside "
                       "the approximation's derivation domain", stacklevel=2)
-    return float(np.sum(phi_cdf((tau - ms * mu) / (np.sqrt(ms) * sigma))))
+    return float(_phi_sum(tau, mu, sigma, m))
 
 
 def expected_speedup(mu: float, sigma: float, m: int, n: int, tau: float,
@@ -120,7 +107,7 @@ def expected_speedup(mu: float, sigma: float, m: int, n: int, tau: float,
         raise ValueError("n must be >= 1")
     if measured_ET is not None and not 0.0 < measured_ET < math.inf:
         raise ValueError(f"measured_ET must be finite and > 0, got {measured_ET!r}")
-    et = measured_ET if measured_ET is not None else _expected_max_compute(mu, sigma, m, n)
+    et = measured_ET if measured_ET is not None else expected_max_time(mu, sigma, m, n)
     frac = expected_completed(mu, sigma, m, tau) / m
     return frac * (et + t_comm) / (min(tau, et) + t_comm)
 
@@ -165,17 +152,14 @@ def optimal_threshold_analytic(mu: float, sigma: float, m: int,
     if sigma == 0.0:
         return m * mu
 
-    ms = np.arange(1, m + 1, dtype=float)
-    scale = np.sqrt(ms) * sigma
-
     def objective(tau):
-        return float(np.sum(phi_cdf((tau - ms * mu) / scale)) / (tau + t_comm))
+        return float(_phi_sum(tau, mu, sigma, m) / (tau + t_comm))
 
     lo = m * mu / 2.0
     hi = m * mu + 6.0 * math.sqrt(m) * sigma
     grid = np.logspace(math.log10(lo), math.log10(hi), 512)
     # objective at every grid point at once: each row sums as objective's does
-    vals = np.sum(phi_cdf((grid[:, None] - ms * mu) / scale), axis=1) / (grid + t_comm)
+    vals = _phi_sum(grid[:, None], mu, sigma, m) / (grid + t_comm)
     best = int(np.argmax(vals))
     b_lo = grid[max(best - 1, 0)]
     b_hi = grid[min(best + 1, grid.size - 1)]

@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import hashlib
 import inspect
-import io
 import json
 import math
 import os
@@ -27,8 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .latency import (NOISE_KINDS, FleetSpec, WorkerLatencyModel, read_comm_csv,
-                      read_trace_csv)
+from .latency import (NOISE_KINDS, FleetSpec, WorkerLatencyModel, csv_text,
+                      read_comm_csv, read_trace_csv)
 # simulate streams its records with run_records_csv. run_detailed stays
 # importable here: perfbench's tracer patches it by this name.
 from .simulate import (SimConfig, auto_tau, local_sgd_run, run_detailed,
@@ -240,11 +239,17 @@ def _atomic_write(path: Path, text: str) -> None:
 def _new_out_dir(args):
     """The output directory args.out, made for the block that writes into
     it: if the block raises, the directories made here are removed again,
-    once empty, so a failed write leaves no directory behind."""
+    once empty, so a failed write leaves no directory behind. A directory
+    that cannot be made, as under a path that names a file, is a
+    ConfigError."""
     out = Path(args.out)
     made = [d for d in (out, *out.parents) if not d.exists()]
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"{args.out}: cannot make the output directory: "
+                              f"{exc.strerror or exc}") from exc
         yield out
     except BaseException:
         for d in made:
@@ -396,19 +401,15 @@ def cmd_scale_sweep(args) -> int:
         raise ConfigError(f"scale-sweep has no closed-form s_eff_analytic "
                           f"for this fleet: {exc}") from exc
 
-    buf = io.StringIO()
-    buf.write(f"# {_stamp(_config_hash(doc))}\n")
-    import csv as _csv
-
-    writer = _csv.writer(buf)
-    writer.writerow(["n_workers", "tau", "throughput_base", "throughput_drop",
-                     "s_eff", "linear_ref", "s_eff_analytic"])
-    for p, s in zip(points, s_analytic):
-        writer.writerow([p.n_workers, repr(p.tau) if p.tau is not None else "",
-                         repr(p.throughput_base), repr(p.throughput_drop),
-                         repr(p.s_eff), repr(p.linear_ref), repr(s)])
+    text = csv_text(_stamp(_config_hash(doc)),
+                    ["n_workers", "tau", "throughput_base", "throughput_drop",
+                     "s_eff", "linear_ref", "s_eff_analytic"],
+                    ([str(p.n_workers), "" if p.tau is None else repr(p.tau),
+                      *map(repr, (p.throughput_base, p.throughput_drop, p.s_eff,
+                                  p.linear_ref, s))]
+                     for p, s in zip(points, s_analytic)))
     with _new_out_dir(args) as out:
-        _atomic_write(out / "sweep.csv", buf.getvalue())
+        _atomic_write(out / "sweep.csv", text)
     print(f"swept {len(points)} fleet sizes, "
           f"s_eff range [{min(p.s_eff for p in points):.4f}, "
           f"{max(p.s_eff for p in points):.4f}]")

@@ -355,6 +355,14 @@ def comment_line(comment) -> str:
     return f"# {comment}\n"
 
 
+def csv_text(comment, header, rows) -> str:
+    """CSV text: the comment_line of comment, then header and each row of
+    rows, their string cells joined by ',' and each line ended in CRLF, as
+    csv.writer writes cells that need no quoting."""
+    lines = (",".join(cells) + "\r\n" for cells in (header, *rows))
+    return comment_line(comment) + "".join(lines)
+
+
 def _data_lines(path) -> list:
     """(physical line number, text) of every data row; rescans the file."""
     with open(path) as fh:
@@ -485,7 +493,7 @@ def _write_dense(path, header, values: np.ndarray, comment) -> None:
     tails = ["".join(f"{i}," for i in ix)
              for ix in itertools.product(*map(range, values.shape[1:]))]
     step = max(1, _WRITE_BLOCK_ROWS // max(1, len(tails)))
-    head = comment_line(comment) + ",".join(header) + "\r\n"
+    head = csv_text(comment, header, ())
     with open(path, "w", newline="") as fh:
         fh.write(head)
         for start in range(0, len(values), step):

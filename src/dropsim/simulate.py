@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import threshold
-from .latency import FleetSpec, comment_line
-from .stats import RngStream, StreamGenerator
+from .latency import FleetSpec, csv_text
+from .stats import RngStream, StreamGenerator, add_in_order
 
 __all__ = [
     "SimConfig",
@@ -141,7 +141,7 @@ class SweepPoint:
 # The block engine. Every simulation path draws and evaluates (B, N, M)
 # blocks of iterations. Each iteration draws from its own stream address
 # (each worker of a mixed fleet from its own), and run totals are added in
-# iteration order, so no output depends on the block size or thread count.
+# iteration order, so no output depends on the block size.
 # ---------------------------------------------------------------------------
 
 # Latency samples per block; bounds the engine's temporaries to a few MB.
@@ -234,20 +234,13 @@ def _evaluate(times: np.ndarray, tau: Optional[float], t_comm,
                           mean_completed, s_eff)
 
 
-def _add_in_order(totals: np.ndarray, block: IterationBlock) -> np.ndarray:
-    """totals + each iteration's (step_base, step_drop, mean_completed, s_eff),
-    added one iteration at a time; np.sum would add pairwise and change bits."""
-    rows = np.column_stack([block.step_base, block.step_drop, block.mean_completed,
-                            block.s_eff])
-    return np.cumsum(np.vstack([totals, rows]), axis=0)[-1]
-
-
 def _fold(blocks, n: int, m: int, tau, iterations: int, on_block=None) -> RunStats:
     """RunStats over (first iteration, IterationBlock) pairs; on_block, when
     given, is called with each pair as it is folded."""
     totals = np.zeros(4)
     for first, block in blocks:
-        totals = _add_in_order(totals, block)
+        totals = add_in_order(totals, np.column_stack(
+            [block.step_base, block.step_drop, block.mean_completed, block.s_eff]))
         if on_block is not None:
             on_block(first, block)
     sum_base, sum_drop, sum_completed, sum_seff = totals.tolist()
@@ -352,7 +345,7 @@ def run_records_csv(config: SimConfig, fh, comment: Optional[str] = None) -> Run
     The text is what write_records_csv writes for run_detailed(config).records
     and comment; no trace is built.
     """
-    fh.write(_records_head(comment))
+    fh.write(csv_text(comment, RECORDS_HEADER, ()))
     return _fold(_simulated_blocks(config, RngStream(config.seed, 0)), config.fleet.n,
                  config.m_per_step, config.tau, config.iterations,
                  lambda first, block: fh.write(_records_text(
@@ -365,9 +358,9 @@ def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
 
     comm_times holds one time per iteration, or one for all. The inputs must
     pass threshold.TraceTensor's checks and tau SimConfig's (None or a
-    number > 0); ValueError otherwise. The measured s_eff equals the
-    threshold module's Algorithm evaluation of the same trace up to floating
-    rounding; used as the cross-check oracle.
+    number > 0); ValueError otherwise. The measured s_eff and drop_rate
+    equal, bit for bit, the threshold module's curve at tau for the same
+    trace; used as the cross-check oracle.
     """
     _check_tau(tau)
     checked = threshold.TraceTensor(trace, np.broadcast_to(comm_times, np.shape(trace)[:1]))
@@ -392,30 +385,18 @@ def auto_tau(config: SimConfig, warmup_iterations: int,
     return threshold._select(cum, np.full(warmup_iterations, config.t_comm), None).tau_star
 
 
-def _sweep_point_stats(template: SimConfig, n: int, tau_policy,
-                       warmup_iterations: int, root: RngStream):
-    """One sweep point: optional warmup threshold search, then the run."""
-    cfg = dataclasses.replace(template, tau=None,
-                              fleet=FleetSpec.homogeneous(n, template.fleet.workers[0]))
-    # Distinct sub-streams for the warmup trace and the measured run; keyed
-    # by N so points are independent of each other and of execution order.
-    tau = tau_policy
-    if tau_policy == "auto":
-        tau = auto_tau(cfg, warmup_iterations, rng=root.derive(n, 0))
-    return tau, run(dataclasses.replace(cfg, tau=tau), rng=root.derive(n, 1))
-
-
 def scale_sweep(template: SimConfig, n_list, tau_policy="auto",
                 warmup_iterations: int = 100, max_workers: int = 1) -> list:
     """Repeat the experiment across fleet sizes.
 
     tau_policy: None runs the no-drop baseline only; a float fixes tau for
     every N; "auto" selects tau per N from a warmup trace with the
-    decentralized threshold search. The points run on max_workers (>= 1)
-    threads. Per-N randomness is derived from the template seed and N, and
-    results are assembled in n_list order, so the output is identical at
-    any max_workers. The linear-scaling reference extrapolates the smallest
-    fleet's baseline throughput.
+    decentralized threshold search. Per-N randomness is derived from the
+    template seed and N, and the points run one after another, in n_list
+    order, on the calling thread. max_workers is checked (>= 1) but runs
+    nothing in parallel: it stays for callers that still pass it. The
+    linear-scaling reference extrapolates the smallest fleet's baseline
+    throughput.
     """
     n_list = list(n_list)
     if not n_list:
@@ -427,24 +408,18 @@ def scale_sweep(template: SimConfig, n_list, tau_policy="auto",
     if max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers!r}")
     root = RngStream(template.seed, 0)
-
-    def point(n):
-        return _sweep_point_stats(template, n, tau_policy, warmup_iterations, root)
-
-    # One thread runs the points itself: a pool thread allocates from its own
-    # glibc malloc arena, which raised perfbench fleet-sim's peak RSS from 81
-    # to 99.5 MB (2-core x86-64 VM, one thread either way).
-    if max_workers == 1:
-        results = list(map(point, n_list))
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(point, n_list))
-
-    base_rate = results[0][1].throughput_base / n_list[0]
     points = []
-    for n, (tau, stats) in zip(n_list, results):
+    for n in n_list:
+        cfg = dataclasses.replace(template, tau=None,
+                                  fleet=FleetSpec.homogeneous(n, template.fleet.workers[0]))
+        # Distinct sub-streams for the warmup trace and the measured run,
+        # keyed by N so that points are independent of each other.
+        tau = tau_policy
+        if tau_policy == "auto":
+            tau = auto_tau(cfg, warmup_iterations, rng=root.derive(n, 0))
+        stats = run(dataclasses.replace(cfg, tau=tau), rng=root.derive(n, 1))
+        if not points:
+            base_rate = stats.throughput_base / n
         points.append(SweepPoint(
             n_workers=n,
             tau=tau,
@@ -578,17 +553,14 @@ def _records_text(first: int, compute_times, stop_times, completed) -> str:
     return "".join(cells)
 
 
-def _records_head(comment: Optional[str]) -> str:
-    return comment_line(comment) + ",".join(RECORDS_HEADER) + "\r\n"
-
-
 def write_records_csv(path, records: IterationBlock, comment: Optional[str] = None) -> None:
     """Per-iteration, per-worker records: an optional ``# comment`` line, the
     header iteration,worker,T_n,stop_time,completed, then one row per worker
     of each row (iteration) of records, with the csv module's CRLF line ends
     and the repr of each time, so floats round-trip.
     """
-    head = _records_head(comment)  # a bad comment raises before the file is opened
+    # a bad comment raises before the file is opened
+    head = csv_text(comment, RECORDS_HEADER, ())
     with open(path, "w", newline="") as fh:
         fh.write(head)
         for first in range(0, len(records.s_eff), _RECORDS_CHUNK):

@@ -1,6 +1,7 @@
 """Numerical kernels shared by every other module.
 
-Standard normal CDF and quantile, and addressable random number streams.
+Standard normal CDF and quantile, addressable random number streams, and
+the in-order sum that run and curve totals are added with.
 The CDF routes through the standard library's erfc and the quantile through
 its ``NormalDist``, so both are testable against independent quadrature and
 bisection oracles.
@@ -20,6 +21,7 @@ __all__ = [
     "philox_generator",
     "phi_cdf",
     "phi_inv",
+    "add_in_order",
 ]
 
 # Euler-Mascheroni constant, the double nearest to it.
@@ -29,6 +31,21 @@ _SQRT2 = math.sqrt(2.0)
 _ERFC = np.vectorize(math.erfc, otypes=[float])
 
 _MASK64 = (1 << 64) - 1
+
+
+def add_in_order(totals: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """totals plus each row of rows, added one row at a time in order, so a
+    sum taken block by block has the bits of one taken whole.
+
+    numpy's reduction adds pairwise along the fast axis in memory and row by
+    row across it (np.sum's notes), so it keeps the order when totals holds
+    two or more values. A single column takes np.cumsum, which always adds
+    in order but took about 7 times as long on a (1017, 257) block.
+    """
+    stacked = np.concatenate(([totals], rows))
+    if totals.size < 2:
+        return np.cumsum(stacked, axis=0)[-1]
+    return np.add.reduce(stacked, axis=0)
 
 
 def _splitmix64(x: int) -> int:

@@ -9,14 +9,13 @@ threshold without further coordination.
 """
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .latency import comment_line
+from .latency import csv_text
+from .stats import add_in_order
 
 __all__ = [
     "TraceTensor",
@@ -157,11 +156,10 @@ def select_threshold(trace: TraceTensor,
     largest tau (fewest drops).
 
     The curve is evaluated over blocks of iterations, and each block's rows
-    are added to running totals one iteration at a time, in order: numpy's
-    mean(axis=0) adds the rows of a C-order (I, G) array with G >= 2 in that
-    order, so the curve is bit for bit the one from whole (I, G) arrays
-    while the working memory stays bounded. numpy sums a single column
-    pairwise instead, so a one-point grid takes all iterations in one block.
+    are added to running totals one iteration at a time, in order, as the
+    simulator adds its run totals: every point, for any grid size, is bit
+    for bit the s_eff and drop_rate of simulate.run_from_trace at that tau,
+    while the working memory stays bounded.
     """
     return _select(np.cumsum(trace.latencies, axis=2), trace.comm_times, grid)
 
@@ -184,16 +182,14 @@ def _select(cum: np.ndarray, comm: np.ndarray,
     step_base = step_compute + comm
 
     block = max(1, _BLOCK_CELLS // max(grid.size + 1, n * m))
-    if grid.size == 1:
-        block = iters  # its (I, 1) arrays are no larger than the trace
-    totals = [np.empty((0, grid.size))] * 3
+    totals = [np.zeros(grid.size)] * 3
     for lo in range(0, iters, block):
         at = slice(lo, lo + block)
         mean_completed = _mean_completed(cum[at], grid)  # (block, G)
         denom = np.minimum(grid[None, :], step_compute[at, None]) + comm[at, None]
         ratio = step_base[at, None] / denom  # per-iteration step speedup
         s_per_iter = ratio * (mean_completed / m)
-        totals = [np.vstack((total, rows)).sum(axis=0) for total, rows in
+        totals = [add_in_order(total, rows) for total, rows in
                   zip(totals, (s_per_iter, mean_completed, ratio))]
     s_total, completed_total, ratio_total = totals
 
@@ -214,13 +210,7 @@ def _select(cum: np.ndarray, comm: np.ndarray,
 def format_curve_csv(result: ThresholdSearchResult,
                      comment: Optional[str] = None) -> str:
     """The curve as CSV text: optional '# comment' line, header, one row per tau."""
-    buf = io.StringIO()
-    buf.write(comment_line(comment))
-    writer = csv.writer(buf)
-    writer.writerow(CURVE_HEADER)
-    for row in result.curve:
-        writer.writerow([repr(v) for v in row])
-    return buf.getvalue()
+    return csv_text(comment, CURVE_HEADER, (map(repr, row) for row in result.curve))
 
 
 def write_curve_csv(path, result: ThresholdSearchResult,

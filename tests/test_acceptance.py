@@ -55,7 +55,7 @@ def test_criterion_02_expected_max_vs_mc():
     for n in (8, 64, 512, 2048):
         sums = gen.normal(12.0, 0.1 * math.sqrt(12), (50_000, n))
         mc = float(sums.max(axis=1).mean())
-        an = ds.expected_max_time(ds.GaussianStepModel(1.0, 0.1, 12, n, 0.0))
+        an = ds.expected_max_time(1.0, 0.1, 12, n)
         worst = max(worst, abs(an - mc) / mc)
     _report(2, worst <= 0.03,
             f"expected-max approximation vs MC, worst rel {worst:.2e}", t0, 30)
@@ -66,7 +66,7 @@ def test_criterion_03_sqrt_log_growth():
     t0 = time.time()
     ns = [2 ** k for k in range(3, 13)]
     x = np.sqrt(np.log(ns))
-    y = np.array([ds.expected_max_time(ds.GaussianStepModel(1.0, 0.1, 12, n, 0.5))
+    y = np.array([ds.expected_max_time(1.0, 0.1, 12, n, 0.5)
                   - 12.0 - 0.5 for n in ns])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)

@@ -16,12 +16,10 @@ from dropsim.stats import RngStream
 
 class TestExpectedMaxTime:
     def test_deterministic_fleet(self):
-        model = ds.GaussianStepModel(1.0, 0.0, 12, 64, 0.5)
-        assert ds.expected_max_time(model) == pytest.approx(12.5)
+        assert ds.expected_max_time(1.0, 0.0, 12, 64, 0.5) == pytest.approx(12.5)
 
     def test_single_worker(self):
-        model = ds.GaussianStepModel(1.0, 0.1, 12, 1, 0.5)
-        assert ds.expected_max_time(model) == pytest.approx(12.5)
+        assert ds.expected_max_time(1.0, 0.1, 12, 1, 0.5) == pytest.approx(12.5)
 
     def test_blended_probit_arithmetic(self):
         # Direct composition of the published approximation.
@@ -29,28 +27,26 @@ class TestExpectedMaxTime:
         expected = 12.0 + math.sqrt(12 * 0.01) * (
             (1 - EULER_GAMMA) * phi_inv(1 - 1 / n) + EULER_GAMMA * phi_inv(1 - 1 / (math.e * n))
         )
-        model = ds.GaussianStepModel(1.0, 0.1, 12, n, 0.0)
-        assert ds.expected_max_time(model) == pytest.approx(expected, rel=1e-12)
+        assert ds.expected_max_time(1.0, 0.1, 12, n) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [8, 64, 512])
     def test_against_mc_max(self, n):
-        model = ds.GaussianStepModel(1.0, 0.1, 12, n, 0.0)
         gen = RngStream(33, n).generator()
         sums = 12.0 + math.sqrt(12) * 0.1 * gen.standard_normal((50_000, n))
         mc = float(sums.max(axis=1).mean())
-        assert ds.expected_max_time(model) == pytest.approx(mc, rel=0.02)
+        assert ds.expected_max_time(1.0, 0.1, 12, n) == pytest.approx(mc, rel=0.02)
 
     def test_monotone_in_sigma_m_n(self):
-        base = dict(mu=1.0, sigma=0.1, m_per_step=12, n_workers=64, t_comm=0.0)
-        ref = ds.expected_max_time(ds.GaussianStepModel(**base))
-        assert ds.expected_max_time(ds.GaussianStepModel(**{**base, "sigma": 0.2})) > ref
-        assert ds.expected_max_time(ds.GaussianStepModel(**{**base, "m_per_step": 13})) > ref
-        assert ds.expected_max_time(ds.GaussianStepModel(**{**base, "n_workers": 128})) > ref
+        base = dict(mu=1.0, sigma=0.1, m=12, n=64, t_comm=0.0)
+        ref = ds.expected_max_time(**base)
+        assert ds.expected_max_time(**{**base, "sigma": 0.2}) > ref
+        assert ds.expected_max_time(**{**base, "m": 13}) > ref
+        assert ds.expected_max_time(**{**base, "n": 128}) > ref
 
     def test_sqrt_log_growth(self):
         # Quadrupling N twice: the centered excess grows like sqrt(log N).
         def excess(n):
-            return ds.expected_max_time(ds.GaussianStepModel(1.0, 0.1, 12, n, 0.0)) - 12.0
+            return ds.expected_max_time(1.0, 0.1, 12, n) - 12.0
 
         r1 = excess(256) / excess(64)
         r2 = excess(1024) / excess(256)
@@ -58,10 +54,12 @@ class TestExpectedMaxTime:
         assert r2 == pytest.approx(math.sqrt(math.log(1024) / math.log(256)), rel=0.10)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ds.GaussianStepModel(1.0, -0.1, 12, 8, 0.0)
-        with pytest.raises(ValueError):
-            ds.GaussianStepModel(1.0, 0.1, 0, 8, 0.0)
+        with pytest.raises(ValueError, match="sigma must be >= 0"):
+            ds.expected_max_time(1.0, -0.1, 12, 8)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            ds.expected_max_time(1.0, 0.1, 0, 8)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ds.expected_max_time(1.0, 0.1, 12, 0)
 
 
 class TestExpectedCompleted:

@@ -658,7 +658,9 @@ def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, command, doc, seed)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command, doc", [
+# Small runs of every command but synchronous simulate, whose records.csv
+# is written before its summary; doc None stands for a trace.
+_WRITE_CASES = [
     ("simulate --mode local-sgd", _sim_config(workers=2, base=0.1, noise={"kind": "none"},
                                               m=1, tau=None, iterations=20,
                                               local_sgd={"sync_period": 2})),
@@ -666,23 +668,47 @@ def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, command, doc, seed)
     ("scale-sweep", _sim_config(tau=2.5, iterations=5, n_list=[2])),
     ("sgd-bench", {"problem": {"kind": "quadratic"}, "schedule": {"kind": "none", "b_max": 10},
                    "k_total": 100, "seeds": 2}),
-])
+]
+
+
+def _command_argv(tmp_path, command, doc) -> list:
+    """command's arguments but --out, with its input written under tmp_path."""
+    if doc is None:
+        ds.write_trace_csv(str(tmp_path / "trace.csv"), np.full((2, 2, 2), 0.5))
+        return [*command.split(), "--trace", str(tmp_path / "trace.csv")]
+    return [*command.split(), "--config", _write_json(tmp_path / "c.json", doc)]
+
+
+@pytest.mark.parametrize("command, doc", _WRITE_CASES)
 def test_failed_write_leaves_no_directory(tmp_path, monkeypatch, command, doc):
     # Each command makes its output directories for its write alone, so a
     # write that fails removes the directories it made.
-    if doc is None:
-        ds.write_trace_csv(str(tmp_path / "trace.csv"), np.full((2, 2, 2), 0.5))
-        args = ["--trace", str(tmp_path / "trace.csv")]
-    else:
-        args = ["--config", _write_json(tmp_path / "c.json", doc)]
+    argv = _command_argv(tmp_path, command, doc)
 
     def fail(path, text):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "_atomic_write", fail)
     with pytest.raises(OSError, match="disk full"):
-        cli.main([*command.split(), *args, "--out", str(tmp_path / "o" / "deeper")])
+        cli.main([*argv, "--out", str(tmp_path / "o" / "deeper")])
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command, doc", [("simulate", _sim_config(iterations=5)),
+                                          *_WRITE_CASES])
+def test_out_naming_a_file_exits_2(tmp_path, capsys, command, doc, under):
+    # mkdir raises FileExistsError or NotADirectoryError here; either is the
+    # user's path, not a failed run, so it exits 2 and writes nothing.
+    argv = _command_argv(tmp_path, command, doc)
+    blocker = tmp_path / "f"
+    blocker.write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
+    out = blocker / "sub" if under else blocker
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert f"error: {out}: cannot make the output directory: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text() == "kept\n"
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -22,11 +22,11 @@ CASES = {
                             "positive other parameters"),
     "bounded bound inf": (lambda: ds.BoundedLogNormalNoise(4.0, 1.0, 180.0, INF),
                           "positive other parameters"),
-    "step model sigma nan": (lambda: ds.GaussianStepModel(1.0, NAN, 4, 8),
+    "step model sigma nan": (lambda: ds.expected_max_time(1.0, NAN, 4, 8),
                              "sigma must be >= 0"),
-    "step model t_comm nan": (lambda: ds.GaussianStepModel(1.0, 0.1, 4, 8, NAN),
+    "step model t_comm nan": (lambda: ds.expected_max_time(1.0, 0.1, 4, 8, NAN),
                               "t_comm must be >= 0"),
-    "step model mu inf": (lambda: ds.GaussianStepModel(INF, 0.1, 4, 8), "mu must be > 0"),
+    "step model mu inf": (lambda: ds.expected_max_time(INF, 0.1, 4, 8), "mu must be > 0"),
     "speedup t_comm nan": (lambda: ds.expected_speedup(1.0, 0.1, 12, 8, 12.5, t_comm=NAN),
                            "t_comm must be >= 0"),
     "speedup measured_ET negative": (

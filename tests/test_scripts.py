@@ -1,7 +1,8 @@
-"""The example scripts run end to end on tiny inputs and exit 0, so a change
-to the public API they import cannot break them unnoticed."""
+"""The example scripts and README's Python examples run end to end and exit
+0, so a change to the public API they import cannot break them unnoticed."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,14 @@ def test_script_runs(tmp_path, script, args, outputs):
     assert done.returncode == 0, done.stderr
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_readme_python_blocks_run(capsys):
+    # The blocks share one namespace, in order, as a reader would paste them.
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.count("\n") >= 4

@@ -3,6 +3,7 @@ with the closed-form estimators, scaling sweeps, and the Local-SGD variant."""
 
 import dataclasses
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -224,6 +225,18 @@ class TestScaleSweep:
         seq = ds.scale_sweep(template, [4, 8, 16], warmup_iterations=20, max_workers=1)
         par = ds.scale_sweep(template, [4, 8, 16], warmup_iterations=20, max_workers=8)
         assert seq == par
+
+    def test_starts_no_thread(self, monkeypatch):
+        # max_workers is accepted but the points run on the calling thread.
+        template = ds.SimConfig(_heavy_fleet(4), 6, t_comm=0.2, iterations=40, seed=5)
+        seq = ds.scale_sweep(template, [4, 8, 16], warmup_iterations=20, max_workers=1)
+
+        def refuse(thread):
+            raise AssertionError(f"scale_sweep started {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert ds.scale_sweep(template, [4, 8, 16], warmup_iterations=20,
+                              max_workers=4) == seq
 
     def test_rejects_unsorted_n_list(self):
         template = ds.SimConfig(_const_fleet(2), 4, iterations=5)

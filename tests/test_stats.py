@@ -1,5 +1,5 @@
 """Oracle checks for the probability kernel: phi routines against quadrature
-and bisection, and stream addressing."""
+and bisection, stream addressing, and the in-order block sum."""
 
 import math
 
@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from dropsim import RngStream, phi_cdf, phi_inv
-from dropsim.stats import EULER_GAMMA
+from dropsim.stats import EULER_GAMMA, add_in_order
 
 
 def _phi_quad(x: float) -> float:
@@ -145,3 +145,18 @@ class TestRngStream:
         draws = loc + scale * RngStream(seed, 41).generator().standard_normal(n)
         stat = stats.kstest(draws, stats.norm(loc, scale).cdf).statistic
         assert stat <= 1.63 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 257])
+def test_add_in_order_is_a_python_loop_over_rows(width):
+    # Heavy-tailed values, so pairwise and in-order sums differ in their
+    # last bits; blocks of 7 and 100 rows give the bits of one whole loop.
+    rows = RngStream(8, width).generator().lognormal(0.0, 2.0, (700, width))
+    want = np.zeros(width)
+    for row in rows:
+        want = want + row
+    for block in (7, 100, 700):
+        got = np.zeros(width)
+        for lo in range(0, len(rows), block):
+            got = add_in_order(got, rows[lo:lo + block])
+        assert got.tobytes() == want.tobytes()

@@ -178,8 +178,8 @@ class TestInvariants:
         for tau in (3.5, 3.9, 4.1, 4.6):
             curve = ds.select_threshold(trace, [tau])
             replay = ds.run_from_trace(sim.trace, sim.comm_times, tau)
-            assert curve.s_eff[0] == pytest.approx(replay.stats.s_eff, abs=1e-12)
-            assert curve.drop_rate[0] == pytest.approx(replay.stats.drop_rate, abs=1e-12)
+            assert curve.s_eff[0] == replay.stats.s_eff
+            assert curve.drop_rate[0] == replay.stats.drop_rate
 
     def test_selection_on_million_samples_under_five_seconds(self):
         gen = ds.RngStream(13).generator()
@@ -254,17 +254,47 @@ def test_default_grid_is_numpys_inverted_cdf_quantile(trace):
     assert ds.default_grid(trace).tobytes() == expected.tobytes()
 
 
-def _unblocked_curve(trace, grid):
-    """The curve from whole (I, G) arrays, with brute-force counts."""
+@st.composite
+def _trace_and_grid(draw):
+    """A trace of up to 60 iterations, enough for numpy's pairwise sum to
+    differ from an in-order one, and 1 to 8 thresholds, some of them equal
+    to an observed cumulative time."""
+    iters, n, m = (draw(st.integers(min_value=1, max_value=k)) for k in (60, 6, 8))
+    gen = ds.RngStream(draw(st.integers(min_value=0, max_value=2**32)), 201).generator()
+    trace = _random_trace(gen, iters, n, m, heavy=draw(st.booleans()))
     cum = np.cumsum(trace.latencies, axis=2)
-    m = cum.shape[2]
+    tau = st.one_of(st.sampled_from(cum.ravel().tolist()),
+                    st.floats(min_value=0.01, max_value=2.0 * float(cum.max())))
+    return trace, draw(st.lists(tau, min_size=1, max_size=8))
+
+
+@given(_trace_and_grid())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_every_grid_point_is_the_simulator_replay(case):
+    trace, grid = case
+    res = ds.select_threshold(trace, grid)
+    for k, tau in enumerate(res.grid.tolist()):
+        stats = ds.run_from_trace(trace.latencies, trace.comm_times, tau).stats
+        alone = ds.select_threshold(trace, [tau])
+        assert res.s_eff[k] == alone.s_eff[0] == stats.s_eff
+        assert res.drop_rate[k] == alone.drop_rate[0] == stats.drop_rate
+
+
+def _unblocked_curve(trace, grid):
+    """The curve from whole (I, G) arrays, with brute-force counts, each
+    column averaged in iteration order (for G >= 2 the bits of mean(axis=0))."""
+    cum = np.cumsum(trace.latencies, axis=2)
+    iters, _, m = cum.shape
     completed = (cum[..., None] < grid).sum(axis=2).mean(axis=1)
     step_compute = cum[:, :, -1].max(axis=1)
     comm = trace.comm_times
     ratio = (step_compute + comm)[:, None] / (
         np.minimum(grid[None, :], step_compute[:, None]) + comm[:, None])
-    return ((ratio * (completed / m)).mean(axis=0),
-            1.0 - completed.mean(axis=0) / m, ratio.mean(axis=0))
+
+    def mean(x):
+        return np.cumsum(x, axis=0)[-1] / iters
+
+    return (mean(ratio * (completed / m)), 1.0 - mean(completed) / m, mean(ratio))
 
 
 class TestSortedKernel:
@@ -287,8 +317,7 @@ class TestSortedKernel:
         gen = ds.RngStream(18).generator()
         trace = _random_trace(gen, 3000, workers, micro, heavy=True)
         grid = ds.default_grid(trace) if grid is None else grid
-        # Tall enough for several blocks of iterations. A one-point grid
-        # takes them in one, since numpy sums an (I, 1) column pairwise.
+        # Tall enough for several blocks of iterations, whatever the grid size.
         assert 3000 > threshold._BLOCK_CELLS // max(grid.size + 1, workers * micro)
         res = ds.select_threshold(trace, grid)
         for got, want in zip((res.s_eff, res.drop_rate, res.step_speedup),
