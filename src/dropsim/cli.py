@@ -305,13 +305,14 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(
             config, tau=auto_tau(config, cfg["warmup_iterations"]))
 
-    # The run happens while records.csv is written, so a run that raises
-    # must not leave the output directory behind.
+    # The run happens while records.csv is written, and summary.json is
+    # written before records.csv is renamed into place, so a run or a write
+    # that raises leaves neither file nor the output directory behind.
     config_hash = _config_hash(doc)
     with _new_out_dir(args) as out, _atomic_open(out / "records.csv") as fh:
         stats = run_records_csv(config, fh, _stamp(config_hash))
-    summary = stats_to_json(stats, config_hash=config_hash, version=__version__)
-    _atomic_write(out / "summary.json", summary + "\n")
+        summary = stats_to_json(stats, config_hash=config_hash, version=__version__)
+        _atomic_write(out / "summary.json", summary + "\n")
     print(f"s_eff {stats.s_eff:.4f}, drop rate {stats.drop_rate:.4f}, "
           f"mean step {stats.mean_step_drop:.4f}s")
     return 0

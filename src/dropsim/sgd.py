@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .simulate import SimConfig, simulate_block
+from .simulate import SimConfig, _block_len, simulate_block
 from .stats import RngStream
 
 __all__ = [
@@ -336,17 +336,29 @@ class BatchSchedule:
             if self.b_max % grains != 0:
                 raise ValueError("b_max must be a multiple of N * M micro-batches")
 
-    def draw(self, step: int, n_runs: int, gen, rng: RngStream) -> np.ndarray:
-        """Batch sizes for one step across n_runs independent runs."""
+    def draw(self, step: int, n_runs: int, gen, rng: RngStream,
+             count: Optional[int] = None) -> np.ndarray:
+        """Batch sizes for one step across n_runs independent runs, shape
+        (n_runs,); with count, for steps step .. step + count - 1, shape
+        (count, n_runs).
+
+        Row k of a count-step draw equals draw(step + k, ...) called in
+        order, bit for bit: gen is read in the same order either way, and
+        run r's timing-driven step s is iteration 0 of its own stream
+        rng.derive(s, r), so one engine call draws the whole block.
+        """
+        rows = 1 if count is None else count
         if self.kind == "none":
-            return np.full(n_runs, self.b_max, dtype=np.int64)
-        if self.kind == "per_worker_bernoulli":
-            kept = gen.binomial(self.n_workers, 1.0 - self.p_drop, n_runs)
-            return kept * (self.b_max // self.n_workers)
-        # Run r's step is iteration 0 of stream rng.derive(step, r).
-        per_micro = self.b_max // (self.sim.fleet.n * self.sim.m_per_step)
-        block = simulate_block(self.sim, rng, step, np.arange(n_runs), 0)
-        return per_micro * block.completed.sum(axis=1)
+            out = np.full((rows, n_runs), self.b_max, dtype=np.int64)
+        elif self.kind == "per_worker_bernoulli":
+            kept = gen.binomial(self.n_workers, 1.0 - self.p_drop, (rows, n_runs))
+            out = kept * (self.b_max // self.n_workers)
+        else:
+            per_micro = self.b_max // (self.sim.fleet.n * self.sim.m_per_step)
+            block = simulate_block(self.sim, rng, np.repeat(np.arange(step, step + rows), n_runs),
+                                   np.tile(np.arange(n_runs), rows), 0)
+            out = per_micro * block.completed.sum(axis=1).reshape(rows, n_runs)
+        return out[0] if count is None else out
 
 
 @dataclass(frozen=True)
@@ -396,6 +408,14 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
     exactly (the final batch is clipped), so sum(alpha_i) = K holds per run.
     Returns (theta_bar, theta_sampled, theta_final, eta, steps), each array
     (n_runs, d), plus the per-run iterate history when store_iterates.
+
+    Steps run in blocks: one schedule draw and one call for the pick
+    uniforms per block, with the clipped batches, the cumulative batch and
+    the pick mask taken as array ops, so only the theta-dependent work runs
+    step by step. No block runs past the step where the slowest run could
+    first reach K, and each stream is read in step order whatever the block
+    length, so the results are those of drawing one step at a time, bit for
+    bit.
     """
     if k_total < schedule.b_max:
         raise ValueError("k_total must be at least b_max")
@@ -427,46 +447,61 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
     pick_gen = root.derive(3).generator()
     batch_rng = root.derive(4)  # timing_driven sub-streams
 
-    cum = np.zeros(n_runs)
-    wsum = np.zeros(n_runs)
+    k_int = int(k_total)
+    cum = np.zeros(n_runs, dtype=np.int64)
     wavg = np.zeros((n_runs, d))
     pick = theta.copy()
     history = [] if store_iterates else None
     weights_hist = [] if store_iterates else None
 
     max_steps = _MAX_STEP_FACTOR * int(math.ceil(k_total / schedule.b_max)) + 8
+    # Steps per draw call, at least one: the engine's cap on one block's
+    # samples, where a timing-driven step draws n_runs * N * M latencies.
+    grains = (schedule.sim.fleet.n * schedule.sim.m_per_step
+              if schedule.kind == "timing_driven" else 1)
+    max_block = _block_len(n_runs, grains)
     fixed_rate = lr_internal / float(schedule.b_max)
     step = 0
-    while (cum < k_total).any():
+    while (cum < k_int).any():
         if step >= max_steps:
             raise RuntimeError("schedule failed to deliver K samples in the step budget")
+        # The slowest run needs at least this many more steps, so the loop
+        # takes every step of the block: none is drawn and thrown away.
+        count = min(-(-(k_int - int(cum.min())) // schedule.b_max), max_block,
+                    max_steps - step)
         # Batches are clipped to what is left of K, so a finished run has
-        # cum == k_total exactly and its clip is 0.
-        b = np.minimum(schedule.draw(step, n_runs, batch_gen, batch_rng),
-                       (k_total - cum).astype(np.int64))
-
+        # cum == K exactly and its batch is 0.
+        cums = schedule.draw(step, n_runs, batch_gen, batch_rng, count)
+        np.cumsum(cums, axis=0, out=cums)
+        cums += cum
+        np.minimum(cums, k_int, out=cums)
+        b = np.diff(cums, axis=0, prepend=cum[None])
+        cum = cums[-1].copy()
         w = b.astype(float)
-        wavg += w[:, None] * theta
-        wsum += w
-        u = pick_gen.random(n_runs)
-        np.copyto(pick, theta, where=((wsum > 0.0) & (u * wsum < w))[:, None])
-        if store_iterates:
-            history.append(theta.copy())
-            weights_hist.append(w)
+        # The weights are whole numbers, so cums is their running sum, exactly,
+        # in float too; where it is 0 so is w, and no pick is taken.
+        picked = (pick_gen.random((count, n_runs)) * cums < w)[:, :, None]
+        if normalization == "actual_batch":
+            denom = np.where(b > 0, b, 1).astype(float)[:, :, None]
+        for s in range(count):
+            wavg += w[s, :, None] * theta
+            np.copyto(pick, theta, where=picked[s])
+            if store_iterates:
+                history.append(theta.copy())
+                weights_hist.append(w[s])
+            d_sum = problem.grad_sum(theta, b[s], noise_gen)
+            if normalization == "fixed_bmax":
+                d_sum *= fixed_rate
+            else:
+                d_sum *= lr_internal
+                d_sum /= denom[s]
+            theta -= d_sum
+        step += count
 
-        d_sum = problem.grad_sum(theta, b, noise_gen)
-        if normalization == "fixed_bmax":
-            d_sum *= fixed_rate
-        else:
-            d_sum *= lr_internal
-            d_sum /= np.where(b > 0, b, 1).astype(float)[:, None]
-        theta -= d_sum
-        cum += b
-        step += 1
-
-    theta_bar = wavg / wsum[:, None]
+    realized_k = cum.astype(float)
+    theta_bar = wavg / realized_k[:, None]
     out = dict(theta_bar=theta_bar, theta_sampled=pick, theta_final=theta,
-               eta=eta, steps=step, realized_k=cum)
+               eta=eta, steps=step, realized_k=realized_k)
     if store_iterates:
         out["iterates"] = np.stack(history, axis=1)  # (n_runs, steps, d)
         out["weights"] = np.stack(weights_hist, axis=1)  # (n_runs, steps)

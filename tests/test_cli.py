@@ -658,8 +658,8 @@ def test_seed_flag_outside_64_bits_exits_2(tmp_path, capsys, command, doc, seed)
     assert not (tmp_path / "o").exists()
 
 
-# Small runs of every command but synchronous simulate, whose records.csv
-# is written before its summary; doc None stands for a trace.
+# Small runs of every command but synchronous simulate, which
+# test_out_naming_a_file_exits_2 lists first; doc None stands for a trace.
 _WRITE_CASES = [
     ("simulate --mode local-sgd", _sim_config(workers=2, base=0.1, noise={"kind": "none"},
                                               m=1, tau=None, iterations=20,
@@ -679,10 +679,13 @@ def _command_argv(tmp_path, command, doc) -> list:
     return [*command.split(), "--config", _write_json(tmp_path / "c.json", doc)]
 
 
-@pytest.mark.parametrize("command, doc", _WRITE_CASES)
+@pytest.mark.parametrize("command, doc", [*_WRITE_CASES,
+                                          ("simulate", _sim_config(iterations=5))])
 def test_failed_write_leaves_no_directory(tmp_path, monkeypatch, command, doc):
-    # Each command makes its output directories for its write alone, so a
-    # write that fails removes the directories it made.
+    # Each command makes its output directories for its writes alone, so a
+    # write that fails removes the directories it made. Synchronous simulate
+    # streams records.csv first; its failed summary write must take the
+    # records with it.
     argv = _command_argv(tmp_path, command, doc)
 
     def fail(path, text):

@@ -8,13 +8,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import optimize
 from scipy import stats as sps
 
 import dropsim as ds
+from dropsim import sgd, simulate
 from dropsim.sgd import (
     _logistic_hessian,
     convex_bound_rhs,
@@ -551,3 +554,205 @@ class TestTimingDrivenSchedule:
         rep = ds.verify_convex_bound(prob, sched, 20_000, seeds=10, seed=2)
         assert rep.passed
         assert rep.schedule_kind == "timing_driven"
+
+
+# ---------------------------------------------------------------------------
+# Blocks of steps: run_many draws a block's batches and pick uniforms in one
+# call each; these oracles draw and clip one step at a time.
+# ---------------------------------------------------------------------------
+
+def _draw_one_step(schedule, step, n_runs, gen, rng):
+    """One step's batches, one call per step: a binomial per run, or
+    iteration 0 of run r's own stream rng.derive(step, r)."""
+    if schedule.kind == "none":
+        return np.full(n_runs, schedule.b_max, dtype=np.int64)
+    if schedule.kind == "per_worker_bernoulli":
+        kept = gen.binomial(schedule.n_workers, 1.0 - schedule.p_drop, n_runs)
+        return kept * (schedule.b_max // schedule.n_workers)
+    per_micro = schedule.b_max // (schedule.sim.fleet.n * schedule.sim.m_per_step)
+    block = simulate.simulate_block(schedule.sim, rng, step, np.arange(n_runs), 0)
+    return per_micro * block.completed.sum(axis=1)
+
+
+def _run_many_per_step(problem, schedule, k_total, eta_mode, normalization, rng, n_runs):
+    """run_many(..., store_iterates=True) as one loop over steps: each step
+    draws its batches and pick uniforms and clips, sums and picks on its own."""
+    if eta_mode in ("convex_theorem", "nonconvex_theorem"):
+        eta = ds.theorem_step_size(problem, schedule, k_total, eta_mode)
+        lr_internal = eta * schedule.b_max
+    else:
+        eta = lr_internal = float(eta_mode)
+    theta = np.tile(np.asarray(problem.theta1, dtype=float), (n_runs, 1))
+    batch_gen = rng.derive(1).generator()
+    noise_gen = rng.derive(2).generator()
+    pick_gen = rng.derive(3).generator()
+    batch_rng = rng.derive(4)
+    cum = np.zeros(n_runs)
+    wsum = np.zeros(n_runs)
+    wavg = np.zeros((n_runs, problem.dimension))
+    pick = theta.copy()
+    history, weights_hist = [], []
+    max_steps = sgd._MAX_STEP_FACTOR * int(math.ceil(k_total / schedule.b_max)) + 8
+    step = 0
+    while (cum < k_total).any():
+        if step >= max_steps:
+            raise RuntimeError(f"step budget ran out at step {step}")
+        b = np.minimum(_draw_one_step(schedule, step, n_runs, batch_gen, batch_rng),
+                       (k_total - cum).astype(np.int64))
+        w = b.astype(float)
+        wavg += w[:, None] * theta
+        wsum += w
+        u = pick_gen.random(n_runs)
+        np.copyto(pick, theta, where=((wsum > 0.0) & (u * wsum < w))[:, None])
+        history.append(theta.copy())
+        weights_hist.append(w)
+        d_sum = problem.grad_sum(theta, b, noise_gen)
+        if normalization == "fixed_bmax":
+            d_sum *= lr_internal / float(schedule.b_max)
+        else:
+            d_sum *= lr_internal
+            d_sum /= np.where(b > 0, b, 1).astype(float)[:, None]
+        theta -= d_sum
+        cum += b
+        step += 1
+    return dict(theta_bar=wavg / wsum[:, None], theta_sampled=pick, theta_final=theta,
+                eta=eta, steps=step, realized_k=cum,
+                iterates=np.stack(history, axis=1), weights=np.stack(weights_hist, axis=1))
+
+
+_BLOCK_QUAD = ds.SgdProblem.quadratic(dimension=3, sigma=2.0, distance=4.0)
+_BLOCK_LOGISTIC = ds.SgdProblem.logistic_synthetic(dimension=3, n_samples=32,
+                                                   sin_amplitude=0.05)
+_MIXED_FLEET = ds.FleetSpec((ds.WorkerLatencyModel(0.3, ds.NormalNoise(0.0, 0.1)),
+                             ds.WorkerLatencyModel(0.2, ds.ExponentialNoise(0.2)),
+                             ds.WorkerLatencyModel(0.25, ds.LogNormalNoise(-2.0, 0.5))))
+_BLOCK_SCHEDULES = {
+    "none": ds.BatchSchedule(12),
+    "bernoulli": ds.BatchSchedule(12, kind="per_worker_bernoulli", n_workers=4, p_drop=0.3),
+    "timing": ds.BatchSchedule(12, kind="timing_driven", sim=ds.SimConfig(
+        ds.FleetSpec.homogeneous(2, ds.WorkerLatencyModel(
+            0.25, ds.LogNormalNoise(-1.5, 0.6))), 2, 0.1, 0.6, 1, 4)),
+    "timing-mixed": ds.BatchSchedule(18, kind="timing_driven", sim=ds.SimConfig(
+        _MIXED_FLEET, 2, 0.1, 0.55, 1, 4)),
+}
+
+
+def _recording_draws(calls):
+    """BatchSchedule.draw, appending each call's (step, count) to calls."""
+    draw = ds.BatchSchedule.draw
+
+    def recorded(self, step, n_runs, gen, rng, count=None):
+        calls.append((step, count))
+        return draw(self, step, n_runs, gen, rng, count)
+    return recorded
+
+
+def _assert_same_run(got, want):
+    assert got["eta"] == want["eta"]
+    assert got["steps"] == want["steps"]
+    for key in ("theta_bar", "theta_sampled", "theta_final", "realized_k",
+                "iterates", "weights"):
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+class TestBlocksOfSteps:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(sorted(_BLOCK_SCHEDULES)),
+           logistic=st.booleans(),
+           normalization=st.sampled_from(["fixed_bmax", "actual_batch"]),
+           eta_mode=st.sampled_from(["convex_theorem", "nonconvex_theorem", 0.02]),
+           n_runs=st.integers(1, 12),
+           whole=st.integers(1, 30),
+           part=st.integers(0, 17),
+           block_samples=st.sampled_from([1, 24, 100, simulate._BLOCK_SAMPLES]),
+           seed=st.integers(0, 2**32))
+    def test_run_many_is_the_per_step_loop(self, kind, logistic, normalization, eta_mode,
+                                           n_runs, whole, part, block_samples, seed):
+        # block_samples scales the block length down to a step or a few, so
+        # runs end mid-block and on block edges; the oracle draws step by step.
+        schedule = _BLOCK_SCHEDULES[kind]
+        problem = _BLOCK_LOGISTIC if logistic else _BLOCK_QUAD
+        k_total = schedule.b_max * whole + part % schedule.b_max
+        args = (problem, schedule, k_total, eta_mode, normalization,
+                ds.RngStream(seed, 3), n_runs)
+        want = _run_many_per_step(*args)
+        calls = []
+        with mock.patch.object(simulate, "_BLOCK_SAMPLES", block_samples), \
+                mock.patch.object(ds.BatchSchedule, "draw", _recording_draws(calls)):
+            got = run_many(*args, store_iterates=True)
+        _assert_same_run(got, want)
+        # The blocks tile the steps in order, and none is drawn past the end.
+        assert [step for step, _ in calls] == np.cumsum([0] + [c for _, c in calls])[:-1].tolist()
+        assert sum(count for _, count in calls) == want["steps"]
+
+    @pytest.mark.parametrize("k_blocks, extra", [(3, 0), (2, 5)], ids=["edge", "mid-block"])
+    def test_runs_end_on_a_block_edge_and_inside_one(self, k_blocks, extra):
+        # 8 samples a block at 2 runs: 4 steps of b_max 12 a block, so
+        # K = 12 * 12 ends on the third block's last step and K = 8 * 12 + 5
+        # one step into the third block.
+        schedule = _BLOCK_SCHEDULES["none"]
+        k_total = schedule.b_max * 4 * k_blocks + extra
+        args = (_BLOCK_QUAD, schedule, k_total, "convex_theorem", "fixed_bmax",
+                ds.RngStream(8), 2)
+        calls = []
+        with mock.patch.object(simulate, "_BLOCK_SAMPLES", 8), \
+                mock.patch.object(ds.BatchSchedule, "draw", _recording_draws(calls)):
+            got = run_many(*args, store_iterates=True)
+        _assert_same_run(got, _run_many_per_step(*args))
+        assert calls == [(0, 4), (4, 4), (8, 4 if extra == 0 else 1)]
+
+    @pytest.mark.parametrize("block_samples", [24, simulate._BLOCK_SAMPLES])
+    def test_a_schedule_that_never_delivers_fails_at_the_same_step(self, block_samples):
+        # Every micro-batch takes 1.0 and tau is 0.5: nothing ever completes.
+        fleet = ds.FleetSpec.homogeneous(2, ds.WorkerLatencyModel(1.0, ds.NoNoise()))
+        schedule = ds.BatchSchedule(4, kind="timing_driven",
+                                    sim=ds.SimConfig(fleet, 2, 0.0, 0.5, 1, 0))
+        args = (_BLOCK_QUAD, schedule, 40, "convex_theorem", "fixed_bmax",
+                ds.RngStream(1), 3)
+        budget = sgd._MAX_STEP_FACTOR * 10 + 8
+        with pytest.raises(RuntimeError, match=f"at step {budget}$"):
+            _run_many_per_step(*args)
+        calls = []
+        with mock.patch.object(simulate, "_BLOCK_SAMPLES", block_samples), \
+                mock.patch.object(ds.BatchSchedule, "draw", _recording_draws(calls)):
+            with pytest.raises(RuntimeError, match="step budget"):
+                run_many(*args)
+        assert sum(count for _, count in calls) == budget
+
+    @pytest.mark.parametrize("kind", sorted(_BLOCK_SCHEDULES))
+    @pytest.mark.parametrize("n_runs", [1, 5])
+    def test_draw_count_is_that_many_single_draws(self, kind, n_runs):
+        schedule = _BLOCK_SCHEDULES[kind]
+        rng = ds.RngStream(11, 4)
+        block_gen, single_gen, oracle_gen = (ds.RngStream(11, 1).generator() for _ in range(3))
+        block = schedule.draw(3, n_runs, block_gen, rng, 7)
+        assert block.shape == (7, n_runs) and block.dtype == np.int64
+        for k in range(7):
+            single = schedule.draw(3 + k, n_runs, single_gen, rng)
+            assert single.shape == (n_runs,) and single.dtype == np.int64
+            assert np.array_equal(block[k], single)
+            assert np.array_equal(single, _draw_one_step(schedule, 3 + k, n_runs, oracle_gen, rng))
+        # The next draw finds each generator at the same place.
+        assert block_gen.random() == single_gen.random()
+
+    @pytest.mark.parametrize("n_runs, steps_per_call", [(65, 1), (64, 1), (16, 4)])
+    def test_a_timing_block_holds_at_most_the_engine_cap(self, monkeypatch, n_runs,
+                                                         steps_per_call):
+        # 16 workers x 64 micro-batches: 1024 latency samples a run and step,
+        # so 64 or more runs take one step per engine call and 16 runs four.
+        fleet = ds.FleetSpec.homogeneous(16, ds.WorkerLatencyModel(
+            0.01, ds.LogNormalNoise(-6.0, 0.3)))
+        schedule = ds.BatchSchedule(1024, kind="timing_driven",
+                                    sim=ds.SimConfig(fleet, 64, 0.0, 0.6, 1, 2))
+        rows = []
+        engine = sgd.simulate_block
+
+        def recorded(config, rng, *indices):
+            rows.append(len(indices[0]))
+            return engine(config, rng, *indices)
+        monkeypatch.setattr(sgd, "simulate_block", recorded)
+        res = run_many(_BLOCK_QUAD, schedule, 1024 * 9, rng=ds.RngStream(6), n_runs=n_runs)
+        assert rows[0] == n_runs * steps_per_call
+        assert all(r * 1024 <= simulate._BLOCK_SAMPLES or r == n_runs for r in rows)
+        assert sum(rows) == n_runs * res["steps"]

@@ -280,6 +280,54 @@ def test_every_grid_point_is_the_simulator_replay(case):
         assert res.drop_rate[k] == alone.drop_rate[0] == stats.drop_rate
 
 
+@st.composite
+def _selector_traces(draw):
+    """A trace of up to 30 iterations of up to 20 workers and 12 micro-batches."""
+    iters, n, m = (draw(st.integers(min_value=1, max_value=k)) for k in (30, 20, 12))
+    gen = ds.RngStream(draw(st.integers(min_value=0, max_value=2**32)), 202).generator()
+    return _random_trace(gen, iters, n, m, heavy=draw(st.booleans()))
+
+
+# Metamorphic contracts: s_eff depends only on relative times, and floats
+# keep relative times exactly under scaling by powers of two, so the curve
+# must come back bit for bit. These catch an absolute epsilon or floor.
+
+@given(_selector_traces(), st.sampled_from([1, -2, 10]))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_scaling_times_by_a_power_of_two_scales_the_grid_alone(trace, k):
+    scale = 2.0 ** k
+    ref = ds.select_threshold(trace)
+    got = ds.select_threshold(ds.TraceTensor(trace.latencies * scale,
+                                             trace.comm_times * scale))
+    assert got.tau_star == ref.tau_star * scale
+    assert got.grid.tobytes() == (ref.grid * scale).tobytes()
+    for field in ("s_eff", "drop_rate", "step_speedup"):
+        assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+@given(_selector_traces(), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_permuting_workers_leaves_the_curve(trace, seed):
+    perm = ds.RngStream(seed, 203).generator().permutation(trace.shape[1])
+    ref = ds.select_threshold(trace)
+    got = ds.select_threshold(ds.TraceTensor(trace.latencies[:, perm, :], trace.comm_times))
+    assert got.tau_star == ref.tau_star
+    for field in ("grid", "s_eff", "drop_rate", "step_speedup"):
+        assert getattr(got, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+@given(_selector_traces())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_anchor_is_exactly_one_and_drops_fall_along_the_grid(trace):
+    res = ds.select_threshold(trace)
+    step_compute = np.cumsum(trace.latencies, axis=2)[:, :, -1]  # in order, as the grid
+    assert res.grid[-1] == np.nextafter(step_compute.max(), np.inf)
+    assert res.s_eff[-1] == res.step_speedup[-1] == 1.0
+    assert res.drop_rate[-1] == 0.0
+    assert np.all(np.diff(res.drop_rate) <= 0.0)
+    assert np.all(np.diff(res.step_speedup) <= 0.0)
+
+
 def _unblocked_curve(trace, grid):
     """The curve from whole (I, G) arrays, with brute-force counts, each
     column averaged in iteration order (for G >= 2 the bits of mean(axis=0))."""
