@@ -139,21 +139,37 @@ class BoundedLogNormalNoise(NoiseSpec):
         # X = Z / divisor is lognormal with shifted log-mean.
         return self.log_mean - math.log(self.scale_divisor), self.log_std
 
-    def _censored_moment(self, k: int) -> float:
-        """E[min(X, b)^k] = exp(k mu + k^2 s^2 / 2) Phi(z - k s) + b^k Phi(-z),
-        z = (ln b - mu) / s; the tail is Phi(-z), not 1 - Phi(z), so that it
-        keeps its precision where the bound sits far above the median."""
+    def _z(self) -> float:
+        """(ln b - mu) / s: where the bound sits in X's log scale."""
         mu, s = self._scaled_params()
-        z = (math.log(self.bound) - mu) / s
-        return (math.exp(k * mu + 0.5 * (k * s) ** 2) * phi_cdf(z - k * s)
-                + self.bound**k * phi_cdf(-z))
+        return (math.log(self.bound) - mu) / s
+
+    def _partial_moment(self, k: int) -> float:
+        """E[X^k; X < b] = exp(k mu + k^2 s^2 / 2) Phi(z - k s)."""
+        mu, s = self._scaled_params()
+        return math.exp(k * mu + 0.5 * (k * s) ** 2) * phi_cdf(self._z() - k * s)
+
+    def _censored_moment(self, k: int) -> float:
+        """E[min(X, b)^k] = E[X^k; X < b] + b^k Phi(-z); the tail is Phi(-z),
+        not 1 - Phi(z), so that it keeps its precision where the bound sits
+        far above the median."""
+        return self._partial_moment(k) + self.bound**k * phi_cdf(-self._z())
 
     def mean(self):
         return self._censored_moment(1)
 
     def variance(self):
-        m1 = self._censored_moment(1)
-        return self._censored_moment(2) - m1 * m1
+        z = self._z()
+        if z >= 0.0:
+            m1 = self._censored_moment(1)
+            return self._censored_moment(2) - m1 * m1
+        # Below the median min(X, b) = b - W with W = (b - X)+, which is
+        # mostly 0: E[W]^2 is small next to E[W^2], so Var W does not cancel
+        # as m2 - m1^2 does when nearly all the mass sits at b.
+        b, below = self.bound, phi_cdf(z)
+        w1 = b * below - self._partial_moment(1)
+        w2 = b * (b * below - 2.0 * self._partial_moment(1)) + self._partial_moment(2)
+        return w2 - w1 * w1
 
 
 @dataclass(frozen=True)
@@ -363,6 +379,151 @@ def csv_text(comment, header, rows) -> str:
     return comment_line(comment) + "".join(lines)
 
 
+# ---------------------------------------------------------------------------
+# CSV rows built in numpy. A column of cells is a (width, n) uint8 array:
+# its column r holds the ASCII text of row r's cell, padded with 0 bytes
+# that csv_rows drops.
+# ---------------------------------------------------------------------------
+
+_POW10 = np.array([float(10**k) for k in range(22)])
+_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
+# Veltkamp's split of each power of ten into two halves of at most 26 bits,
+# so that their products with the halves of a double are exact.
+_SPLIT = 2.0**27 + 1.0
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_EXPONENT = np.uint64(0x7FF << 52)
+
+
+def _digits(v: np.ndarray, width: int) -> np.ndarray:
+    """(width, n) uint8 decimal digits of the int64 array v < 10**width,
+    most significant first, taken in uint32 chunks of nine digits."""
+    out = np.empty((width, v.size), np.uint8)
+    q = np.empty(v.size, np.uint32)
+    for stop in range(width, 0, -9):
+        start = max(stop - 9, 0)
+        if start:
+            high = v // 10 ** (stop - start)
+            chunk, v = (v - high * 10 ** (stop - start)).astype(np.uint32), high
+        else:
+            chunk = v.astype(np.uint32)
+        for row in range(stop - 1, start - 1, -1):
+            np.floor_divide(chunk, 10, out=q)
+            np.subtract(chunk, q * np.uint32(10), out=out[row], casting="unsafe")
+            chunk, q = q, chunk
+    return out
+
+
+def _ascii(digits: np.ndarray, rows) -> np.ndarray:
+    """Turn digits into ASCII in place; zeros that come before the first
+    nonzero digit in the order of rows stay 0 padding, except the last row's."""
+    seen = digits.copy()
+    for prev, row in zip(rows, rows[1:]):
+        np.bitwise_or(seen[row], seen[prev], out=seen[row])
+    seen[rows[-1]] = 1
+    return np.add(digits, ord("0"), out=digits, where=seen != 0)
+
+
+def int_cells(v) -> np.ndarray:
+    """Cells of the decimal text of the non-negative integers v, flattened."""
+    v = np.asarray(v, dtype=np.int64).ravel()
+    width = len(str(int(v.max()))) if v.size else 1
+    return _ascii(_digits(v, width), range(width))
+
+
+def _scaled(x: np.ndarray, k: np.ndarray):
+    """x * 10**k (k <= 21) as an int64 floor and a fraction, both exact:
+    Dekker's product p + err is x * 10**k exactly, and p is an integer."""
+    p = x * _POW10[k]
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    err = ((hi * _POW10_HI[k] - p) + hi * _POW10_LO[k] + lo * _POW10_HI[k]) \
+        + lo * _POW10_LO[k]
+    down = np.floor(err)
+    return p.astype(np.int64) + down.astype(np.int64), err - down
+
+
+def float_cells(x) -> np.ndarray:
+    """Cells of repr(v) for each v of the float array x, flattened.
+
+    repr writes v in [1e-4, 1e16) in fixed notation as the shortest decimal
+    that reads back as v, and of those the nearest to v. Here that is found
+    in numpy. With E = floor(log10 v), let F + f be v * 10**(16 - E), F its
+    17-digit integer part and f its fraction, both exact. Every double
+    within h = spacing(v) / 2 * 10**(16 - E) of v reads back as v. A decimal
+    of 15 significant digits or fewer reads back exactly (DBL_DIG is 15), so
+    at most one lies this close to v: the nearest 15-digit one, if any. If
+    none does, the nearest 16-digit one is taken if it is within h, else the
+    nearest 17-digit one, which always is.
+
+    Three facts keep this exact. In this range v * 10**(16 - E) is a
+    multiple of 2**-46, so f and the distances to the candidates, all below
+    128, are exact doubles, and no comparison with h needs a margin. A power
+    of two has half the gap below it that it has above, but each one in the
+    range is a decimal of at most 16 digits, taken at distance 0. An exact
+    tie between the two nearest 16- or 17-digit decimals is left to repr,
+    as are 0.0, negative, non-finite and other out-of-range values; each of
+    those calls repr once.
+    """
+    x = np.asarray(x, dtype=np.float64).ravel()
+    fast = (x >= 1e-4) & (x < 1e16)
+    # Out-of-range values are formatted as 1.5 here and overwritten below.
+    v = np.where(fast, x, 1.5)
+    e = np.floor(np.log10(v)).astype(np.int64)
+    big, f = _scaled(v, 16 - e)
+    # log10 can be one off next to a power of ten: F shows it.
+    off = (big >= 10**17).astype(np.int64) - (big < 10**16)
+    redo = np.flatnonzero(off)
+    if redo.size:
+        e[redo] += off[redo]
+        big[redo], f[redo] = _scaled(v[redo], 16 - e[redo])
+    # 2**floor(log2 v) * 2**-53 is half of v's spacing.
+    h = (v.view(np.uint64) & _EXPONENT).view(np.float64) * (2.0**-53 * _POW10[16 - e])
+    q10, q100 = big // 10, big // 100
+    r10 = (big - q10 * 10) + f
+    r100 = (big - q100 * 100) + f
+    near15 = np.minimum(r100, 100 - r100) < h
+    near16 = np.minimum(r10, 10 - r10) < h
+    digits = np.where(near15, (q100 + (r100 >= 50)) * 100,
+                      np.where(near16, (q10 + (r10 >= 5)) * 10, big + (f >= 0.5)))
+    tie = ~near15 & np.where(near16, r10 == 5, f == 0.5)
+
+    # Integer part, point, E < 0's leading zeros, then the fraction's
+    # digits, left-aligned in 17 columns and without trailing zeros.
+    unit = _POW10_INT[np.minimum(16 - e, 17)]
+    whole = digits // unit
+    fraction = _ascii(_digits((digits - whole * unit) * _POW10_INT[np.maximum(e + 1, 0)], 17),
+                      range(16, -1, -1))
+    lead = np.maximum(-e - 1, 0)
+    cells = [int_cells(whole), np.full((1, x.size), ord("."), np.uint8),
+             (np.arange(lead.max(initial=0))[:, None] < lead) * np.uint8(ord("0")),
+             fraction[:17 - int(np.argmax(fraction[::-1].any(axis=1)))]]
+    slow = np.flatnonzero(~fast | tie)
+    texts = [repr(s).encode() for s in x[slow].tolist()]
+    width = max([sum(map(len, cells)), *map(len, texts)])
+    out = np.zeros((width, x.size), np.uint8)
+    np.concatenate(cells, out=out[:sum(map(len, cells))])
+    if texts:
+        out[:, slow] = np.frombuffer(b"".join(t.ljust(width, b"\0") for t in texts),
+                                     np.uint8).reshape(-1, width).T
+    return out
+
+
+def csv_rows(columns) -> str:
+    """CSV text of the rows the cell columns hold: cells joined by ',' and
+    each row ended in CRLF, as csv.writer writes cells needing no quotes."""
+    width = sum(len(c) for c in columns) + len(columns) + 1
+    rows = np.empty((width, columns[0].shape[1]), np.uint8)
+    at = 0
+    for cells in columns:
+        rows[at:at + len(cells)] = cells
+        rows[at + len(cells)] = ord(",")
+        at += len(cells) + 1
+    rows[at - 1:] = np.array([[ord("\r")], [ord("\n")]], np.uint8)
+    return rows.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
 def _data_lines(path) -> list:
     """(physical line number, text) of every data row; rescans the file."""
     with open(path) as fh:
@@ -484,28 +645,19 @@ def _write_dense(path, header, values: np.ndarray, comment) -> None:
     """One CSV row per element of `values`: its ids, then the repr of the value.
 
     Rows end in CRLF, as csv.writer ends them. The text is built in blocks
-    over the first axis: each row is four cells of one flat list, filled by
-    slice assignment and joined once per block.
+    over the first axis.
     """
     if values.ndim != len(header) - 1:
         raise ValueError(f"expected a {len(header) - 1}-d array for {','.join(header)}")
-    # The ids of the other axes, in C order, as one "n,m," prefix per row.
-    tails = ["".join(f"{i}," for i in ix)
-             for ix in itertools.product(*map(range, values.shape[1:]))]
-    step = max(1, _WRITE_BLOCK_ROWS // max(1, len(tails)))
+    step = max(1, _WRITE_BLOCK_ROWS // max(1, math.prod(values.shape[1:])))
     head = csv_text(comment, header, ())
     with open(path, "w", newline="") as fh:
         fh.write(head)
         for start in range(0, len(values), step):
             block = values[start:start + step]
-            cells = [""] * (4 * block.size)
-            firsts = map("{},".format, range(start, start + len(block)))
-            cells[0::4] = itertools.chain.from_iterable(
-                map(itertools.repeat, firsts, itertools.repeat(len(tails))))
-            cells[1::4] = tails * len(block)
-            cells[2::4] = map(repr, block.ravel().tolist())
-            cells[3::4] = itertools.repeat("\r\n", block.size)
-            fh.write("".join(cells))
+            ids = np.indices(block.shape).reshape(block.ndim, -1)
+            ids[0] += start
+            fh.write(csv_rows([*map(int_cells, ids), float_cells(block)]))
 
 
 def read_trace_csv(path) -> np.ndarray:

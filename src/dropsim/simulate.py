@@ -13,7 +13,6 @@ Gradient numerics live in the sgd module; this module is timing only.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import numbers
 from dataclasses import asdict, dataclass
@@ -22,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import threshold
-from .latency import FleetSpec, csv_text
+from .latency import FleetSpec, csv_rows, csv_text, float_cells, int_cells
 from .stats import RngStream, StreamGenerator, add_in_order
 
 __all__ = [
@@ -512,45 +511,25 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
     )
 
 
-def _by_value(values: np.ndarray, keys: np.ndarray, text) -> list:
-    """text(v) for each element v of values, called once per distinct key."""
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    table = list(map(text, values[first].tolist()))
-    return list(map(table.__getitem__, inverse.tolist()))
-
-
 def _records_text(first: int, compute_times, stop_times, completed) -> str:
     """Records CSV rows of B iterations: row k of the (B, N) arrays holds
-    iteration first + k's workers.
-
-    Each row is six cells of one flat list, filled by slice assignment and
-    joined once: "i,", "w,", repr(T_n), ",", repr(stop_time), ",completed" and
-    the CRLF line end.
-    """
+    iteration first + k's workers."""
     t = np.asarray(compute_times, dtype=float)
     b, n = t.shape
     t = t.ravel()
     s = np.asarray(stop_times, dtype=float).ravel()
-    c = np.asarray(completed).astype(np.int64).ravel()
-    t_text = list(map(repr, t.tolist()))
-    # Workers that finish under tau stop at T_n: reuse its repr (zero
+    # Workers that finish under tau stop at T_n: reuse its text (zero
     # excluded, since -0.0 == 0.0 but their reprs differ). Other stops are
-    # repr'd once per bit pattern; in exact mode most of them equal tau.
-    s_text = t_text.copy()
+    # formatted once per bit pattern; in exact mode most of them equal tau.
     other = np.flatnonzero((s != t) | (t == 0.0))
-    rest = s[other]
-    for k, text in zip(other.tolist(), _by_value(rest, rest.view(np.int64), repr)):
-        s_text[k] = text
-    cells = [""] * (6 * t.size)
-    cells[0::6] = itertools.chain.from_iterable(
-        map(itertools.repeat, map("{},".format, range(first, first + b)),
-            itertools.repeat(n)))
-    cells[1::6] = [f"{w}," for w in range(n)] * b
-    cells[2::6] = t_text
-    cells[3::6] = itertools.repeat(",", t.size)
-    cells[4::6] = s_text
-    cells[5::6] = _by_value(c, c, ",{}\r\n".format)
-    return "".join(cells)
+    _, once, pattern = np.unique(s[other].view(np.int64), return_index=True,
+                                 return_inverse=True)
+    table = float_cells(np.concatenate([t, s[other][once]]))
+    pick = np.arange(t.size)
+    pick[other] = t.size + pattern
+    return csv_rows([int_cells(np.repeat(np.arange(first, first + b), n)),
+                     int_cells(np.tile(np.arange(n), b)), table[:, :t.size], table[:, pick],
+                     int_cells(completed)])
 
 
 def write_records_csv(path, records: IterationBlock, comment: Optional[str] = None) -> None:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .latency import csv_text
+from .latency import csv_rows, csv_text, float_cells
 from .stats import add_in_order
 
 __all__ = [
@@ -210,7 +210,9 @@ def _select(cum: np.ndarray, comm: np.ndarray,
 def format_curve_csv(result: ThresholdSearchResult,
                      comment: Optional[str] = None) -> str:
     """The curve as CSV text: optional '# comment' line, header, one row per tau."""
-    return csv_text(comment, CURVE_HEADER, (map(repr, row) for row in result.curve))
+    return csv_text(comment, CURVE_HEADER, ()) + csv_rows(
+        [float_cells(col) for col in (result.grid, result.s_eff, result.drop_rate,
+                                      result.step_speedup)])
 
 
 def write_curve_csv(path, result: ThresholdSearchResult,

@@ -291,6 +291,21 @@ class TestSelectThreshold:
         write_curve_csv(library, oracle, f"trace=trace.csv version={ds.__version__}")
         assert (tmp_path / "o" / "curve.csv").read_bytes() == library.read_bytes()
 
+    def test_trace_written_at_twice_the_times_doubles_tau_star(self, tmp_path, capsys):
+        gen = ds.RngStream(21).generator()
+        tensor = gen.lognormal(-2.0, 0.5, (40, 8, 4))
+        tensor[:, 3, :] *= 3.0
+        comm = gen.uniform(0.1, 0.3, 40)
+        tau = []
+        for scale in (1.0, 2.0):
+            (tmp_path / str(scale)).mkdir()
+            trace, comm_path = self._write_trace(tmp_path / str(scale), tensor * scale,
+                                                 comm * scale)
+            assert cli.main(["select-threshold", "--trace", str(trace), "--comm",
+                             str(comm_path), "--out", str(tmp_path / str(scale) / "o")]) == 0
+            tau.append(capsys.readouterr().out.split()[1])
+        assert tau[1] == repr(2.0 * float(tau[0]))
+
     def test_missing_comm_warns_and_defaults(self, tmp_path, capsys):
         tensor = np.full((3, 2, 2), 0.4)
         trace, _ = self._write_trace(tmp_path, tensor)

@@ -1,0 +1,125 @@
+"""The numpy CSV cell builders against Python's own text: `float_cells` must
+give repr(v) byte for byte and `int_cells` str(v), whatever the values.
+Hypothesis draws a seed and numpy then draws a large array from it, so each
+example checks thousands of values."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import dropsim as ds
+from dropsim import latency
+from dropsim.latency import csv_rows, float_cells, int_cells
+
+
+def _texts(cells) -> list:
+    return csv_rows([cells]).split("\r\n")[:-1]
+
+
+def _assert_repr(x):
+    x = np.asarray(x, dtype=float).ravel()
+    assert _texts(float_cells(x)) == [repr(v) for v in x.tolist()]
+
+
+def _rng(seed):
+    return np.random.default_rng(seed)
+
+
+_seeds = st.integers(min_value=0, max_value=2**32)
+_big = settings(max_examples=15, derandomize=True, deadline=None)
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+                | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]),
+                min_size=1, max_size=500))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_any_floats(values):
+    _assert_repr(values)
+
+
+@given(_seeds)
+@_big
+def test_raw_bit_patterns(seed):
+    _assert_repr(_rng(seed).integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64))
+
+
+@given(_seeds)
+@_big
+def test_wide_ranges_of_magnitude(seed):
+    _assert_repr(10.0 ** _rng(seed).uniform(-8, 20, 20_000))
+
+
+@given(_seeds)
+@_big
+def test_short_decimals_and_their_neighbours(seed):
+    gen = _rng(seed)
+    digits = gen.integers(1, 17, 4000)
+    mantissa = gen.integers(1, 10**digits, dtype=np.int64)
+    x = np.array([float(f"{m}e{k}") for m, k in
+                  zip(mantissa.tolist(), gen.integers(-22, 14, 4000).tolist())])
+    for values in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)):
+        _assert_repr(values)
+
+
+@given(_seeds)
+@_big
+def test_few_significant_bits(seed):
+    # Dyadic values such as 8 + 2**-16, whose decimal expansion ends in 5
+    # one digit past the 16th: both 16-digit neighbours read back, and repr
+    # takes the even one.
+    gen = _rng(seed)
+    _assert_repr(gen.integers(1, 2**20, 20_000) * 2.0 ** gen.integers(-40, 40, 20_000))
+
+
+@given(_seeds, st.integers(min_value=-4, max_value=15))
+@_big
+def test_blocks_of_one_decimal_exponent(seed, exponent):
+    _assert_repr(_rng(seed).uniform(1.0, 10.0, 5000) * 10.0**exponent)
+
+
+@given(_seeds)
+@_big
+def test_blocks_below_one(seed):
+    _assert_repr(_rng(seed).uniform(1e-4, 1.0, 5000))
+    _assert_repr(_rng(seed).uniform(0.5, 1.0, 5000))
+
+
+def test_powers_of_two_and_ten():
+    twos = 2.0 ** np.arange(-1074, 1024)
+    tens = np.array([float(f"1e{k}") for k in range(-30, 31)])
+    for x in (twos, tens):
+        for values in (x, np.nextafter(x, np.inf), np.nextafter(x, 0.0), -x):
+            _assert_repr(values)
+
+
+def test_edges_of_the_fast_range():
+    edges = np.array([1e-4, 1e16, 1e-3, 1e-1, 1.0, 10.0, 1e15, 2.0**53, 9007199254740993.0])
+    near = [np.nextafter(edges, np.inf), np.nextafter(edges, 0.0)]
+    _assert_repr(np.concatenate([edges, *near, near[1] * (1 - 1e-15), edges * (1 + 1e-15)]))
+
+
+def test_empty_and_one_value():
+    assert float_cells(np.empty(0)).shape[1] == 0
+    assert int_cells(np.empty(0, dtype=np.int64)).shape[1] == 0
+    _assert_repr([0.1])
+    _assert_repr([-0.0])
+
+
+def test_a_lognormal_latency_block_never_calls_repr(monkeypatch):
+    model = ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(-2.0, 0.5))
+    trace = ds.run_detailed(ds.SimConfig(ds.FleetSpec.homogeneous(64, model), 12,
+                                         iterations=20, seed=5)).trace
+    want = [repr(v) for v in trace.ravel().tolist()]
+    calls = []
+    monkeypatch.setattr(latency, "repr", lambda v: calls.append(v) or repr(v),
+                        raising=False)
+    assert _texts(float_cells(trace)) == want
+    assert calls == []
+
+
+@pytest.mark.parametrize("values", [[0], [9, 10, 99, 100, 12345], list(range(1001)),
+                                    [10**17 - 1, 5, 10**18]])
+def test_int_cells(values):
+    assert _texts(int_cells(values)) == [str(v) for v in values]

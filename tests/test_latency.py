@@ -6,6 +6,7 @@ import re
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,6 +157,26 @@ class TestBoundedDelay:
         assert spec.mean() == spec._censored_moment(1)
         if spec is _DELAY:
             assert spec.variance() == pytest.approx(oracle(2) - oracle(1) ** 2, rel=1e-9)
+
+    @pytest.mark.parametrize("factor", [1e-3, 1e-2, 0.5, 2.0, 1e3])
+    @pytest.mark.parametrize("log_mean, log_std, divisor", [
+        (4.0, 1.0, 2.0 * math.exp(4.5)), (-1.0, 0.3, 1.0), (0.5, 0.8, 3.0)])
+    def test_variance_against_mpmath(self, log_mean, log_std, divisor, factor):
+        # The closed form at 400 digits, where m2 - m1^2 keeps every digit
+        # it needs even with nearly all the mass at the bound.
+        spec = BoundedLogNormalNoise(log_mean, log_std, divisor,
+                                     factor * math.exp(log_mean) / divisor)
+        with mpmath.workdps(400):
+            mu = mpmath.mpf(log_mean) - mpmath.log(divisor)
+            b = mpmath.mpf(spec.bound)
+            z = (mpmath.log(b) - mu) / log_std
+            m1, m2 = (mpmath.exp(k * mu + (k * log_std) ** 2 / 2) * mpmath.ncdf(z - k * log_std)
+                      + b**k * mpmath.ncdf(-z) for k in (1, 2))
+            want = float(m2 - m1 * m1)
+        assert spec.variance() == pytest.approx(want, rel=1e-9, abs=0.0)
+        if factor > 1.0:  # above the median: m2 - m1^2, bit for bit
+            m1 = spec._censored_moment(1)
+            assert spec.variance() == spec._censored_moment(2) - m1 * m1
 
     @pytest.mark.parametrize("log_mean, log_std, divisor", [
         (4.0, 1.0, 2.0 * math.exp(4.5)), (-1.0, 0.3, 1.0), (0.5, 0.8, 3.0)])

@@ -387,3 +387,38 @@ def test_speedup_definition_consistency(n, m, tau, seed):
         frac = np.mean(rec.completed[k]) / m
         per_iter.append((rec.step_base[k] / rec.step_drop[k]) * frac)
     assert sim.stats.s_eff == pytest.approx(float(np.mean(per_iter)), rel=1e-12)
+
+
+# Metamorphic contract: in additive_scaled_by_mean mode every time is the
+# base mean times a draw that does not depend on it, so scaling base_mean,
+# t_comm and tau by a power of two scales the trace exactly and leaves every
+# ratio (s_eff, drop_rate) bit for bit. This catches an absolute epsilon or
+# floor in the engine.
+
+_SCALED_NOISE = {
+    "normal": lambda: ds.NormalNoise(0.0, 0.2),
+    "exponential": lambda: ds.ExponentialNoise(3.0),
+    "lognormal": lambda: ds.LogNormalNoise(-1.5, 0.8),
+    "simulated_delay": ds.simulated_delay_noise,
+}
+
+
+@given(st.sampled_from(sorted(_SCALED_NOISE)), st.booleans(), st.booleans(),
+       st.sampled_from([2.0, 0.5]), st.integers(min_value=1, max_value=9),
+       st.integers(min_value=1, max_value=5), st.floats(min_value=0.1, max_value=3.0),
+       st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.3, max_value=1.5),
+       st.integers(min_value=0, max_value=2**31))
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_scaling_the_time_unit_scales_the_trace_alone(kind, mixed, boundary, scale, n, m,
+                                                      base, t_comm, tau_frac, seed):
+    def config(c):
+        noise = _SCALED_NOISE[kind]()
+        models = [ds.WorkerLatencyModel(c * base * (1.0 + (mixed and w % 2)), noise,
+                                        "additive_scaled_by_mean") for w in range(n)]
+        return ds.SimConfig(ds.FleetSpec(tuple(models)), m, c * t_comm,
+                            c * tau_frac * base * m, 12, seed, boundary)
+
+    ref, got = ds.run_detailed(config(1.0)), ds.run_detailed(config(scale))
+    assert got.trace.tobytes() == (ref.trace * scale).tobytes()
+    assert got.stats.s_eff == ref.stats.s_eff
+    assert got.stats.drop_rate == ref.stats.drop_rate
