@@ -637,8 +637,10 @@ def _reject_ids(path, header, ids) -> None:
                   + ", ".join(f"{h}={c[r]}" for h, c in zip(header, ids)))
 
 
-# Rows per block of text the writers build before writing it out.
-_WRITE_BLOCK_ROWS = 1 << 16
+# Rows per block of text the trace, comm and records writers build before
+# writing it out. On a 2-core x86-64 VM, blocks of 2**14 rows wrote both a
+# 1M-value trace and 256k records faster than blocks of 2**13 or 2**16.
+_WRITE_BLOCK_ROWS = 1 << 14
 
 
 def _write_dense(path, header, values: np.ndarray, comment) -> None:

@@ -400,14 +400,16 @@ def theorem_step_size(problem: SgdProblem, schedule: BatchSchedule, k_total: flo
 
 def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
              eta_mode: str = "convex_theorem", normalization: str = "fixed_bmax",
-             rng: Optional[RngStream] = None, n_runs: int = 1,
-             store_iterates: bool = False):
+             rng: Optional[RngStream] = None, n_runs: int = 1):
     """Run n_runs independent trajectories in lockstep.
 
     Every run performs steps until its cumulative batch reaches k_total
     exactly (the final batch is clipped), so sum(alpha_i) = K holds per run.
-    Returns (theta_bar, theta_sampled, theta_final, eta, steps), each array
-    (n_runs, d), plus the per-run iterate history when store_iterates.
+    Returns a dict of six: theta_bar (the iterates averaged by batch
+    weight), theta_sampled (one iterate picked with probability proportional
+    to its batch) and theta_final, each (n_runs, d); realized_k, each run's
+    batch total, (n_runs,); the step size eta; and steps, the step count of
+    the slowest run.
 
     Steps run in blocks: one schedule draw and one call for the pick
     uniforms per block, with the clipped batches, the cumulative batch and
@@ -451,8 +453,6 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
     cum = np.zeros(n_runs, dtype=np.int64)
     wavg = np.zeros((n_runs, d))
     pick = theta.copy()
-    history = [] if store_iterates else None
-    weights_hist = [] if store_iterates else None
 
     max_steps = _MAX_STEP_FACTOR * int(math.ceil(k_total / schedule.b_max)) + 8
     # Steps per draw call, at least one: the engine's cap on one block's
@@ -486,9 +486,6 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
         for s in range(count):
             wavg += w[s, :, None] * theta
             np.copyto(pick, theta, where=picked[s])
-            if store_iterates:
-                history.append(theta.copy())
-                weights_hist.append(w[s])
             d_sum = problem.grad_sum(theta, b[s], noise_gen)
             if normalization == "fixed_bmax":
                 d_sum *= fixed_rate
@@ -500,12 +497,8 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
 
     realized_k = cum.astype(float)
     theta_bar = wavg / realized_k[:, None]
-    out = dict(theta_bar=theta_bar, theta_sampled=pick, theta_final=theta,
-               eta=eta, steps=step, realized_k=realized_k)
-    if store_iterates:
-        out["iterates"] = np.stack(history, axis=1)  # (n_runs, steps, d)
-        out["weights"] = np.stack(weights_hist, axis=1)  # (n_runs, steps)
-    return out
+    return dict(theta_bar=theta_bar, theta_sampled=pick, theta_final=theta,
+                eta=eta, steps=step, realized_k=realized_k)
 
 
 def convex_bound_rhs(problem: SgdProblem, schedule: BatchSchedule,

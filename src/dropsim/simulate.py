@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import threshold
+from . import latency, threshold
 from .latency import FleetSpec, csv_rows, csv_text, float_cells, int_cells
 from .stats import RngStream, StreamGenerator, add_in_order
 
@@ -49,7 +49,6 @@ __all__ = [
 AUTO_TAU_STREAM = 1
 
 RECORDS_HEADER = ["iteration", "worker", "T_n", "stop_time", "completed"]
-_RECORDS_CHUNK = 32  # iterations per text chunk of a records CSV
 
 
 @dataclass(frozen=True)
@@ -519,14 +518,11 @@ def _records_text(first: int, compute_times, stop_times, completed) -> str:
     t = t.ravel()
     s = np.asarray(stop_times, dtype=float).ravel()
     # Workers that finish under tau stop at T_n: reuse its text (zero
-    # excluded, since -0.0 == 0.0 but their reprs differ). Other stops are
-    # formatted once per bit pattern; in exact mode most of them equal tau.
+    # excluded, since -0.0 == 0.0 but their reprs differ).
     other = np.flatnonzero((s != t) | (t == 0.0))
-    _, once, pattern = np.unique(s[other].view(np.int64), return_index=True,
-                                 return_inverse=True)
-    table = float_cells(np.concatenate([t, s[other][once]]))
+    table = float_cells(np.concatenate([t, s[other]]))
     pick = np.arange(t.size)
-    pick[other] = t.size + pattern
+    pick[other] = np.arange(t.size, table.shape[1])
     return csv_rows([int_cells(np.repeat(np.arange(first, first + b), n)),
                      int_cells(np.tile(np.arange(n), b)), table[:, :t.size], table[:, pick],
                      int_cells(completed)])
@@ -536,14 +532,16 @@ def write_records_csv(path, records: IterationBlock, comment: Optional[str] = No
     """Per-iteration, per-worker records: an optional ``# comment`` line, the
     header iteration,worker,T_n,stop_time,completed, then one row per worker
     of each row (iteration) of records, with the csv module's CRLF line ends
-    and the repr of each time, so floats round-trip.
+    and the repr of each time, so floats round-trip. The text is built in
+    blocks of about latency._WRITE_BLOCK_ROWS rows, as the trace writer's is.
     """
     # a bad comment raises before the file is opened
     head = csv_text(comment, RECORDS_HEADER, ())
+    step = max(1, latency._WRITE_BLOCK_ROWS // max(1, records.compute_times.shape[1]))
     with open(path, "w", newline="") as fh:
         fh.write(head)
-        for first in range(0, len(records.s_eff), _RECORDS_CHUNK):
-            rows = slice(first, first + _RECORDS_CHUNK)
+        for first in range(0, len(records.s_eff), step):
+            rows = slice(first, first + step)
             fh.write(_records_text(first, records.compute_times[rows],
                                    records.stop_times[rows], records.completed[rows]))
 

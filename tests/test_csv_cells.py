@@ -100,6 +100,19 @@ def test_edges_of_the_fast_range():
     _assert_repr(np.concatenate([edges, *near, near[1] * (1 - 1e-15), edges * (1 + 1e-15)]))
 
 
+@pytest.mark.parametrize("shift", [1.0, -1.0], ids=["one-high", "one-low"])
+def test_an_exponent_one_off_is_corrected(monkeypatch, shift):
+    # Where np.log10 is exact at powers of ten, E is almost never off, so
+    # log10 is shifted by one: E starts one too high or too low everywhere.
+    gen = _rng(11)
+    tens = 10.0 ** np.arange(-4, 16)
+    x = np.concatenate([10.0 ** gen.uniform(-4, 16, 20_000), tens,
+                        np.nextafter(tens, np.inf), np.nextafter(tens, 0.0)])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda v: log10(v) + shift)
+    _assert_repr(x)
+
+
 def test_empty_and_one_value():
     assert float_cells(np.empty(0)).shape[1] == 0
     assert int_cells(np.empty(0, dtype=np.int64)).shape[1] == 0

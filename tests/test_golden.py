@@ -171,6 +171,6 @@ def test_logistic_run_many_actual_batch():
                                                sin_amplitude=0.1, seed=9)
     schedule = ds.BatchSchedule(12, kind="per_worker_bernoulli", n_workers=3, p_drop=0.4)
     res = run_many(problem, schedule, 900, eta_mode=0.3, normalization="actual_batch",
-                   rng=ds.RngStream(21, 0), n_runs=6, store_iterates=True)
+                   rng=ds.RngStream(21, 0), n_runs=6)
     assert _sha(*[np.asarray(res[k]).tobytes() for k in sorted(res)]) == \
-        "bd75ece60d5401f4d91269a6cadb6f29ccb243cea7d94cf1630659481702e84a"
+        "7a9b00be6547c192f9379634bbe6a1a3ef59860ad6f4262c21c3a68be98e77eb"

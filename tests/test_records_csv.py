@@ -6,13 +6,14 @@ infinities, NaNs, stops equal to T_n and repeated stops."""
 import dataclasses
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import dropsim as ds
-from dropsim import cli, simulate
+from dropsim import cli, latency, simulate
 from dropsim.simulate import (IterationBlock, RECORDS_HEADER, run_records_csv,
                               write_records_csv)
 from dropsim.threshold import format_curve_csv, write_curve_csv
@@ -84,15 +85,19 @@ def test_block_text_matches_row_formatter(block, first):
     assert ",".join(RECORDS_HEADER) + "\r\n" + text == want
 
 
-@given(blocks(min_b=simulate._RECORDS_CHUNK + 1, max_b=3 * simulate._RECORDS_CHUNK,
-              max_n=3),
+@given(blocks(min_b=2, max_b=12, max_n=3), st.integers(1, 7),
        st.sampled_from([None, "", "config_hash=abc version=0.1.0"]))
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_write_records_csv_matches_row_formatter(tmp_path, block, comment):
-    """A block of more iterations than one chunk of the writer holds."""
+def test_write_records_csv_matches_row_formatter(tmp_path, block, block_rows, comment):
+    """Records written in blocks of max(1, block_rows // N) iterations, the
+    trace writer's row budget scaled down, so most runs end mid-block."""
     records = _records(*block)
-    assert _written(tmp_path / "r.csv", records, comment) == _oracle_text(records, comment)
+    step = max(1, block_rows // records.compute_times.shape[1])
+    with mock.patch.object(latency, "_WRITE_BLOCK_ROWS", block_rows), \
+            mock.patch.object(simulate, "_records_text", wraps=simulate._records_text) as text:
+        assert _written(tmp_path / "r.csv", records, comment) == _oracle_text(records, comment)
+    assert text.call_count == -(-len(records.s_eff) // step)
 
 
 def test_write_records_csv_matches_row_formatter_on_a_run(tmp_path):

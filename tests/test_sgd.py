@@ -281,7 +281,7 @@ class TestRunMechanics:
         steps = 40
         sched = ds.BatchSchedule(10)
         res = run_many(prob, sched, 10 * steps, eta_mode=eta, rng=ds.RngStream(1),
-                       n_runs=1, store_iterates=True)
+                       n_runs=1)
         expected = prob.theta_star + (prob.theta1 - prob.theta_star) * (1 - eta * prob.curvature) ** steps
         assert res["steps"] == steps
         assert np.allclose(res["theta_final"][0], expected, rtol=0, atol=1e-12)
@@ -290,34 +290,35 @@ class TestRunMechanics:
         # The last batch is clipped so sum(alpha) = K even mid-step.
         prob = ds.SgdProblem.quadratic()
         for k in (100, 150, 1999, 20_000):
-            res = run_many(prob, _bern(p=0.3), k, rng=ds.RngStream(2), n_runs=1,
-                           store_iterates=True)
+            res, _, weights = _run_with_history(prob, _bern(p=0.3), k, "convex_theorem",
+                                                "fixed_bmax", ds.RngStream(2), 1)
             assert float(res["realized_k"][0]) == k
-            assert float(res["weights"][0].sum()) == k
+            assert float(weights[0].sum()) == k
 
     def test_weighted_average_identity(self):
         prob = ds.SgdProblem.quadratic()
-        res = run_many(prob, _bern(p=0.2), 5000, rng=ds.RngStream(3), n_runs=1,
-                       store_iterates=True)
-        w = res["weights"][0]
+        res, iterates, weights = _run_with_history(prob, _bern(p=0.2), 5000, "convex_theorem",
+                                                   "fixed_bmax", ds.RngStream(3), 1)
+        w = weights[0]
         assert float((w / w.sum()).sum()) == pytest.approx(1.0, abs=1e-12)
-        manual = (w[:, None] * res["iterates"][0]).sum(axis=0) / w.sum()
+        manual = (w[:, None] * iterates[0]).sum(axis=0) / w.sum()
         assert np.allclose(res["theta_bar"][0], manual, atol=1e-12)
 
     def test_sampled_iterate_is_an_iterate(self):
         prob = ds.SgdProblem.quadratic()
-        res = run_many(prob, _bern(p=0.2), 3000, rng=ds.RngStream(4), n_runs=1,
-                       store_iterates=True)
-        matches = np.all(res["iterates"][0] == res["theta_sampled"][0][None, :], axis=1)
+        res, iterates, _ = _run_with_history(prob, _bern(p=0.2), 3000, "convex_theorem",
+                                             "fixed_bmax", ds.RngStream(4), 1)
+        matches = np.all(iterates[0] == res["theta_sampled"][0][None, :], axis=1)
         assert matches.any()
 
     def test_sampling_frequency_proportional_to_weight(self):
         # Two-step schedule with known weights: first step keeps the full
-        # batch, second is clipped to half, so picks split 2:1.
+        # batch, second is clipped to half, so picks split 2:1. The first
+        # iterate is theta1.
         prob = ds.SgdProblem.quadratic(sigma=0.0)
         sched = ds.BatchSchedule(100)
-        res = run_many(prob, sched, 150, eta_mode=0.01, rng=ds.RngStream(5), n_runs=4000, store_iterates=True)
-        first = np.all(res["theta_sampled"] == res["iterates"][:, 0, :], axis=1)
+        res = run_many(prob, sched, 150, eta_mode=0.01, rng=ds.RngStream(5), n_runs=4000)
+        first = np.all(res["theta_sampled"] == prob.theta1, axis=1)
         assert float(first.mean()) == pytest.approx(100.0 / 150.0, abs=0.02)
 
     def test_determinism(self):
@@ -575,8 +576,9 @@ def _draw_one_step(schedule, step, n_runs, gen, rng):
 
 
 def _run_many_per_step(problem, schedule, k_total, eta_mode, normalization, rng, n_runs):
-    """run_many(..., store_iterates=True) as one loop over steps: each step
-    draws its batches and pick uniforms and clips, sums and picks on its own."""
+    """run_many as one loop over steps that also keeps every iterate and its
+    weight: each step draws its batches and pick uniforms and clips, sums and
+    picks on its own."""
     if eta_mode in ("convex_theorem", "nonconvex_theorem"):
         eta = ds.theorem_step_size(problem, schedule, k_total, eta_mode)
         lr_internal = eta * schedule.b_max
@@ -648,12 +650,20 @@ def _recording_draws(calls):
 
 
 def _assert_same_run(got, want):
-    assert got["eta"] == want["eta"]
-    assert got["steps"] == want["steps"]
-    for key in ("theta_bar", "theta_sampled", "theta_final", "realized_k",
-                "iterates", "weights"):
-        assert got[key].dtype == want[key].dtype, key
-        assert np.array_equal(got[key], want[key]), key
+    """Every result of run_many equals the per-step loop's, type and bits;
+    only the loop keeps the iterates and their weights."""
+    assert set(got) == set(want) - {"iterates", "weights"}
+    for key, value in got.items():
+        assert np.asarray(value).dtype == np.asarray(want[key]).dtype, key
+        assert np.array_equal(value, want[key]), key
+
+
+def _run_with_history(*args):
+    """run_many(*args), checked against the per-step loop, with the loop's
+    (n_runs, steps, d) iterates and (n_runs, steps) weights."""
+    got, want = run_many(*args), _run_many_per_step(*args)
+    _assert_same_run(got, want)
+    return got, want["iterates"], want["weights"]
 
 
 class TestBlocksOfSteps:
@@ -680,7 +690,7 @@ class TestBlocksOfSteps:
         calls = []
         with mock.patch.object(simulate, "_BLOCK_SAMPLES", block_samples), \
                 mock.patch.object(ds.BatchSchedule, "draw", _recording_draws(calls)):
-            got = run_many(*args, store_iterates=True)
+            got = run_many(*args)
         _assert_same_run(got, want)
         # The blocks tile the steps in order, and none is drawn past the end.
         assert [step for step, _ in calls] == np.cumsum([0] + [c for _, c in calls])[:-1].tolist()
@@ -698,7 +708,7 @@ class TestBlocksOfSteps:
         calls = []
         with mock.patch.object(simulate, "_BLOCK_SAMPLES", 8), \
                 mock.patch.object(ds.BatchSchedule, "draw", _recording_draws(calls)):
-            got = run_many(*args, store_iterates=True)
+            got = run_many(*args)
         _assert_same_run(got, _run_many_per_step(*args))
         assert calls == [(0, 4), (4, 4), (8, 4 if extra == 0 else 1)]
 
