@@ -393,6 +393,7 @@ _SPLIT = 2.0**27 + 1.0
 _POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
 _POW10_LO = _POW10 - _POW10_HI
 _EXPONENT = np.uint64(0x7FF << 52)
+_MANTISSA = np.uint64((1 << 52) - 1)
 
 
 def _digits(v: np.ndarray, width: int) -> np.ndarray:
@@ -444,6 +445,12 @@ def _scaled(x: np.ndarray, k: np.ndarray):
     return p.astype(np.int64) + down.astype(np.int64), err - down
 
 
+def _half_even(q: np.ndarray, r: np.ndarray, half) -> np.ndarray:
+    """q rounded by its remainder r: up where r is above half, or equal to
+    half with q odd (round half to even)."""
+    return q + ((r > half) | (r == half) & (q % 2 == 1))
+
+
 def float_cells(x) -> np.ndarray:
     """Cells of repr(v) for each v of the float array x, flattened.
 
@@ -462,9 +469,9 @@ def float_cells(x) -> np.ndarray:
     128, are exact doubles, and no comparison with h needs a margin. A power
     of two has half the gap below it that it has above, but each one in the
     range is a decimal of at most 16 digits, taken at distance 0. An exact
-    tie between the two nearest 16- or 17-digit decimals is left to repr,
-    as are 0.0, negative, non-finite and other out-of-range values; each of
-    those calls repr once.
+    tie between the two nearest 16- or 17-digit decimals goes to the even
+    last digit, as in repr. 0.0, negative, non-finite and other out-of-range
+    values call repr once each.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     fast = (x >= 1e-4) & (x < 1e16)
@@ -485,9 +492,8 @@ def float_cells(x) -> np.ndarray:
     r100 = (big - q100 * 100) + f
     near15 = np.minimum(r100, 100 - r100) < h
     near16 = np.minimum(r10, 10 - r10) < h
-    digits = np.where(near15, (q100 + (r100 >= 50)) * 100,
-                      np.where(near16, (q10 + (r10 >= 5)) * 10, big + (f >= 0.5)))
-    tie = ~near15 & np.where(near16, r10 == 5, f == 0.5)
+    digits = np.where(near15, _half_even(q100, r100, 50) * 100,
+                      np.where(near16, _half_even(q10, r10, 5) * 10, _half_even(big, f, 0.5)))
 
     # Integer part, point, E < 0's leading zeros, then the fraction's
     # digits, left-aligned in 17 columns and without trailing zeros.
@@ -499,7 +505,7 @@ def float_cells(x) -> np.ndarray:
     cells = [int_cells(whole), np.full((1, x.size), ord("."), np.uint8),
              (np.arange(lead.max(initial=0))[:, None] < lead) * np.uint8(ord("0")),
              fraction[:17 - int(np.argmax(fraction[::-1].any(axis=1)))]]
-    slow = np.flatnonzero(~fast | tie)
+    slow = np.flatnonzero(~fast)
     texts = [repr(s).encode() for s in x[slow].tolist()]
     width = max([sum(map(len, cells)), *map(len, texts)])
     out = np.zeros((width, x.size), np.uint8)
@@ -537,16 +543,180 @@ def _reject_first(path, bad: np.ndarray, message) -> None:
         raise ValueError(f"{path}:{_data_lines(path)[row][0]}: {message(row)}")
 
 
-def _parse_rows(path, header, dtype) -> np.ndarray:
-    """Data rows of a headed CSV file, parsed by numpy's C text reader.
+# The fast reader reads this many bytes at a time. A row of its grammar
+# holds at most _MAX_ROW bytes, so a longer run without a line end declines.
+_READ_BYTES = 1 << 20
+_MAX_ROW = 256
+# Zero bytes before each block, so that every digit window has 24 bytes
+# before its end.
+_PAD = bytes(24)
+# _DIGIT_MASKS[w] keeps the low nibble of the last w bytes of a word.
+_DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F & -(1 << 8 * (8 - w)) for w in range(9)],
+                        np.uint64)
 
-    numpy first reads the file itself, in chunks, past the header; it skips
-    blank lines itself. A comment line after the header makes that attempt
-    fail, and so does a malformed row. The line path then parses the data
-    lines filtered in Python, and on failure bisects for the first line
-    numpy rejects.
+
+def _swar(words: np.ndarray, end: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """int64 values of the width <= 8 ASCII digits that end before each byte
+    offset in end. words holds the little-endian 8-byte word at every byte
+    offset; its word at end - 8 ends with the digits, and the bytes before
+    them, masked to 0, count as leading zeros. Three multiplies then join
+    digit pairs, pairs of pairs and the two halves (Lemire 2021)."""
+    v = words[end - 8] & _DIGIT_MASKS[width]
+    v *= 10 << 8 | 1
+    v >>= 8
+    v &= 0x00FF00FF00FF00FF
+    v *= 100 << 16 | 1
+    v >>= 16
+    v &= 0x0000FFFF0000FFFF
+    v *= 10000 << 32 | 1
+    v >>= 32
+    return v.view(np.int64)
+
+
+def _quotients(digits: np.ndarray, k: np.ndarray):
+    """digits / 10**k correctly rounded, ties to even, for int64 digits
+    < 10**18 and k <= 21; None if a quotient is not found within two steps.
+
+    Where digits <= 2**53 both operands are exact doubles, so numpy's one
+    division rounds correctly (Clinger 1990). Elsewhere the double quotient c
+    lies within two spacings of the answer. c * 10**k = F + f exactly
+    (_scaled), so miss = digits - F - f is the distance from c to the
+    decimal, times 10**k. It is a multiple of min(1, spacing * 2**k), and
+    within 2.5 spacings it is below 2.5 * 5**k < 2**53 such units, so it is
+    an exact double. c is the answer when miss lies within half c's spacing
+    above it and half the spacing below it (a quarter above a power of two),
+    a tie going to the even mantissa; else c steps one spacing towards the
+    decimal, and miss moves by that spacing times 10**k.
     """
-    opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    x = digits / _POW10[k]
+    redo = np.flatnonzero(digits > 2**53)
+    bits = x[redo].view(np.int64)
+    scale = 2.0**-53 * _POW10[k[redo]]
+    whole, frac = _scaled(bits.view(np.float64), k[redo])
+    miss = (digits[redo] - whole) - frac
+    for _ in range(3):
+        u = bits.view(np.uint64)
+        above = (u & _EXPONENT).view(np.float64) * scale
+        below = np.where(u & _MANTISSA, above, above / 2)
+        odd = (u & 1).astype(bool)
+        up = (miss > above) | (miss == above) & odd
+        down = (-miss > below) | (-miss == below) & odd
+        step = up.view(np.int8) - down.view(np.int8)
+        bits += step
+        x[redo] = bits.view(np.float64)
+        move = np.flatnonzero(step)
+        if not move.size:
+            return x
+        miss -= np.where(up, 2 * above, -2 * below)
+        redo, bits, scale, miss = redo[move], bits[move], scale[move], miss[move]
+    return None
+
+
+def _parse_block(text: bytes, ncols: int):
+    """Columns of the rows of text, each ended by LF or CRLF: int64 ids, then
+    float64 values. None unless every row reads id,...,id,digits.digits with
+    at most 8 digits in each id and in the integer part, at most 21 in the
+    fraction and at most 18 significant digits in the value."""
+    buf = np.frombuffer(_PAD + text, np.uint8)
+    if buf.max() > ord("9"):
+        return None
+    # Every byte below '0' past the pad is a separator: ',', '.', LF or a CR
+    # before an LF. The separators of each row must follow the pattern.
+    seps = np.flatnonzero(buf < ord("0"))[len(_PAD):]
+    kind = buf[seps]
+    cr = kind == ord("\r")
+    crlf = cr.any()
+    if crlf:
+        if (buf[seps[cr] + 1] != ord("\n")).any():
+            return None
+        seps, kind = seps[~cr], kind[~cr]
+    pattern = np.frombuffer(b"," * (ncols - 1) + b".\n", np.uint8)
+    if seps.size % pattern.size:
+        return None
+    seps = seps.reshape(-1, pattern.size)
+    if (kind.reshape(seps.shape) != pattern).any():
+        return None
+    # Field j ends at separator j and starts past the one before it, the
+    # line end of the row before for j = 0. The fraction ends before a CR.
+    width = np.diff(seps.ravel(), prepend=len(_PAD) - 1).reshape(seps.shape) - 1
+    last = seps[:, -1]
+    if crlf:
+        cut = buf[last - 1] == ord("\r")
+        last, width[:, -1] = last - cut, width[:, -1] - cut
+    if ((width - 1).view(np.uint64) >= np.array([8] * ncols + [21], np.uint64)).any():
+        return None
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
+    *columns, whole = (_swar(words, seps[:, j], width[:, j]) for j in range(ncols))
+    k = width[:, -1]
+    f0, f1, f2 = (_swar(words, last - 8 * i, np.clip(k - 8 * i, 0, 8)) for i in range(3))
+    # At most 18 significant digits: whole * 10**k + fraction < 10**18.
+    if not np.where(whole > 0, whole < _POW10_INT[np.maximum(18 - k, 0)], f2 < 100).all():
+        return None
+    value = _quotients(whole * _POW10_INT[np.minimum(k, 17)]
+                       + (f2 * 10**16 + f1 * 10**8 + f0), k)
+    return None if value is None else [*columns, value]
+
+
+def _line_blocks(fh):
+    """The rest of the binary file fh in blocks of whole lines; a last line
+    without a line end gets an LF. Stops at a line over _MAX_ROW bytes."""
+    tail = b""
+    for block in iter(lambda: fh.read(_READ_BYTES), b""):
+        text = tail + block
+        cut = text.rfind(b"\n") + 1
+        text, tail = text[:cut], text[cut:]
+        if len(tail) > _MAX_ROW:
+            return
+        if text:
+            yield text
+    if tail:
+        # A CR here ends the line in text mode too.
+        yield tail + b"\n"
+
+
+def _fast_columns(path, skip: int, ncols: int):
+    """Columns of the data rows past the first `skip` lines, parsed by
+    _parse_block into arrays sized once from a count of line ends; None
+    unless every row is in its grammar."""
+    with open(path, "rb") as fh:
+        for _ in range(skip):
+            # Text mode also ends a line at a bare CR, which readline does not.
+            if b"\r" in fh.readline().removesuffix(b"\r\n"):
+                return None
+        start, rows, last = fh.tell(), 0, b"\n"
+        for block in iter(lambda: fh.read(_READ_BYTES), b""):
+            rows += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            last = block[-1:]
+        rows += last != b"\n"
+        # Ids of at most 8 digits fit int32, which halves their memory.
+        out = [np.empty(rows, np.int32) for _ in range(ncols - 1)] + [np.empty(rows)]
+        fh.seek(start)
+        at = 0
+        for text in _line_blocks(fh):
+            columns = _parse_block(text, ncols)
+            if columns is None or at + columns[0].size > rows:
+                return None
+            for col, part in zip(out, columns):
+                col[at:at + part.size] = part
+            at += columns[0].size
+    return out if at == rows else None
+
+
+def _parse_rows(path, header) -> list:
+    """Columns of a headed CSV file's data rows: integer ids, then float64 values.
+
+    Three stages read the rows past the header, each when the one before
+    declines, and all give the same columns for the same rows:
+    1. _fast_columns parses a file whose every data row reads
+       id,...,id,digits.digits in numpy, to the doubles numpy's reader gives;
+    2. numpy's C text reader reads the file itself, in chunks, skipping
+       blank lines; a comment line after the header makes it fail, and so
+       does a malformed row;
+    3. the line path parses the data lines filtered in Python, and on failure
+       bisects for the first line numpy rejects.
+    """
+    dtype = np.dtype([(h, np.int64) for h in header[:-1]] + [(header[-1], np.float64)])
+    opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
     with open(path) as fh:
         # h counts the physical lines up to and including the header.
         lines = ((h, ln) for h, ln in enumerate(fh, 1) if ln[0] not in _SKIP)
@@ -556,14 +726,17 @@ def _parse_rows(path, header, dtype) -> np.ndarray:
         if next(lines, None) is None:
             raise ValueError(f"{path}: no data rows")
         encoding = fh.encoding
+    columns = _fast_columns(path, h, len(header))
+    if columns is not None:
+        return columns
     try:
         # numpy reads a str path in chunks. Made absolute, no path looks like
         # a URL to it; a plain file named like an archive (.gz, .bz2, .xz,
         # .lzma) fails here and is read by the line path.
-        rows = np.loadtxt(os.path.abspath(os.fsdecode(path)), skiprows=h,
-                          encoding=encoding, **opts)
-        if rows.size:
-            return rows
+        columns = np.loadtxt(os.path.abspath(os.fsdecode(path)), skiprows=h,
+                             encoding=encoding, **opts)
+        if columns[0].size:
+            return columns
     except (ValueError, OSError, lzma.LZMAError):
         pass
     with open(path) as fh:
@@ -594,22 +767,20 @@ def _read_dense(path, header, valid, rule: str) -> np.ndarray:
     appear exactly once, and every value must be finite and pass `valid`.
     A row breaking a rule raises ValueError naming its physical line.
     """
-    rows = _parse_rows(path, header, np.dtype(
-        [(h, np.int64) for h in header[:-1]] + [(header[-1], np.float64)]))
-    value = rows[header[-1]]
+    *ids, value = _parse_rows(path, header)
     _reject_first(path, ~(valid(value) & (value < np.inf)),
                   lambda r: f"{rule}, got {value[r]}")
-    ids = tuple(rows[h] for h in header[:-1])
+    ids = tuple(ids)
     # The rules hold exactly when the ids are >= 0, their ranges span as
     # many cells as there are rows, and no cell repeats: then every cell is
     # filled once, so no id column has a gap.
     shape = tuple(int(col.max()) + 1 for col in ids)
     flat = None
-    if min(int(col.min()) for col in ids) >= 0 and math.prod(shape) == rows.size:
+    if min(int(col.min()) for col in ids) >= 0 and math.prod(shape) == value.size:
         flat = np.ravel_multi_index(ids, shape)
     if flat is None or np.bincount(flat).max() > 1:
         _reject_ids(path, header, ids)
-    out = np.empty(rows.size)
+    out = np.empty(value.size)
     out[flat] = value
     return out.reshape(shape)
 

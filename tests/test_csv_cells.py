@@ -132,6 +132,21 @@ def test_a_lognormal_latency_block_never_calls_repr(monkeypatch):
     assert calls == []
 
 
+def test_ties_above_2_to_the_49_round_half_even_without_repr(monkeypatch):
+    # From 2**49 on, v's spacing is at least 1/8, and 12% of these values
+    # lie exactly halfway between their two nearest 16- or 17-digit
+    # decimals. repr breaks such a tie towards the even last digit.
+    gen = _rng(13)
+    x = np.concatenate([gen.uniform(2.0**49, 1e16, 1 << 19),
+                        np.exp(gen.uniform(math.log(2.0**49), math.log(1e16), 1 << 19))])
+    want = [repr(v) for v in x.tolist()]
+    calls = []
+    monkeypatch.setattr(latency, "repr", lambda v: calls.append(v) or repr(v),
+                        raising=False)
+    assert _texts(float_cells(x)) == want
+    assert calls == []
+
+
 @pytest.mark.parametrize("values", [[0], [9, 10, 99, 100, 12345], list(range(1001)),
                                     [10**17 - 1, 5, 10**18]])
 def test_int_cells(values):

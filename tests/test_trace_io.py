@@ -132,9 +132,24 @@ _NOISE_LINES = st.sampled_from(["", "#", "# note", '# "unbalanced', "#1,2,3,4",
                                 " ", "\t"])
 _BAD_FIELDS = st.sampled_from(["x", "", "1.0", "1.5", "-1", "7", "1e3", "+1", "0x1",
                                "inf", "-inf", "nan", "NaN", "0", "-0.0", "1e400",
-                               "99999999999999999999", '"1"'])
+                               "99999999999999999999", '"1"', "100000000", "4294967296"])
 _MUTATIONS = st.sampled_from(["drop", "duplicate", "field", "pad", "short", "long",
                               "noise"])
+
+
+# Each file draws its values from one of these: short reprs, reprs of any
+# positive float (exponent notation included), fixed notation with 17-22
+# fraction digits (often more than 18 significant digits), small integers,
+# or all of them.
+_REPRS = st.floats(min_value=1e-3, max_value=10.0).map(repr)
+_VALUES = [_REPRS, _REPRS,
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False).map(repr),
+           st.builds("{}.{}".format, st.sampled_from([0, 0, 7, 99999999, 123456789]),
+                     st.text("0123456789", min_size=17, max_size=22)),
+           st.integers(0, 9).map(str)]
+_VALUES.append(st.one_of(_VALUES))
+# Each file ends its lines with one of these: LF, CRLF, both, or also a bare CR.
+_LINE_ENDS = [["\n"], ["\r\n"], ["\n", "\r\n"], ["\n", "\r\n"], ["\n", "\r\n", "\r"]]
 
 
 @st.composite
@@ -144,9 +159,10 @@ def csv_files(draw):
     header = READERS[kind][0]
     ndim = len(header) - 1
     shape = draw(st.tuples(*[st.integers(1, 3)] * ndim))
-    values = st.one_of(st.floats(min_value=1e-3, max_value=10.0).map(repr),
-                       st.integers(0, 9).map(str))
-    rows = [[*map(str, ix), draw(values)]
+    values = draw(st.sampled_from(_VALUES))
+    # Ids zero-padded to 9 or more digits are 10**8 and above in width.
+    width = draw(st.sampled_from([0, 0, 0, 8, 9, 12]))
+    rows = [[*(str(i).zfill(width) for i in ix), draw(values)]
             for ix in itertools.product(*map(range, shape))]
     rows = draw(st.permutations(rows))
     lines = [",".join(r) for r in rows]
@@ -176,8 +192,8 @@ def csv_files(draw):
     prelude = draw(st.lists(st.sampled_from(["", "# note", '# "unbalanced']),
                             max_size=2))
     all_lines = prelude + [head] + lines
-    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(all_lines),
-                         max_size=len(all_lines)))
+    ends = draw(st.lists(st.sampled_from(draw(st.sampled_from(_LINE_ENDS))),
+                         min_size=len(all_lines), max_size=len(all_lines)))
     text = "".join(ln + end for ln, end in zip(all_lines, ends))
     if draw(st.booleans()):
         text = text[:-len(ends[-1])]  # no final newline
@@ -195,6 +211,95 @@ def test_reader_matches_line_by_line_oracle(case):
         with open(path, "w", newline="") as fh:
             fh.write(text)
         _assert_reads_like_oracle(kind, str(path))
+
+
+def _in_fast_grammar(value: str) -> bool:
+    whole, dot, fraction = value.partition(".")
+    return bool(dot and whole.isdigit() and fraction.isdigit() and len(whole) <= 8
+                and len(fraction) <= 21 and len((whole + fraction).lstrip("0")) <= 18)
+
+
+def _ids_in_fast_grammar(line: str) -> bool:
+    return all(len(i) <= 8 for i in line.split(",")[:-1])
+
+
+_NEAR_GRAMMAR = st.one_of(
+    st.floats(min_value=1e-4, max_value=1e8, exclude_max=True).map(repr),
+    st.builds("{}.{}".format, st.integers(0, 10**9),
+              st.text("0123456789", min_size=1, max_size=23)),
+    st.sampled_from(["0.0", "00000000.5", "0.000000000000000000001", "99999999.9999999999",
+                     "0.123456789012345678", "0.1234567890123456789", "1.", ".5", "1",
+                     "0.5\r3", "2.\r5"]))
+
+
+@st.composite
+def grammar_files(draw):
+    """(kind, text, in grammar, read size) of a well-formed file whose values
+    are in or next to the grammar the fast stage reads, which reads it in
+    blocks of the read size."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    header = READERS[kind][0]
+    cells = list(itertools.product(*map(range, draw(
+        st.tuples(*[st.integers(1, 4)] * (len(header) - 1))))))
+    values = draw(st.lists(_NEAR_GRAMMAR, min_size=len(cells), max_size=len(cells)))
+    # Ids zero-padded to 8 or 9 digits, and first ids from 10**8 - 2 or
+    # 10**8 on, which break the id rules in a message that shows them.
+    width = draw(st.sampled_from([0, 0, 8, 9]))
+    shift = draw(st.sampled_from([0, 0, 0, 10**8 - 2, 10**8]))
+    lines = [",".join(header)] + [
+        ",".join([str(ix[0] + shift).zfill(width), *(str(i).zfill(width) for i in ix[1:]), v])
+        for ix, v in zip(cells, values)]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(ln + end for ln, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return (kind, text, all(map(_in_fast_grammar, values))
+            and all(map(_ids_in_fast_grammar, lines[1:])),
+            draw(st.sampled_from([1, 7, 64, latency._READ_BYTES])))
+
+
+def _no_loadtxt(*args, **kwargs):
+    raise AssertionError("numpy's reader called")
+
+
+@given(grammar_files())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_rows_in_the_fast_grammar_skip_numpys_reader(case):
+    kind, text, in_grammar, read_bytes = case
+    _, read, oracle = READERS[kind]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "data.csv")
+        Path(path).write_bytes(text.encode())
+        want = _outcome(oracle, path)
+        saved = np.loadtxt, latency._READ_BYTES
+        if in_grammar:
+            np.loadtxt = _no_loadtxt
+        latency._READ_BYTES = read_bytes
+        try:
+            assert _outcome(read, path) == want
+        finally:
+            np.loadtxt, latency._READ_BYTES = saved
+
+
+def test_quotients_round_correctly_and_ties_to_even():
+    # The fast rows hold no exact tie (one needs 16 integer digits), so the
+    # rounding is checked on its own against Python's int division, which
+    # rounds correctly. Odd integers in [2**53, 2**54) lie halfway between
+    # two doubles.
+    gen = np.random.default_rng(8)
+    odd = gen.integers(2**53, 10**16, 2000) | 1
+    # 18-digit decimals a tenth of a spacing apart around each power of two
+    # 2**p, below which the spacing halves.
+    near_twos = [((10**k * 2**p if p >= 0 else 10**k // 2**-p) + j, k)
+                 for p in range(-13, 60) for k in [17 - math.floor(p * math.log10(2))]
+                 for j in range(-40, 41)]
+    digits = np.concatenate([gen.integers(2**53, 10**18, 20_000), odd, odd * 10, odd * 100,
+                             [d for d, _ in near_twos], [2**53 + 1, 2**53 + 3, 10**18 - 1]])
+    k = np.concatenate([gen.integers(0, 22, 20_000), np.zeros(2000, int), np.ones(2000, int),
+                        np.full(2000, 2), [k for _, k in near_twos], [0, 0, 21]])
+    got = latency._quotients(digits, k)
+    assert got.tolist() == [d / 10**e for d, e in zip(digits.tolist(), k.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +360,37 @@ def test_no_comment_after_the_header_skips_the_line_path(tmp_path, monkeypatch):
     path.write_text(text.replace("0,0,1,", "\n0,0,1,"))
     monkeypatch.setattr(latency, "_data_lines", _no_line_path)
     assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
+
+
+def test_bare_cr_before_the_header_ends_a_line(tmp_path):
+    # Text mode ends a line at a bare CR and binary readline does not, so
+    # counting the header's line in bytes would skip the first data row.
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"# note\r" + _TRACE_TEXT.encode())
+    assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+@pytest.mark.parametrize("rows, want", [
+    ("0,9007199254740993.0\n", [2.0**53]),  # 2**53 + 1, a tie: the even double
+    ("0,0.0\n1,0.5\n", [0.0, 0.5]),
+    ("0,0.25\n1,0.5", [0.25, 0.5]),  # no final newline
+], ids=["exact-tie", "zero", "no-final-newline"])
+def test_comm_values(tmp_path, rows, want):
+    path = tmp_path / "comm.csv"
+    path.write_text("iteration,T_c_seconds\n" + rows)
+    assert read_comm_csv(path).tolist() == want
+    _assert_reads_like_oracle("comm", str(path))
+
+
+def test_written_crlf_trace_skips_numpys_reader(tmp_path, monkeypatch):
+    values = 0.05 + np.random.default_rng(4).random((6, 5, 4))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(path, values, comment="config_hash=abc")
+    assert b"\r\n" in path.read_bytes()
+    _assert_reads_like_oracle("trace", str(path))
+    monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
+    assert read_trace_csv(path).tobytes() == values.tobytes()
 
 
 def test_bytes_path_reads(tmp_path):
