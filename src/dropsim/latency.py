@@ -9,10 +9,9 @@ censored moments in closed form through the normal CDF.
 from __future__ import annotations
 
 import csv
-import itertools
-import lzma
+import io
 import math
-import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -543,13 +542,12 @@ def _reject_first(path, bad: np.ndarray, message) -> None:
         raise ValueError(f"{path}:{_data_lines(path)[row][0]}: {message(row)}")
 
 
-# The fast reader reads this many bytes at a time. A row of its grammar
-# holds at most _MAX_ROW bytes, so a longer run without a line end declines.
+# The readers read this many bytes at a time.
 _READ_BYTES = 1 << 20
-_MAX_ROW = 256
 # Zero bytes before each block, so that every digit window has 24 bytes
 # before its end.
 _PAD = bytes(24)
+_INT32 = np.iinfo(np.int32)
 # _DIGIT_MASKS[w] keeps the low nibble of the last w bytes of a word.
 _DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F & -(1 << 8 * (8 - w)) for w in range(9)],
                         np.uint64)
@@ -659,64 +657,70 @@ def _parse_block(text: bytes, ncols: int):
 
 def _line_blocks(fh):
     """The rest of the binary file fh in blocks of whole lines; a last line
-    without a line end gets an LF. Stops at a line over _MAX_ROW bytes."""
-    tail = b""
+    without a line end gets an LF."""
+    pieces = []
     for block in iter(lambda: fh.read(_READ_BYTES), b""):
-        text = tail + block
-        cut = text.rfind(b"\n") + 1
-        text, tail = text[:cut], text[cut:]
-        if len(tail) > _MAX_ROW:
-            return
-        if text:
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            # No piece is held while the block is parsed.
+            text, pieces = b"".join([*pieces, block[:cut]]), [block[cut:]]
             yield text
-    if tail:
+        else:
+            pieces.append(block)
+    if any(pieces):
         # A CR here ends the line in text mode too.
-        yield tail + b"\n"
+        text, pieces = b"".join([*pieces, b"\n"]), None
+        yield text
 
 
-def _fast_columns(path, skip: int, ncols: int):
-    """Columns of the data rows past the first `skip` lines, parsed by
-    _parse_block into arrays sized once from a count of line ends; None
-    unless every row is in its grammar."""
-    with open(path, "rb") as fh:
-        for _ in range(skip):
-            # Text mode also ends a line at a bare CR, which readline does not.
-            if b"\r" in fh.readline().removesuffix(b"\r\n"):
-                return None
-        start, rows, last = fh.tell(), 0, b"\n"
-        for block in iter(lambda: fh.read(_READ_BYTES), b""):
-            rows += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            last = block[-1:]
-        rows += last != b"\n"
-        # Ids of at most 8 digits fit int32, which halves their memory.
-        out = [np.empty(rows, np.int32) for _ in range(ncols - 1)] + [np.empty(rows)]
-        fh.seek(start)
-        at = 0
-        for text in _line_blocks(fh):
-            columns = _parse_block(text, ncols)
-            if columns is None or at + columns[0].size > rows:
-                return None
-            for col, part in zip(out, columns):
-                col[at:at + part.size] = part
-            at += columns[0].size
-    return out if at == rows else None
+def _skip_lines(fh, count: int) -> None:
+    """Move the binary file fh past its first `count` lines as text mode
+    splits them, also at a bare CR, where readline does not."""
+    for line in fh:
+        ends = [m.end() for m in re.finditer(rb"\r\n?|\n", line)]
+        if len(ends) >= count:
+            fh.seek(ends[count - 1] - len(line), io.SEEK_CUR)
+            return
+        count -= len(ends)
+
+
+def _numpy_block(path, header, text: bytes, before: int, encoding) -> list:
+    """Columns numpy's text reader gives for the data lines of text, decoded
+    as text mode decodes it, which follow the first `before` data lines; []
+    if it holds none. A ValueError names the first line numpy rejects."""
+    dtype = np.dtype([(h, np.int64) for h in header[:-1]] + [(header[-1], np.float64)])
+    opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
+    try:
+        lines = [ln for ln in io.TextIOWrapper(io.BytesIO(text), encoding) if ln[0] not in _SKIP]
+    except UnicodeDecodeError:
+        _data_lines(path)  # raises it at its place in the whole file
+        raise
+    try:
+        return np.loadtxt(lines, **opts) if lines else []
+    except ValueError:
+        pass
+    # Bisect: lines before lo parse and lines[lo:hi] holds one that does not.
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            np.loadtxt(lines[lo:mid], **opts)
+            lo = mid
+        except ValueError:
+            hi = mid
+    no, line = _data_lines(path)[before + lo]
+    raise ValueError(f"{path}:{no}: expected {','.join(header)} with "
+                     f"integer ids, got {line.rstrip()!r}")
 
 
 def _parse_rows(path, header) -> list:
     """Columns of a headed CSV file's data rows: integer ids, then float64 values.
 
-    Three stages read the rows past the header, each when the one before
-    declines, and all give the same columns for the same rows:
-    1. _fast_columns parses a file whose every data row reads
-       id,...,id,digits.digits in numpy, to the doubles numpy's reader gives;
-    2. numpy's C text reader reads the file itself, in chunks, skipping
-       blank lines; a comment line after the header makes it fail, and so
-       does a malformed row;
-    3. the line path parses the data lines filtered in Python, and on failure
-       bisects for the first line numpy rejects.
+    The rows past the header are read in blocks of whole lines, each by one
+    of two parsers that give the same columns for the same rows: _parse_block
+    reads a block whose every line is in its grammar, and _numpy_block any
+    other.
     """
-    dtype = np.dtype([(h, np.int64) for h in header[:-1]] + [(header[-1], np.float64)])
-    opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
     with open(path) as fh:
         # h counts the physical lines up to and including the header.
         lines = ((h, ln) for h, ln in enumerate(fh, 1) if ln[0] not in _SKIP)
@@ -726,38 +730,33 @@ def _parse_rows(path, header) -> list:
         if next(lines, None) is None:
             raise ValueError(f"{path}: no data rows")
         encoding = fh.encoding
-    columns = _fast_columns(path, h, len(header))
-    if columns is not None:
-        return columns
-    try:
-        # numpy reads a str path in chunks. Made absolute, no path looks like
-        # a URL to it; a plain file named like an archive (.gz, .bz2, .xz,
-        # .lzma) fails here and is read by the line path.
-        columns = np.loadtxt(os.path.abspath(os.fsdecode(path)), skiprows=h,
-                             encoding=encoding, **opts)
-        if columns[0].size:
-            return columns
-    except (ValueError, OSError, lzma.LZMAError):
-        pass
-    with open(path) as fh:
-        try:
-            return np.loadtxt((ln for ln in itertools.islice(fh, h, None)
-                               if ln[0] not in _SKIP), **opts)
-        except ValueError:
-            pass
-    # Bisect for the first row numpy rejects: rows before lo parse and
-    # lines[lo:hi] holds one that does not.
-    lines = _data_lines(path)
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        try:
-            np.loadtxt([ln for _, ln in lines[lo:mid]], **opts)
-            lo = mid
-        except ValueError:
-            hi = mid
-    raise ValueError(f"{path}:{lines[lo][0]}: expected {','.join(header)} with "
-                     f"integer ids, got {lines[lo][1].rstrip()!r}")
+    with open(path, "rb") as fh:
+        _skip_lines(fh, h)
+        start, rows = fh.tell(), 1
+        for block in iter(lambda: fh.read(_READ_BYTES), b""):
+            rows += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        fh.seek(start)
+        # Columns sized for a row per LF and a last line without one grow
+        # only where bare CRs end more lines. Ids of at most 8 digits fit
+        # int32, which halves their memory.
+        out = [np.empty(rows, np.int32) for _ in header[1:]] + [np.empty(rows)]
+        at = 0
+        for text in _line_blocks(fh):
+            columns = (_parse_block(text, len(header))
+                       or _numpy_block(path, header, text, at, encoding))
+            if not columns:
+                continue
+            # An id outside int32 makes its column int64.
+            out[:-1] = [col.astype(np.int64, copy=False)
+                        if ids.min() < _INT32.min or ids.max() > _INT32.max else col
+                        for col, ids in zip(out, columns[:-1])]
+            n = columns[0].size
+            if at + n > out[0].size:
+                out = [np.resize(col, 2 * (at + n)) for col in out]
+            for col, part in zip(out, columns):
+                col[at:at + n] = part
+            at += n
+    return [col[:at] for col in out]
 
 
 def _read_dense(path, header, valid, rule: str) -> np.ndarray:

@@ -202,15 +202,25 @@ def csv_files(draw):
     return kind, name, text
 
 
-@given(csv_files())
+# Read sizes small enough to put line ends, comments and bad rows on block
+# edges, next to blocks of the fast grammar.
+_READ_SIZES = st.sampled_from([1, 7, 64, latency._READ_BYTES])
+
+
+@given(csv_files(), _READ_SIZES)
 @settings(max_examples=400, derandomize=True, deadline=None)
-def test_reader_matches_line_by_line_oracle(case):
+def test_reader_matches_line_by_line_oracle(case, read_bytes):
     kind, name, text = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / name
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-        _assert_reads_like_oracle(kind, str(path))
+    saved = latency._READ_BYTES
+    latency._READ_BYTES = read_bytes
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            _assert_reads_like_oracle(kind, str(path))
+    finally:
+        latency._READ_BYTES = saved
 
 
 def _in_fast_grammar(value: str) -> bool:
@@ -256,7 +266,7 @@ def grammar_files(draw):
         text = text[:-len(ends[-1])]
     return (kind, text, all(map(_in_fast_grammar, values))
             and all(map(_ids_in_fast_grammar, lines[1:])),
-            draw(st.sampled_from([1, 7, 64, latency._READ_BYTES])))
+            draw(_READ_SIZES))
 
 
 def _no_loadtxt(*args, **kwargs):
@@ -391,6 +401,85 @@ def test_written_crlf_trace_skips_numpys_reader(tmp_path, monkeypatch):
     _assert_reads_like_oracle("trace", str(path))
     monkeypatch.setattr(np, "loadtxt", _no_loadtxt)
     assert read_trace_csv(path).tobytes() == values.tobytes()
+
+
+def _grammar_trace(iterations: int) -> tuple:
+    """Text and tensor of a (iterations, 2, 2) trace in the fast grammar."""
+    values = (1 + np.arange(iterations * 4).reshape(iterations, 2, 2)) / 8
+    rows = [f"{i},{w},{m},{v!r}\n" for (i, w, m), v in zip(np.ndindex(values.shape),
+                                                        values.ravel().tolist())]
+    return ",".join(TRACE_HEADER) + "\n" + "".join(rows), values
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Read files 64 bytes at a time: a few rows a block."""
+    monkeypatch.setattr(latency, "_READ_BYTES", 64)
+
+
+def test_late_comment_and_empty_line_are_read_by_numpy_in_their_blocks(
+        tmp_path, monkeypatch, small_blocks):
+    text, values = _grammar_trace(50)
+    lines = text.splitlines(keepends=True)
+    lines.insert(100, "\n")
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(lines) + "# end")
+    want = _outcome(READERS["trace"][2], str(path))
+    assert want == ("array", values.shape, values.tobytes())
+    calls, loadtxt = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda rows, **kw: calls.append(rows) or loadtxt(rows, **kw))
+    assert _outcome(read_trace_csv, str(path)) == want
+    # numpy reads the rows of the empty line's block, and of the comment's if
+    # it holds any: a few lines each, never the whole file.
+    assert 1 <= len(calls) <= 2
+    assert all(isinstance(rows, list) and len(rows) <= 5 for rows in calls)
+
+
+def test_bare_cr_inside_the_header_line(tmp_path):
+    path = tmp_path / "trace.csv"
+    text = _TRACE_TEXT.replace("latency_seconds\n", "latency_seconds\r")
+    path.write_bytes(text.encode())
+    assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def test_id_past_int32_in_the_last_block_shows_in_full(tmp_path, small_blocks):
+    text, _ = _grammar_trace(40)
+    path = tmp_path / "trace.csv"
+    path.write_text(text + "4294967296,0,0,0.5\n")
+    with pytest.raises(ValueError, match=rf"^{path}:162: iteration ids .* got 4294967296$"):
+        read_trace_csv(path)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def test_bare_cr_in_a_late_block(tmp_path, small_blocks):
+    # Two rows end in a bare CR: more rows than line feeds.
+    text, values = _grammar_trace(40)
+    path = tmp_path / "trace.csv"
+    for row in ["38,1,1,", "39,1,1,"]:
+        text = text.replace("\n" + row, "\r" + row)
+    path.write_bytes(text.encode())
+    assert read_trace_csv(path).tobytes() == values.tobytes()
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def test_undecodable_byte_in_a_late_block(tmp_path, small_blocks):
+    # The error gives the byte's position as text mode reads the whole file.
+    text, _ = _grammar_trace(700)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode() + b"# \xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_trace_csv(path)
+    _assert_reads_like_oracle("trace", str(path))
+
+
+def test_line_over_many_blocks_without_a_line_end(tmp_path, monkeypatch):
+    monkeypatch.setattr(latency, "_READ_BYTES", 7)
+    path = tmp_path / "trace.csv"
+    path.write_text(",".join(TRACE_HEADER) + "\n0,0,0,0." + "5" * 300 + "x")
+    with pytest.raises(ValueError, match=rf"^{path}:2: expected iteration,.*5x'$"):
+        read_trace_csv(path)
+    _assert_reads_like_oracle("trace", str(path))
 
 
 def test_bytes_path_reads(tmp_path):
