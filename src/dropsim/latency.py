@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -44,11 +45,24 @@ POSITIVE_FLOOR_FRACTION = 1e-6
 
 
 class NoiseSpec:
-    """Base class for additive noise distributions (seconds or multipliers)."""
+    """Base class for additive noise distributions (seconds or multipliers).
+
+    The simulator fills a block of streams' draws in place: `fill` writes
+    one stream's draws into a row of the block, and `finish` then maps the
+    whole block once. Together they give the bits `sample` gives for each
+    row's stream.
+    """
 
     def sample(self, gen: np.random.Generator, size) -> np.ndarray:
         """An array of `size` draws from the numpy generator `gen`."""
         raise NotImplementedError
+
+    def fill(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        """Write the draws of gen into the array out, before `finish`."""
+        out[...] = self.sample(gen, out.shape)
+
+    def finish(self, eps: np.ndarray) -> None:
+        """Map rows that `fill` wrote, in place, to `sample`'s draws."""
 
     def mean(self) -> float:
         raise NotImplementedError
@@ -80,6 +94,15 @@ class NormalNoise(NoiseSpec):
 
     def sample(self, gen, size):
         return gen.normal(self.loc, self.std, size)
+
+    # numpy draws normal(loc, std) as loc + std * standard_normal(): the
+    # standard draws fill the rows, and finish scales and shifts them.
+    def fill(self, gen, out):
+        gen.standard_normal(out=out)
+
+    def finish(self, eps):
+        eps *= self.std
+        eps += self.loc
 
     def mean(self):
         return self.loc
@@ -307,10 +330,15 @@ class WorkerLatencyModel:
         return self.times(self.noise.sample(gen, size))
 
     def times(self, eps: np.ndarray, out=None) -> np.ndarray:
-        """Micro-batch times for an array of noise draws, as `sample` maps them."""
-        t = self.base_mean + self._noise_scale() * eps
-        if out is None and isinstance(t, np.ndarray):
-            out = t  # a new array: the floor can overwrite it
+        """Micro-batch times for an array of noise draws, as `sample` maps them.
+
+        base + scale * eps is computed in out, or else in one new array,
+        without temporaries: on block-sized arrays their allocation cost
+        more than the arithmetic."""
+        t = np.multiply(eps, self._noise_scale(), out=out)
+        if isinstance(t, np.ndarray):
+            out = t
+        t = np.add(t, self.base_mean, out=out)
         return np.maximum(t, POSITIVE_FLOOR_FRACTION * self.base_mean, out=out)
 
     def moments(self) -> tuple[float, float]:
@@ -447,7 +475,7 @@ def _scaled(x: np.ndarray, k: np.ndarray):
 def _half_even(q: np.ndarray, r: np.ndarray, half) -> np.ndarray:
     """q rounded by its remainder r: up where r is above half, or equal to
     half with q odd (round half to even)."""
-    return q + ((r > half) | (r == half) & (q % 2 == 1))
+    return q + ((r > half) | (r == half) & (q & 1).astype(bool))
 
 
 def float_cells(x) -> np.ndarray:
@@ -461,7 +489,9 @@ def float_cells(x) -> np.ndarray:
     of 15 significant digits or fewer reads back exactly (DBL_DIG is 15), so
     at most one lies this close to v: the nearest 15-digit one, if any. If
     none does, the nearest 16-digit one is taken if it is within h, else the
-    nearest 17-digit one, which always is.
+    nearest 17-digit one, which always is. So each value picks its digit
+    position first, from its remainders at the 15- and 16-digit positions,
+    and F + f is then rounded once, at that position.
 
     Three facts keep this exact. In this range v * 10**(16 - E) is a
     multiple of 2**-46, so f and the distances to the candidates, all below
@@ -486,13 +516,16 @@ def float_cells(x) -> np.ndarray:
         big[redo], f[redo] = _scaled(v[redo], 16 - e[redo])
     # 2**floor(log2 v) * 2**-53 is half of v's spacing.
     h = (v.view(np.uint64) & _EXPONENT).view(np.float64) * (2.0**-53 * _POW10[16 - e])
-    q10, q100 = big // 10, big // 100
+    q10 = big // 10
     r10 = (big - q10 * 10) + f
-    r100 = (big - q100 * 100) + f
+    r100 = (big - q10 // 10 * 100) + f
     near15 = np.minimum(r100, 100 - r100) < h
     near16 = np.minimum(r10, 10 - r10) < h
-    digits = np.where(near15, _half_even(q100, r100, 50) * 100,
-                      np.where(near16, _half_even(q10, r10, 5) * 10, _half_even(big, f, 0.5)))
+    # A 15-digit decimal is also a 16-digit one, so near15 implies near16,
+    # and the unit of the last digit kept is 100, 10 or 1.
+    unit = _POW10_INT[near15.view(np.int8) + near16.view(np.int8)]
+    q = big // unit
+    digits = _half_even(q, (big - q * unit) + f, unit / 2) * unit
 
     # Integer part, point, E < 0's leading zeros, then the fraction's
     # digits, left-aligned in 17 columns and without trailing zeros.
@@ -529,17 +562,19 @@ def csv_rows(columns) -> str:
     return rows.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _data_lines(path) -> list:
-    """(physical line number, text) of every data row; rescans the file."""
+def _data_line(path, row: int):
+    """(physical line number, text) of data row `row`, counted from 0 past
+    the header, or None past the last; rescans the file only up to it."""
     with open(path) as fh:
-        return [(no, ln) for no, ln in enumerate(fh, 1) if ln[0] not in _SKIP][1:]
+        lines = ((no, ln) for no, ln in enumerate(fh, 1) if ln[0] not in _SKIP)
+        return next(itertools.islice(lines, row + 1, None), None)
 
 
 def _reject_first(path, bad: np.ndarray, message) -> None:
     """Raise `message(row)` at the physical line of the first row flagged in `bad`."""
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(f"{path}:{_data_lines(path)[row][0]}: {message(row)}")
+        raise ValueError(f"{path}:{_data_line(path, row)[0]}: {message(row)}")
 
 
 # The readers read this many bytes at a time.
@@ -693,7 +728,9 @@ def _numpy_block(path, header, text: bytes, before: int, encoding) -> list:
     try:
         lines = [ln for ln in io.TextIOWrapper(io.BytesIO(text), encoding) if ln[0] not in _SKIP]
     except UnicodeDecodeError:
-        _data_lines(path)  # raises it at its place in the whole file
+        # Reading up to the block's last line raises it at its place in the
+        # whole file; text mode ends a line at each LF or bare CR.
+        _data_line(path, before + text.count(b"\n") + text.count(b"\r"))
         raise
     try:
         return np.loadtxt(lines, **opts) if lines else []
@@ -708,7 +745,7 @@ def _numpy_block(path, header, text: bytes, before: int, encoding) -> list:
             lo = mid
         except ValueError:
             hi = mid
-    no, line = _data_lines(path)[before + lo]
+    no, line = _data_line(path, before + lo)
     raise ValueError(f"{path}:{no}: expected {','.join(header)} with "
                      f"integer ids, got {line.rstrip()!r}")
 

@@ -155,7 +155,9 @@ class _Sampler:
 
     Iteration k of a block draws its (N, M) matrix from stream ids[k] of a
     homogeneous fleet; worker n of a mixed fleet draws its M micro-batches
-    from stream ids[k, n].
+    from stream ids[k, n]. Each stream's draws are filled in place into the
+    block (NoiseSpec.fill), and the block, or a mixed fleet's worker column,
+    is mapped once (NoiseSpec.finish), which gives the bits `sample` gives.
     """
 
     def __init__(self, config: SimConfig, rng: RngStream):
@@ -175,16 +177,20 @@ class _Sampler:
     def draw(self, ids: np.ndarray) -> np.ndarray:
         """(B, N, M) latencies of the streams ids."""
         eps = np.empty((ids.shape[0], self.n, self.m))
+        at = self.at
         if not self.mixed:
             model = self.workers[0]
-            for k, sid in enumerate(ids.tolist()):
-                eps[k] = model.noise.sample(self.at(sid), (self.n, self.m))
+            fill = model.noise.fill
+            for sid, row in zip(ids.tolist(), eps):
+                fill(at(sid), row)
+            model.noise.finish(eps)
             return model.times(eps, eps)
-        samplers = [model.noise.sample for model in self.workers]
-        for k, row in enumerate(ids.tolist()):
-            for w, (sid, sample) in enumerate(zip(row, samplers)):
-                eps[k, w] = sample(self.at(sid), self.m)
+        fills = [model.noise.fill for model in self.workers]
+        for sids, rows in zip(ids.tolist(), eps):
+            for sid, fill, row in zip(sids, fills, rows):
+                fill(at(sid), row)
         for w, model in enumerate(self.workers):
+            model.noise.finish(eps[:, w])
             model.times(eps[:, w], eps[:, w])
         return eps
 
@@ -523,9 +529,11 @@ def _records_text(first: int, compute_times, stop_times, completed) -> str:
     table = float_cells(np.concatenate([t, s[other]]))
     pick = np.arange(t.size)
     pick[other] = np.arange(t.size, table.shape[1])
-    return csv_rows([int_cells(np.repeat(np.arange(first, first + b), n)),
-                     int_cells(np.tile(np.arange(n), b)), table[:, :t.size], table[:, pick],
-                     int_cells(completed)])
+    # The integer cells are formatted once per distinct value, then repeated.
+    completed = np.asarray(completed, dtype=np.int64).ravel()
+    return csv_rows([np.repeat(int_cells(np.arange(first, first + b)), n, axis=1),
+                     np.tile(int_cells(np.arange(n)), b), table[:, :t.size], table[:, pick],
+                     int_cells(np.arange(completed.max(initial=0) + 1))[:, completed]])
 
 
 def write_records_csv(path, records: IterationBlock, comment: Optional[str] = None) -> None:

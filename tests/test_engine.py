@@ -14,16 +14,20 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dropsim as ds
 from dropsim import simulate
+from dropsim.latency import NOISE_KINDS
 from dropsim.simulate import IterationBlock, RunStats
 from dropsim.stats import StreamGenerator, philox_generator
 
 _MODELS = {
     "none": ds.WorkerLatencyModel(0.45, ds.NoNoise()),
     "normal": ds.WorkerLatencyModel(1.0, ds.NormalNoise(0.0, 0.1)),
+    # A second normal spec: a mixed fleet maps each worker's draws with its own loc and std.
+    "normal_shifted": ds.WorkerLatencyModel(0.8, ds.NormalNoise(0.05, 0.3),
+                                            "additive_scaled_by_mean"),
     "lognormal": ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(-2.0, 0.5)),
     "bounded": ds.WorkerLatencyModel(1.0, ds.simulated_delay_noise(),
                                      "additive_scaled_by_mean"),
@@ -200,6 +204,10 @@ def _configs(draw):
 
 @given(_configs())
 @settings(max_examples=80, derandomize=True, deadline=None)
+# Two normal specs in one mixed fleet, each worker's draws mapped with its own.
+@example((ds.SimConfig(ds.FleetSpec(tuple(_MODELS[k] for k in (
+    "normal", "normal_shifted", "lognormal", "normal_shifted", "normal"))),
+    4, 0.2, 4.1, 9, 17), 2))
 def test_engine_matches_per_iteration_oracle(case):
     config, block_iterations = case
     want_stats, want_records, want_trace = _oracle_run(config, ds.RngStream(config.seed, 0))
@@ -269,6 +277,22 @@ def test_idle_steps_score_positive_zero():
 def test_replay_rejects_inputs_outside_the_contract(trace, comm, tau):
     with pytest.raises(ValueError):
         ds.run_from_trace(trace, comm, tau)
+
+
+def test_api_hetero_shaped_fleet_matches_oracle():
+    # 63 fast normal workers, one slow normal worker and one lognormal worker.
+    fast = ds.WorkerLatencyModel(1.0, ds.NormalNoise(0.0, 0.08))
+    slow = ds.WorkerLatencyModel(2.0, ds.NormalNoise(0.0, 0.08))
+    fleet = ds.FleetSpec((fast,) * 40 + (slow,) + (fast,) * 23 + (_MODELS["lognormal"],))
+    config = ds.SimConfig(fleet, 12, 0.2, 13.0, 7, 11)
+    want_stats, want_records, want_trace = _oracle_run(config, ds.RngStream(config.seed, 0))
+    with mock.patch.object(simulate, "_BLOCK_SAMPLES", 65 * 12 * 3):
+        sim = ds.run_detailed(config)
+        stats = ds.run(config)
+    assert _same_floats(sim.trace, want_trace)
+    _assert_records_equal(sim.records, want_records)
+    _assert_stats_equal(sim.stats, want_stats)
+    _assert_stats_equal(stats, want_stats)
 
 
 def test_block_size_does_not_change_results():
@@ -358,6 +382,42 @@ def test_repositioned_generator_draws_like_a_fresh_one(seed, visits):
         assert _same_floats(noise.sample(philox_generator(seed, sid), size), want)
         fresh = _oracle_generator(ds.RngStream(seed, sid))
         assert _same_floats(noise.sample(fresh, size), want)
+
+
+# One spec of every noise kind, built from these keyword parameters.
+_KIND_PARAMS = {
+    "none": {},
+    "normal": {"loc": 0.3, "std": 1.7},
+    "lognormal": {"log_mean": -1.0, "log_std": 0.6},
+    "bounded_lognormal": {"log_mean": 4.0, "log_std": 1.0, "scale_divisor": 180.0,
+                          "bound": 0.9},
+    "simulated_delay": {},
+    "bernoulli": {"p": 0.4, "scale": 0.5},
+    "exponential": {"rate": 3.0},
+    "gamma": {"shape": 0.7, "rate": 5.0},
+    "empirical": {"samples": (-0.25, 0.0, 0.125, 2.5)},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOISE_KINDS))
+@pytest.mark.parametrize("shape", [(3, 5), (5,)])
+def test_fill_then_finish_draws_what_sample_draws(kind, shape):
+    assert sorted(_KIND_PARAMS) == sorted(NOISE_KINDS)
+    noise = NOISE_KINDS[kind](**_KIND_PARAMS[kind])
+    want = np.stack([noise.sample(ds.RngStream(6, sid).generator(), shape)
+                     for sid in (11, 12)])
+    # Two streams filled one after another from one repositioned generator;
+    # a (5,) row is the middle worker of a (2, 3, 5) block, as in a mixed
+    # fleet, so finish maps a strided column.
+    gens = StreamGenerator(6)
+    block = np.full((2, 3, 5), np.nan)
+    eps = block if len(shape) == 2 else block[:, 1]
+    for row, sid in zip(eps, (11, 12)):
+        noise.fill(gens.at(sid), row)
+    noise.finish(eps)
+    assert _same_floats(eps, want)
+    if len(shape) == 1:
+        assert np.isnan(block[:, [0, 2]]).all()
 
 
 def test_empirical_noise_array_is_not_part_of_its_value():

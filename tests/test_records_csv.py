@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dropsim as ds
 from dropsim import cli, latency, simulate
@@ -78,6 +78,10 @@ def blocks(draw, min_b=1, max_b=6, max_n=6):
 
 @given(blocks(), st.integers(0, 10**6))
 @settings(max_examples=400, derandomize=True, deadline=None)
+# The integer cells are formatted once per distinct value: a 1x1 block past
+# iteration 0, and blocks whose largest completed count is below M.
+@example((np.array([[0.5]]), np.array([[0.25]]), np.array([[0]])), 7)
+@example((np.full((2, 3), 1.5), np.full((2, 3), 1.0), np.array([[0, 2, 1], [2, 0, 0]])), 99)
 def test_block_text_matches_row_formatter(block, first):
     compute, stop, completed = block
     text = simulate._records_text(first, compute, stop, completed)

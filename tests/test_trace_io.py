@@ -8,6 +8,7 @@ import csv
 import itertools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -330,7 +331,7 @@ def test_plain_text_under_an_archive_name_reads(tmp_path, name):
     _assert_reads_like_oracle("trace", str(path))
 
 
-def _no_line_path(path):
+def _no_line_path(*args):
     raise AssertionError("line path taken")
 
 
@@ -338,7 +339,7 @@ def test_url_like_relative_path_is_read_as_a_file(tmp_path, monkeypatch):
     (tmp_path / "http:" / "localhost").mkdir(parents=True)
     (tmp_path / "http:" / "localhost" / "t.csv").write_text(_TRACE_TEXT)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(latency, "_data_lines", _no_line_path)
+    monkeypatch.setattr(latency, "_data_line", _no_line_path)
     assert np.array_equal(read_trace_csv("http://localhost/t.csv"), _TRACE_ARRAY)
 
 
@@ -368,7 +369,7 @@ def test_no_comment_after_the_header_skips_the_line_path(tmp_path, monkeypatch):
     path = tmp_path / "trace.csv"
     text = "# config_hash=abc\n\n" + _TRACE_TEXT.replace("\n", "\r\n")
     path.write_text(text.replace("0,0,1,", "\n0,0,1,"))
-    monkeypatch.setattr(latency, "_data_lines", _no_line_path)
+    monkeypatch.setattr(latency, "_data_line", _no_line_path)
     assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
 
 
@@ -473,6 +474,17 @@ def test_undecodable_byte_in_a_late_block(tmp_path, small_blocks):
     _assert_reads_like_oracle("trace", str(path))
 
 
+def test_undecodable_byte_far_into_a_block(tmp_path):
+    # One block holds the whole file, and the byte sits past text mode's
+    # first chunk of it: naming it must read on to the block's last line.
+    text, _ = _grammar_trace(3000)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode() + b"# \xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_trace_csv(path)
+    _assert_reads_like_oracle("trace", str(path))
+
+
 def test_line_over_many_blocks_without_a_line_end(tmp_path, monkeypatch):
     monkeypatch.setattr(latency, "_READ_BYTES", 7)
     path = tmp_path / "trace.csv"
@@ -480,6 +492,31 @@ def test_line_over_many_blocks_without_a_line_end(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=rf"^{path}:2: expected iteration,.*5x'$"):
         read_trace_csv(path)
     _assert_reads_like_oracle("trace", str(path))
+
+
+def _traced_peak(read, path):
+    """(outcome, peak bytes tracemalloc saw) of read(path)."""
+    tracemalloc.start()
+    try:
+        return _outcome(read, path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_naming_a_late_duplicate_row_keeps_the_read_in_its_memory(tmp_path):
+    # Naming the row rescans the file only up to it and keeps no line: a
+    # list of all 200k data lines would add about 20 MB.
+    text, values = _grammar_trace(50_000)
+    good, dup = tmp_path / "good.csv", tmp_path / "dup.csv"
+    good.write_text(text)
+    dup.write_text(text + text.splitlines(keepends=True)[100_001])
+    want, good_peak = _traced_peak(read_trace_csv, str(good))
+    assert want == ("array", values.shape, values.tobytes())
+    got, dup_peak = _traced_peak(read_trace_csv, str(dup))
+    assert got == ("error", f"{dup}:200002: duplicate iteration=25000, worker=0, "
+                            "micro_batch=0")
+    assert got == _outcome(READERS["trace"][2], str(dup))
+    assert dup_peak <= good_peak + 2_000_000
 
 
 def test_bytes_path_reads(tmp_path):
