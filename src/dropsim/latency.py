@@ -8,10 +8,12 @@ censored moments in closed form through the normal CDF.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import math
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -564,10 +566,31 @@ def csv_rows(columns) -> str:
 
 def _data_line(path, row: int):
     """(physical line number, text) of data row `row`, counted from 0 past
-    the header, or None past the last; rescans the file only up to it."""
-    with open(path) as fh:
-        lines = ((no, ln) for no, ln in enumerate(fh, 1) if ln[0] not in _SKIP)
-        return next(itertools.islice(lines, row + 1, None), None)
+    the header, or None past the last, as text mode reads them. The lines
+    are counted in binary blocks up to the row; only its line is decoded."""
+    skip = np.frombuffer(_SKIP.encode() + b"\r", np.uint8)
+    passed, offset = 0, 0
+    with open(path, "rb") as fh:
+        for text in _line_blocks(fh):
+            buf = np.frombuffer(text, np.uint8)
+            # Text mode ends a line at each LF and at each CR not before one;
+            # a block ends in an LF.
+            lf = buf == ord("\n")
+            cr = buf == ord("\r")
+            cr[:-1] &= ~lf[1:]
+            ends = np.flatnonzero(lf | cr)
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            data = np.flatnonzero(~np.isin(buf[starts], skip))
+            # Data line 0 is the header.
+            if row + 1 < data.size:
+                k = data[row + 1]
+                fh.seek(offset + starts[k])
+                line = fh.read(ends[k] + 1 - starts[k])
+                return passed + k + 1, io.TextIOWrapper(io.BytesIO(line)).readline()
+            row -= data.size
+            passed += ends.size
+            offset += len(text)
+    return None
 
 
 def _reject_first(path, bad: np.ndarray, message) -> None:
@@ -577,12 +600,21 @@ def _reject_first(path, bad: np.ndarray, message) -> None:
         raise ValueError(f"{path}:{_data_line(path, row)[0]}: {message(row)}")
 
 
-# The readers read this many bytes at a time.
-_READ_BYTES = 1 << 20
+# The readers read this many bytes at a time. A block's parse peaks at
+# about 8 times its size, and the pool runs a few at once; on a 2-core
+# x86-64 VM, blocks of 1 MB read a million-row trace no faster.
+_READ_BYTES = 1 << 19
 # Zero bytes before each block, so that every digit window has 24 bytes
 # before its end.
 _PAD = bytes(24)
 _INT32 = np.iinfo(np.int32)
+# Blocks are parsed ahead of the reader on as many threads as the process
+# has CPUs, at most this many, so that blocks in flight add only a few MB.
+_MAX_PARSE_THREADS = 4
+try:
+    _PARSE_THREADS = min(len(os.sched_getaffinity(0)), _MAX_PARSE_THREADS)
+except AttributeError:  # no sched_getaffinity on this platform
+    _PARSE_THREADS = min(os.cpu_count() or 1, _MAX_PARSE_THREADS)
 # _DIGIT_MASKS[w] keeps the low nibble of the last w bytes of a word.
 _DIGIT_MASKS = np.array([0x0F0F0F0F0F0F0F0F & -(1 << 8 * (8 - w)) for w in range(9)],
                         np.uint64)
@@ -645,11 +677,13 @@ def _quotients(digits: np.ndarray, k: np.ndarray):
     return None
 
 
-def _parse_block(text: bytes, ncols: int):
-    """Columns of the rows of text, each ended by LF or CRLF: int64 ids, then
-    float64 values. None unless every row reads id,...,id,digits.digits with
-    at most 8 digits in each id and in the integer part, at most 21 in the
-    fraction and at most 18 significant digits in the value."""
+def _digit_fields(text: bytes, ncols: int):
+    """(ids, whole, k, fraction) of the rows of text, each ended by LF or
+    CRLF: the int64 id columns, the integer parts, the number of fraction
+    digits and the fraction's digits as three int64 arrays of 8 digits,
+    last first. None unless every row reads id,...,id,digits.digits with at
+    most 8 digits in each id and in the integer part and at most 21 in the
+    fraction."""
     buf = np.frombuffer(_PAD + text, np.uint8)
     if buf.max() > ord("9"):
         return None
@@ -671,23 +705,39 @@ def _parse_block(text: bytes, ncols: int):
         return None
     # Field j ends at separator j and starts past the one before it, the
     # line end of the row before for j = 0. The fraction ends before a CR.
-    width = np.diff(seps.ravel(), prepend=len(_PAD) - 1).reshape(seps.shape) - 1
+    width = np.diff(seps.ravel(), prepend=len(_PAD) - 1).reshape(seps.shape)
+    width -= 1
     last = seps[:, -1]
     if crlf:
         cut = buf[last - 1] == ord("\r")
         last, width[:, -1] = last - cut, width[:, -1] - cut
-    if ((width - 1).view(np.uint64) >= np.array([8] * ncols + [21], np.uint64)).any():
+    if ((width < 1) | (width > np.array([8] * ncols + [21]))).any():
         return None
     words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
-    *columns, whole = (_swar(words, seps[:, j], width[:, j]) for j in range(ncols))
-    k = width[:, -1]
-    f0, f1, f2 = (_swar(words, last - 8 * i, np.clip(k - 8 * i, 0, 8)) for i in range(3))
+    *ids, whole = (_swar(words, seps[:, j], width[:, j]) for j in range(ncols))
+    # A copy, so that no view keeps the block's arrays past the return.
+    k = width[:, -1].copy()
+    fraction = [_swar(words, last - 8 * i, np.clip(k - 8 * i, 0, 8)) for i in range(3)]
+    return ids, whole, k, fraction
+
+
+def _parse_block(text: bytes, ncols: int):
+    """Columns of the rows of text, each ended by LF or CRLF: int32 ids, then
+    float64 values. None unless every row reads id,...,id,digits.digits with
+    at most 8 digits in each id and in the integer part, at most 21 in the
+    fraction and at most 18 significant digits in the value. The block's
+    bytes and separator arrays are freed before the values are computed."""
+    fields = _digit_fields(text, ncols)
+    if fields is None:
+        return None
+    ids, whole, k, (f0, f1, f2) = fields
     # At most 18 significant digits: whole * 10**k + fraction < 10**18.
     if not np.where(whole > 0, whole < _POW10_INT[np.maximum(18 - k, 0)], f2 < 100).all():
         return None
     value = _quotients(whole * _POW10_INT[np.minimum(k, 17)]
                        + (f2 * 10**16 + f1 * 10**8 + f0), k)
-    return None if value is None else [*columns, value]
+    # Ids of at most 8 digits fit int32, as the reader's columns hold them.
+    return None if value is None else [*(col.astype(np.int32) for col in ids), value]
 
 
 def _line_blocks(fh):
@@ -706,6 +756,35 @@ def _line_blocks(fh):
         # A CR here ends the line in text mode too.
         text, pieces = b"".join([*pieces, b"\n"]), None
         yield text
+
+
+def _parsed_blocks(fh, ncols: int):
+    """(text, _parse_block's columns or None) of each block of _line_blocks(fh),
+    in file order. _parse_block depends on its block alone and spends its
+    time in numpy calls that release the GIL, so a pool of _PARSE_THREADS
+    threads parses up to that many blocks ahead of the caller. With one
+    thread, or for a file of one block, the calling thread parses them."""
+    blocks = _line_blocks(fh)
+    head = list(itertools.islice(blocks, 2 if _PARSE_THREADS > 1 else 0))
+    if len(head) < 2:
+        for text in itertools.chain(head, blocks):
+            yield text, _parse_block(text, ncols)
+        return
+    # Imported here: at module level it adds about 7 ms to importing dropsim.
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(_PARSE_THREADS)
+    try:
+        ahead = []
+        for text in itertools.chain(head, blocks):
+            ahead.append((text, pool.submit(_parse_block, text, ncols)))
+            if len(ahead) > _PARSE_THREADS:
+                text, parsed = ahead.pop(0)
+                yield text, parsed.result()
+        while ahead:
+            text, parsed = ahead.pop(0)
+            yield text, parsed.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _skip_lines(fh, count: int) -> None:
@@ -728,9 +807,11 @@ def _numpy_block(path, header, text: bytes, before: int, encoding) -> list:
     try:
         lines = [ln for ln in io.TextIOWrapper(io.BytesIO(text), encoding) if ln[0] not in _SKIP]
     except UnicodeDecodeError:
-        # Reading up to the block's last line raises it at its place in the
-        # whole file; text mode ends a line at each LF or bare CR.
-        _data_line(path, before + text.count(b"\n") + text.count(b"\r"))
+        # Text mode raises it at its place in the whole file, which it
+        # reaches at the latest in this block.
+        with open(path, encoding=encoding) as fh:
+            for _ in fh:
+                pass
         raise
     try:
         return np.loadtxt(lines, **opts) if lines else []
@@ -756,7 +837,8 @@ def _parse_rows(path, header) -> list:
     The rows past the header are read in blocks of whole lines, each by one
     of two parsers that give the same columns for the same rows: _parse_block
     reads a block whose every line is in its grammar, and _numpy_block any
-    other.
+    other. _parse_block's blocks are parsed ahead on a few threads; the
+    columns, messages and the first error are the same at any thread count.
     """
     with open(path) as fh:
         # h counts the physical lines up to and including the header.
@@ -767,7 +849,10 @@ def _parse_rows(path, header) -> list:
         if next(lines, None) is None:
             raise ValueError(f"{path}: no data rows")
         encoding = fh.encoding
-    with open(path, "rb") as fh:
+    # Closing the parsed blocks joins the pool's threads before this returns
+    # or raises. They are read only from the loop on, past the header.
+    with open(path, "rb") as fh, \
+            contextlib.closing(_parsed_blocks(fh, len(header))) as parsed:
         _skip_lines(fh, h)
         start, rows = fh.tell(), 1
         for block in iter(lambda: fh.read(_READ_BYTES), b""):
@@ -778,9 +863,9 @@ def _parse_rows(path, header) -> list:
         # int32, which halves their memory.
         out = [np.empty(rows, np.int32) for _ in header[1:]] + [np.empty(rows)]
         at = 0
-        for text in _line_blocks(fh):
-            columns = (_parse_block(text, len(header))
-                       or _numpy_block(path, header, text, at, encoding))
+        # All that depends on earlier blocks happens here, in file order.
+        for text, columns in parsed:
+            columns = columns or _numpy_block(path, header, text, at, encoding)
             if not columns:
                 continue
             # An id outside int32 makes its column int64.
@@ -836,10 +921,14 @@ def _reject_ids(path, header, ids) -> None:
     if cells > ids[0].size:
         raise ValueError(f"{path}: {ids[0].size} rows cannot fill all "
                          f"{'x'.join(map(str, shape))} ({', '.join(header[:-1])}) cells")
-    # Gap-free ids with no more cells than rows: some cell repeats.
+    # Gap-free ids with no more cells than rows: some cell repeats. Only
+    # the rows of repeated cells are sorted to find the first repeat.
     flat = np.ravel_multi_index(ids, shape)
-    repeat = np.ones(flat.size, dtype=bool)
-    repeat[np.unique(flat, return_index=True)[1]] = False
+    rows = np.flatnonzero((np.bincount(flat, minlength=cells) > 1)[flat])
+    first = np.unique(flat[rows], return_index=True)[1]
+    repeat = np.zeros(flat.size, dtype=bool)
+    repeat[rows] = True
+    repeat[rows[first]] = False
     _reject_first(path, repeat, lambda r: "duplicate "
                   + ", ".join(f"{h}={c[r]}" for h, c in zip(header, ids)))
 

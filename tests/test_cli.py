@@ -748,6 +748,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert done.stdout.split("\n")[:4] == ["[]", "False", "[]", "0.0"]
 
 
+def test_cli_import_leaves_the_parse_pool_unloaded():
+    # concurrent.futures loads logging, about 7 ms of start-up; the trace
+    # reader imports it when it first starts a parse pool.
+    src = Path(ds.__file__).resolve().parents[1]
+    code = "import sys, dropsim.cli\nprint('concurrent.futures' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout == "False\n"
+
+
 def test_all_four_commands_leave_scipy_unloaded(tmp_path):
     # scipy is a test dependency only. The scale-sweep's simulated-delay
     # noise takes the censored moments and the closed-form speedup, which

@@ -8,6 +8,7 @@ import csv
 import itertools
 import math
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -206,12 +207,32 @@ def csv_files(draw):
 # Read sizes small enough to put line ends, comments and bad rows on block
 # edges, next to blocks of the fast grammar.
 _READ_SIZES = st.sampled_from([1, 7, 64, latency._READ_BYTES])
+# Parse pool sizes: the calling thread alone, and pools of two and three.
+_POOL_SIZES = st.sampled_from([1, 2, 3])
+
+
+@given(csv_files(), _READ_SIZES, _POOL_SIZES)
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_reader_matches_line_by_line_oracle(case, read_bytes, threads):
+    kind, name, text = case
+    saved = latency._READ_BYTES, latency._PARSE_THREADS
+    latency._READ_BYTES, latency._PARSE_THREADS = read_bytes, threads
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / name
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            _assert_reads_like_oracle(kind, str(path))
+    finally:
+        latency._READ_BYTES, latency._PARSE_THREADS = saved
 
 
 @given(csv_files(), _READ_SIZES)
-@settings(max_examples=400, derandomize=True, deadline=None)
-def test_reader_matches_line_by_line_oracle(case, read_bytes):
-    kind, name, text = case
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_data_line_matches_the_oracles_lines(case, read_bytes):
+    # Every row's line and number, and None past the last, through CRLF,
+    # bare CRs, comment and empty lines and a last line without a line end.
+    _, name, text = case
     saved = latency._READ_BYTES
     latency._READ_BYTES = read_bytes
     try:
@@ -219,7 +240,8 @@ def test_reader_matches_line_by_line_oracle(case, read_bytes):
             path = Path(tmp) / name
             with open(path, "w", newline="") as fh:
                 fh.write(text)
-            _assert_reads_like_oracle(kind, str(path))
+            want = _oracle_data_lines(path) + [None]
+            assert [latency._data_line(path, row) for row in range(len(want))] == want
     finally:
         latency._READ_BYTES = saved
 
@@ -485,6 +507,19 @@ def test_undecodable_byte_far_into_a_block(tmp_path):
     _assert_reads_like_oracle("trace", str(path))
 
 
+@pytest.mark.parametrize("read_bytes", [1, 64, latency._READ_BYTES])
+def test_data_line_before_an_undecodable_byte(tmp_path, monkeypatch, read_bytes):
+    # Only the row's own line is decoded: rows before a bad byte are named
+    # as text mode names them in the file cut before its line.
+    monkeypatch.setattr(latency, "_READ_BYTES", read_bytes)
+    text = _grammar_trace(20)[0].replace("\n3,", "\r\n# note\r\n\r3,")
+    path, cut = tmp_path / "trace.csv", tmp_path / "cut.csv"
+    path.write_bytes(text.encode() + b"# \xff\n" + text.encode())
+    cut.write_bytes(text.encode())
+    want = _oracle_data_lines(cut)
+    assert [latency._data_line(path, row) for row in range(len(want))] == want
+
+
 def test_line_over_many_blocks_without_a_line_end(tmp_path, monkeypatch):
     monkeypatch.setattr(latency, "_READ_BYTES", 7)
     path = tmp_path / "trace.csv"
@@ -517,6 +552,58 @@ def test_naming_a_late_duplicate_row_keeps_the_read_in_its_memory(tmp_path):
                             "micro_batch=0")
     assert got == _outcome(READERS["trace"][2], str(dup))
     assert dup_peak <= good_peak + 2_000_000
+
+
+def test_naming_a_duplicate_row_sorts_only_the_repeated_cells(tmp_path, monkeypatch):
+    # Small blocks keep the parse's own peak below the id checks'. Sorting
+    # every row's cell to find the first repeat added about 8 MB here.
+    monkeypatch.setattr(latency, "_READ_BYTES", 1 << 16)
+    text, values = _grammar_trace(50_000)
+    good, dup = tmp_path / "good.csv", tmp_path / "dup.csv"
+    good.write_text(text)
+    dup.write_text(text + text.splitlines(keepends=True)[1])
+    want, good_peak = _traced_peak(read_trace_csv, str(good))
+    assert want == ("array", values.shape, values.tobytes())
+    got, dup_peak = _traced_peak(read_trace_csv, str(dup))
+    assert got == ("error", f"{dup}:200002: duplicate iteration=0, worker=0, micro_batch=0")
+    assert got == _outcome(READERS["trace"][2], str(dup))
+    assert dup_peak <= good_peak + 4_000_000
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_first_bad_row_is_named_at_any_thread_count(tmp_path, monkeypatch, small_blocks,
+                                                    threads):
+    # A comment sends an early block to numpy, which then counts its rows;
+    # two later blocks each hold a row outside the format, and the first
+    # one is named, as the oracle names it.
+    monkeypatch.setattr(latency, "_PARSE_THREADS", threads)
+    lines = _grammar_trace(50)[0].splitlines(keepends=True)
+    lines.insert(10, "# sent to numpy\n")
+    lines[120], lines[170] = "29,1,1,slow\n", "41,1,1,0.5x\n"
+    path = tmp_path / "trace.csv"
+    path.write_text("".join(lines))
+    got = _outcome(read_trace_csv, str(path))
+    assert got == ("error", f"{path}:121: expected iteration,worker,micro_batch,"
+                            "latency_seconds with integer ids, got '29,1,1,slow'")
+    assert got == _outcome(READERS["trace"][2], str(path))
+
+
+def test_reads_leave_no_thread_running(tmp_path, monkeypatch, small_blocks):
+    # The pool's threads are joined when a read returns, and when it raises
+    # with blocks still in flight behind the bad row.
+    monkeypatch.setattr(latency, "_PARSE_THREADS", 3)
+    text, values = _grammar_trace(50)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(text)
+    bad.write_text(text.replace("\n3,0,0,", "\n3,0,0,x"))
+    before = threading.enumerate()
+    assert read_trace_csv(good).tobytes() == values.tobytes()
+    assert threading.enumerate() == before
+    with pytest.raises(ValueError) as caught:
+        read_trace_csv(bad)
+    # The error's traceback, held here, keeps the reader's frames alive.
+    assert threading.enumerate() == before
+    assert str(caught.value).startswith(f"{bad}:14: expected ")
 
 
 def test_bytes_path_reads(tmp_path):
