@@ -31,7 +31,7 @@ from .latency import (NOISE_KINDS, FleetSpec, WorkerLatencyModel, csv_text,
 # simulate streams its records with run_records_csv. run_detailed stays
 # importable here: perfbench's tracer patches it by this name.
 from .simulate import (SimConfig, auto_tau, local_sgd_run, run_detailed,
-                       run_records_csv, scale_sweep, stats_to_json)
+                       run_records_csv, scale_sweep)
 from .threshold import TraceTensor, format_curve_csv, select_threshold
 from . import analytic, sgd
 
@@ -194,24 +194,36 @@ def _stamp(config_hash: str) -> str:
     return f"config_hash={config_hash} version={__version__}"
 
 
+def _report(config_hash: str, **fields) -> str:
+    """A JSON report of fields, with the config hash and tool version."""
+    return json.dumps({**fields, "config_hash": config_hash, "version": __version__},
+                      indent=2, sort_keys=True) + "\n"
+
+
+@contextlib.contextmanager
+def _invalid(where: str):
+    """A ValueError from its block, where a library rejects a value, as a
+    ConfigError naming where in the config the value came from."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
 def _parse_noise(doc):
     where = "noise parameters in fleet.noise"
     fields = _read_kind(doc, _NOISES, "noise", where)
     make = NOISE_KINDS[fields.pop("kind")]
-    try:
+    with _invalid(where):
         return make(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def _parse_fleet(doc) -> FleetSpec:
     fleet = _read(doc, _FLEET, "fleet")
     noise = _parse_noise(fleet["noise"])
-    try:
+    with _invalid("fleet"):
         model = WorkerLatencyModel(fleet["base_mean"], noise, fleet["noise_mode"])
         return FleetSpec.homogeneous(fleet["workers"], model)
-    except ValueError as exc:
-        raise ConfigError(f"invalid fleet: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -265,13 +277,11 @@ def _new_out_dir(args):
 def _sim_config(cfg: dict, seed, where: str) -> SimConfig:
     """The run cfg describes, with a tau of "auto" left unset."""
     fleet = _parse_fleet(cfg["fleet"])
-    try:
+    with _invalid(where):
         return SimConfig(fleet, cfg["m_per_step"], cfg["t_comm"],
                          None if cfg["tau"] == "auto" else cfg["tau"], cfg["iterations"],
                          cfg["seed"] if seed is None else seed,
                          cfg["stop_at_accumulation_boundary"])
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
 def cmd_simulate(args) -> int:
@@ -283,17 +293,13 @@ def cmd_simulate(args) -> int:
     if mode == "local-sgd":
         block = _read(cfg["local_sgd"], _LOCAL_SGD, "local_sgd block")
         fleet = _parse_fleet(cfg["fleet"])
-        try:
+        with _invalid("local_sgd config"):
             result = local_sgd_run(
                 fleet, mode=block.pop("straggler_mode"), iterations=cfg["iterations"],
                 seed=cfg["seed"] if args.seed is None else args.seed, **block)
-        except ValueError as exc:
-            raise ConfigError(f"invalid local_sgd config: {exc}") from exc
-        report = {"mode": "local-sgd", "config_hash": _config_hash(doc),
-                  "version": __version__, **dataclasses.asdict(result)}
         with _new_out_dir(args) as out:
-            _atomic_write(out / "summary.json",
-                          json.dumps(report, indent=2, sort_keys=True) + "\n")
+            _atomic_write(out / "summary.json", _report(
+                _config_hash(doc), mode="local-sgd", **dataclasses.asdict(result)))
         print(f"local-sgd speedup {result.local_sgd_speedup:.4f}, "
               f"with threshold {result.dropcompute_speedup:.4f}")
         return 0
@@ -311,8 +317,8 @@ def cmd_simulate(args) -> int:
     config_hash = _config_hash(doc)
     with _new_out_dir(args) as out, _atomic_open(out / "records.csv") as fh:
         stats = run_records_csv(config, fh, _stamp(config_hash))
-        summary = stats_to_json(stats, config_hash=config_hash, version=__version__)
-        _atomic_write(out / "summary.json", summary + "\n")
+        _atomic_write(out / "summary.json",
+                      _report(config_hash, **dataclasses.asdict(stats)))
     print(f"s_eff {stats.s_eff:.4f}, drop rate {stats.drop_rate:.4f}, "
           f"mean step {stats.mean_step_drop:.4f}s")
     return 0
@@ -330,6 +336,9 @@ def _read_grid_file(path: str) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             try:
+                # float() also reads "1_000" and digits of other scripts
+                if "_" in line or not line.isascii():
+                    raise ValueError
                 value = float(line)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: not a number: {line!r}") from exc
@@ -423,18 +432,14 @@ def cmd_scale_sweep(args) -> int:
 
 def _parse_problem(doc) -> sgd.SgdProblem:
     fields = _read_kind(doc, _PROBLEMS, "problem", "problem block")
-    try:
+    with _invalid("problem block"):
         return getattr(sgd.SgdProblem, fields.pop("kind"))(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"invalid problem block: {exc}") from exc
 
 
 def _parse_schedule(doc) -> sgd.BatchSchedule:
     fields = _read(doc, _SCHEDULE, "schedule block")
-    try:
+    with _invalid("schedule block"):
         return sgd.BatchSchedule(**fields)
-    except ValueError as exc:
-        raise ConfigError(f"invalid schedule block: {exc}") from exc
 
 
 def cmd_sgd_bench(args) -> int:
@@ -450,13 +455,11 @@ def cmd_sgd_bench(args) -> int:
 
     seeds = cfg["seeds"] if args.seeds is None else args.seeds
     base_seed = cfg["seed"] if args.seed is None else args.seed
-    try:  # run_many rejects a k_total or seed count it cannot run
+    with _invalid("sgd-bench config"):  # a k_total or seeds run_many cannot run
         reports = [verify(problem, schedule, cfg["k_total"], seeds=seeds, seed=base_seed)
                    for name, verify in (("convex", sgd.verify_convex_bound),
                                         ("nonconvex", sgd.verify_nonconvex_bound))
                    if theorem in (name, "both")]
-    except ValueError as exc:
-        raise ConfigError(f"invalid sgd-bench config: {exc}") from exc
 
     body = []
     for rep in reports:
@@ -482,11 +485,8 @@ def cmd_sgd_bench(args) -> int:
         print(f"{rep.theorem}: empirical {rep.empirical:.6g} vs bound "
               f"{rep.bound:.6g} -> {'PASS' if rep.passed else 'FAIL'}")
 
-    report = {"config_hash": _config_hash(doc), "version": __version__,
-              "results": body}
     with _new_out_dir(args) as out:
-        _atomic_write(out / "report.json",
-                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _atomic_write(out / "report.json", _report(_config_hash(doc), results=body))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -13,9 +13,8 @@ Gradient numerics live in the sgd module; this module is timing only.
 from __future__ import annotations
 
 import dataclasses
-import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "scale_sweep",
     "local_sgd_run",
     "write_records_csv",
-    "stats_to_json",
 ]
 
 # Stream id of the default warmup run of auto_tau; a run without an explicit
@@ -552,9 +550,3 @@ def write_records_csv(path, records: IterationBlock, comment: Optional[str] = No
             rows = slice(first, first + step)
             fh.write(_records_text(first, records.compute_times[rows],
                                    records.stop_times[rows], records.completed[rows]))
-
-
-def stats_to_json(stats: RunStats, **extra) -> str:
-    doc = asdict(stats)
-    doc.update(extra)
-    return json.dumps(doc, indent=2, sort_keys=True)

@@ -364,6 +364,19 @@ class TestSelectThreshold:
         assert rc == 2
         assert ":2: not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["0_5", "1_000", "\u0661.5"])
+    def test_grid_line_float_would_misread_exits_2(self, tmp_path, capsys, line):
+        # float() reads these as 5.0, 1000.0 and 1.5
+        trace, _ = self._write_trace(tmp_path, np.full((2, 2, 2), 0.5))
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"0.6\n{line}\n", encoding="utf-8")
+        rc = cli.main(["select-threshold", "--trace", str(trace),
+                       "--grid", str(grid), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines()[-1] == \
+            f"error: {grid}:2: not a number: {line!r}"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text, lineno", [
         ("nan\n", 1), ("-1\n", 1), ("0\n", 1), ("inf\n", 1), ("1e400\n", 1),
         ("# grid\n0.6\nnan\n1.2\n", 3),

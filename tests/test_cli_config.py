@@ -197,6 +197,26 @@ def test_malformed_value_exits_2(tmp_path, capsys, name, keys, value, message):
     assert not (tmp_path / "o").exists()
 
 
+# One value per place that turns a library ValueError into "invalid <where>:".
+@pytest.mark.parametrize("name, keys, value, message", [
+    ("simulate", ("fleet", "noise", "std"), -1.0,
+     "invalid noise parameters in fleet.noise: NormalNoise needs a finite loc and std > 0"),
+    ("simulate", ("fleet", "noise_mode"), "bogus", "invalid fleet: unknown noise_mode 'bogus'"),
+    ("simulate", ("m_per_step",), 0, "invalid simulate config: m_per_step must be >= 1"),
+    ("scale-sweep", ("m_per_step",), 0, "invalid scale-sweep config: m_per_step must be >= 1"),
+    ("local-sgd", ("local_sgd", "sync_period"), 0,
+     "invalid local_sgd config: sync_period must be >= 1"),
+    ("sgd-bench", ("problem", "dimension"), 0, "invalid problem block: dimension must be >= 1"),
+    ("sgd-bench", ("schedule", "kind"), "bogus",
+     "invalid schedule block: unknown schedule kind 'bogus'"),
+    ("sgd-bench", ("k_total",), 5, "invalid sgd-bench config: k_total must be at least b_max"),
+])
+def test_library_error_is_the_one_error_line(tmp_path, capsys, name, keys, value, message):
+    assert _run(name, json.dumps(_with(BASES[name], keys, value)), tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_undecodable_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     cfg.write_bytes(b'{"m_per_step": "\xff"}')

@@ -174,3 +174,44 @@ def test_logistic_run_many_actual_batch():
                    rng=ds.RngStream(21, 0), n_runs=6)
     assert _sha(*[np.asarray(res[k]).tobytes() for k in sorted(res)]) == \
         "7a9b00be6547c192f9379634bbe6a1a3ef59860ad6f4262c21c3a68be98e77eb"
+
+
+# Recorded before the command line wrote its JSON reports through one
+# function, with the outputs no digest above covers: local-sgd's summary and
+# select-threshold's curve on the default grid and on a grid file.
+def test_cli_simulate_local_sgd(tmp_path, capsys):
+    doc = {"fleet": {"workers": 6, "base_mean": 0.2,
+                     "noise": {"kind": "lognormal", "log_mean": -3.0, "log_std": 0.4}},
+           "mode": "local-sgd", "iterations": 120, "seed": 29,
+           "local_sgd": {"sync_period": 3, "straggler_prob": 0.1, "straggler_delay": 0.5,
+                         "server_size": 3}}
+    (tmp_path / "l.json").write_text(json.dumps(doc))
+    out = tmp_path / "l"
+    assert cli.main(["simulate", "--config", str(tmp_path / "l.json"), "--out", str(out)]) == 0
+    assert _sha((out / "summary.json").read_bytes()) == \
+        "6ffe4dd7b3ca77544027c09081b8f7571ebf3176c08c6561d03be065e66e5c88"
+
+
+def _select_threshold_curve(tmp_path, *grid_args) -> bytes:
+    gen = ds.RngStream(37).generator()
+    tensor = gen.lognormal(-2.0, 0.6, (25, 5, 3))
+    tensor[:, 2, :] *= 2.5  # one persistently slow worker
+    ds.write_trace_csv(str(tmp_path / "trace.csv"), tensor)
+    ds.write_comm_csv(str(tmp_path / "comm.csv"), gen.uniform(0.05, 0.2, 25))
+    out = tmp_path / "o"
+    assert cli.main(["select-threshold", "--trace", str(tmp_path / "trace.csv"),
+                     "--comm", str(tmp_path / "comm.csv"), *grid_args,
+                     "--out", str(out)]) == 0
+    return (out / "curve.csv").read_bytes()
+
+
+def test_cli_select_threshold_default_grid(tmp_path, capsys):
+    assert _sha(_select_threshold_curve(tmp_path)) == \
+        "0c91996a64e44b771165409443d48b2e798aadc5ce1ab7fd2354b4b6bf38e5fa"
+
+
+def test_cli_select_threshold_grid_file(tmp_path, capsys):
+    grid = tmp_path / "grid.txt"
+    grid.write_text("# candidate thresholds\n0.3\n\n0.45\n6e-1\n 0.9 \n1.5\n")
+    assert _sha(_select_threshold_curve(tmp_path, "--grid", str(grid))) == \
+        "f3ca9545a8902dc4381814af059a6153aab88ff6e97408962e54396bcc2490db"

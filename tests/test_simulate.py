@@ -2,6 +2,7 @@
 with the closed-form estimators, scaling sweeps, and the Local-SGD variant."""
 
 import dataclasses
+import json
 import math
 import threading
 import tracemalloc
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropsim as ds
-from dropsim.simulate import RECORDS_HEADER, stats_to_json, write_records_csv
+from dropsim import cli
+from dropsim.simulate import RECORDS_HEADER, write_records_csv
 
 
 def _const_fleet(n, base=0.45):
@@ -361,11 +363,16 @@ class TestRecordsOutput:
         assert first[0] == "0" and first[1] == "0"
         assert float(first[2]) == sim.records.compute_times[0, 0]
 
-    def test_stats_json_has_no_timestamps(self):
-        stats = ds.run(ds.SimConfig(_normal_fleet(2), 2, iterations=2, seed=0))
-        blob = stats_to_json(stats, config_hash="deadbeef")
+    def test_stats_json_has_no_timestamps(self, tmp_path, capsys):
+        doc = {"fleet": {"workers": 2, "base_mean": 1.0,
+                         "noise": {"kind": "normal", "loc": 0.0, "std": 0.1}},
+               "m_per_step": 2, "iterations": 2, "seed": 0}
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        assert cli.main(["simulate", "--config", str(tmp_path / "c.json"),
+                         "--out", str(tmp_path)]) == 0
+        blob = (tmp_path / "summary.json").read_text()
         assert "time_stamp" not in blob and "date" not in blob
-        assert '"config_hash": "deadbeef"' in blob
+        assert f'"config_hash": "{cli._config_hash(doc)}"' in blob
 
 
 @given(
