@@ -507,6 +507,44 @@ def test_undecodable_byte_far_into_a_block(tmp_path):
     _assert_reads_like_oracle("trace", str(path))
 
 
+def _bad_byte_file(place: str) -> bytes:
+    """A trace holding the undecodable comment '# \\xff' at `place`."""
+    bad = "# \udcff\n"
+    head, *rows = _grammar_trace(9_000)[0].splitlines(keepends=True)
+    if place == "before-header":
+        lines = [bad, head, *rows[:8]]
+    elif place == "in-header":
+        lines = [head.replace("worker", "wor\udcffker"), *rows[:8]]
+    elif place.startswith("after-wrong-header"):
+        # Text mode decodes up to the header, in chunks of 8 KB: the byte
+        # wins next to it and not 20 KB on.
+        far = 1500 if place.endswith("-far") else 0
+        lines = ["iteration,worker,micro_batch\n", *rows[:far], bad, *rows[far:far + 8]]
+    elif place == "after-header-no-rows":
+        lines = [head, "# note\n", bad]
+    else:
+        # A malformed row at line 2 and the byte k good rows on.
+        k = {"same-block": 0, "later-block": 10, "past-8kb": 1500,
+             "past-first-block": 35_000}[place.removeprefix("after-bad-row-")]
+        lines = [head, "0,0,0,slow\n", *rows[1:k + 1], bad, *rows[k + 1:k + 9]]
+    return "".join(lines).encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("read_bytes", [1, 64, latency._READ_BYTES])
+@pytest.mark.parametrize("place", [
+    "before-header", "in-header", "after-wrong-header", "after-wrong-header-far",
+    "after-header-no-rows", "after-bad-row-same-block", "after-bad-row-later-block",
+    "after-bad-row-past-8kb", "after-bad-row-past-first-block"])
+def test_undecodable_byte_is_reported_as_text_mode_reports_it(tmp_path, monkeypatch,
+                                                             place, read_bytes):
+    # An undecodable byte fails the read where text mode reading the file
+    # meets it, even past a row that breaks the format.
+    monkeypatch.setattr(latency, "_READ_BYTES", read_bytes)
+    path = tmp_path / "trace.csv"
+    path.write_bytes(_bad_byte_file(place))
+    _assert_reads_like_oracle("trace", str(path))
+
+
 @pytest.mark.parametrize("read_bytes", [1, 64, latency._READ_BYTES])
 def test_data_line_before_an_undecodable_byte(tmp_path, monkeypatch, read_bytes):
     # Only the row's own line is decoded: rows before a bad byte are named
