@@ -14,7 +14,6 @@ import io
 import itertools
 import math
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -387,6 +386,8 @@ COMM_HEADER = ["iteration", "T_c_seconds"]
 
 # Lines starting with one of these are skipped: '#' comments and empty lines.
 _SKIP = "#\n"
+# The readers decode text as text mode does, in its encoding.
+_ENCODING = io.text_encoding(None)
 
 
 def comment_line(comment) -> str:
@@ -564,32 +565,39 @@ def csv_rows(columns) -> str:
     return rows.T.tobytes().translate(None, b"\0").decode("ascii")
 
 
-def _data_line(path, row: int):
-    """(physical line number, text) of data row `row`, counted from 0 past
-    the header, or None past the last, as text mode reads them. The lines
-    are counted in binary blocks up to the row; only its line is decoded."""
+def _data_lines(path, line: int = 0):
+    """(physical line number, byte start, byte end) of each data line of the
+    file from data line `line` on, the header being data line 0. Lines end
+    as text mode ends them, at each LF and at each CR not before one; comment
+    and empty lines are no data lines. The lines are counted in binary
+    blocks, read only as far as the caller takes lines."""
     skip = np.frombuffer(_SKIP.encode() + b"\r", np.uint8)
     passed, offset = 0, 0
     with open(path, "rb") as fh:
         for text in _line_blocks(fh):
             buf = np.frombuffer(text, np.uint8)
-            # Text mode ends a line at each LF and at each CR not before one;
-            # a block ends in an LF.
+            # A block ends in an LF.
             lf = buf == ord("\n")
             cr = buf == ord("\r")
             cr[:-1] &= ~lf[1:]
             ends = np.flatnonzero(lf | cr)
             starts = np.concatenate(([0], ends[:-1] + 1))
             data = np.flatnonzero(~np.isin(buf[starts], skip))
-            # Data line 0 is the header.
-            if row + 1 < data.size:
-                k = data[row + 1]
-                fh.seek(offset + starts[k])
-                line = fh.read(ends[k] + 1 - starts[k])
-                return passed + k + 1, io.TextIOWrapper(io.BytesIO(line)).readline()
-            row -= data.size
+            for k in data[line:]:
+                yield passed + int(k) + 1, offset + int(starts[k]), offset + int(ends[k]) + 1
+            line = max(line - data.size, 0)
             passed += ends.size
             offset += len(text)
+
+
+def _data_line(path, row: int):
+    """(physical line number, text) of data row `row`, counted from 0 past
+    the header, or None past the last, as text mode reads them. Only the
+    row's line is decoded."""
+    for no, start, end in _data_lines(path, row + 1):
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            return no, io.TextIOWrapper(io.BytesIO(fh.read(end - start)), _ENCODING).readline()
     return None
 
 
@@ -597,7 +605,7 @@ def _reject_first(path, bad: np.ndarray, message) -> None:
     """Raise `message(row)` at the physical line of the first row flagged in `bad`."""
     if bad.any():
         row = int(np.argmax(bad))
-        raise ValueError(f"{path}:{_data_line(path, row)[0]}: {message(row)}")
+        raise ValueError(f"{path}:{next(_data_lines(path, row + 1))[0]}: {message(row)}")
 
 
 # The readers read this many bytes at a time. A block's parse peaks at
@@ -787,32 +795,13 @@ def _parsed_blocks(fh, ncols: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _skip_lines(fh, count: int) -> None:
-    """Move the binary file fh past its first `count` lines as text mode
-    splits them, also at a bare CR, where readline does not."""
-    for line in fh:
-        ends = [m.end() for m in re.finditer(rb"\r\n?|\n", line)]
-        if len(ends) >= count:
-            fh.seek(ends[count - 1] - len(line), io.SEEK_CUR)
-            return
-        count -= len(ends)
-
-
-def _numpy_block(path, header, text: bytes, before: int, encoding) -> list:
+def _numpy_block(path, header, text: bytes, before: int) -> list:
     """Columns numpy's text reader gives for the data lines of text, decoded
     as text mode decodes it, which follow the first `before` data lines; []
     if it holds none. A ValueError names the first line numpy rejects."""
     dtype = np.dtype([(h, np.int64) for h in header[:-1]] + [(header[-1], np.float64)])
     opts = dict(dtype=dtype, delimiter=",", comments=None, ndmin=1, unpack=True)
-    try:
-        lines = [ln for ln in io.TextIOWrapper(io.BytesIO(text), encoding) if ln[0] not in _SKIP]
-    except UnicodeDecodeError:
-        # Text mode raises it at its place in the whole file, which it
-        # reaches at the latest in this block.
-        with open(path, encoding=encoding) as fh:
-            for _ in fh:
-                pass
-        raise
+    lines = [ln for ln in io.TextIOWrapper(io.BytesIO(text), _ENCODING) if ln[0] not in _SKIP]
     try:
         return np.loadtxt(lines, **opts) if lines else []
     except ValueError:
@@ -834,51 +823,62 @@ def _numpy_block(path, header, text: bytes, before: int, encoding) -> list:
 def _parse_rows(path, header) -> list:
     """Columns of a headed CSV file's data rows: integer ids, then float64 values.
 
-    The rows past the header are read in blocks of whole lines, each by one
-    of two parsers that give the same columns for the same rows: _parse_block
-    reads a block whose every line is in its grammar, and _numpy_block any
-    other. _parse_block's blocks are parsed ahead on a few threads; the
-    columns, messages and the first error are the same at any thread count.
+    The rows past the header, which _data_lines finds, are read in blocks of
+    whole lines, each by one of two parsers that give the same columns for
+    the same rows: _parse_block reads a block whose every line is in its
+    grammar, and _numpy_block any other. _parse_block's blocks are parsed
+    ahead on a few threads; the columns, messages and the first error are
+    the same at any thread count.
+
+    Before a ValueError propagates, text mode reads the file's first `lines`
+    lines, as far as a line-by-line reader does before that error: up to the
+    header while it is checked, else all. An undecodable byte it meets wins.
     """
-    with open(path) as fh:
-        # h counts the physical lines up to and including the header.
-        lines = ((h, ln) for h, ln in enumerate(fh, 1) if ln[0] not in _SKIP)
-        h, first = next(lines, (0, None))
-        if first is None or [f.strip() for f in next(csv.reader([first]))] != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}")
-        if next(lines, None) is None:
-            raise ValueError(f"{path}: no data rows")
-        encoding = fh.encoding
-    # Closing the parsed blocks joins the pool's threads before this returns
-    # or raises. They are read only from the loop on, past the header.
-    with open(path, "rb") as fh, \
-            contextlib.closing(_parsed_blocks(fh, len(header))) as parsed:
-        _skip_lines(fh, h)
-        start, rows = fh.tell(), 1
-        for block in iter(lambda: fh.read(_READ_BYTES), b""):
-            rows += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-        fh.seek(start)
-        # Columns sized for a row per LF and a last line without one grow
-        # only where bare CRs end more lines. Ids of at most 8 digits fit
-        # int32, which halves their memory.
-        out = [np.empty(rows, np.int32) for _ in header[1:]] + [np.empty(rows)]
-        at = 0
-        # All that depends on earlier blocks happens here, in file order.
-        for text, columns in parsed:
-            columns = columns or _numpy_block(path, header, text, at, encoding)
-            if not columns:
-                continue
-            # An id outside int32 makes its column int64.
-            out[:-1] = [col.astype(np.int64, copy=False)
-                        if ids.min() < _INT32.min or ids.max() > _INT32.max else col
-                        for col, ids in zip(out, columns[:-1])]
-            n = columns[0].size
-            if at + n > out[0].size:
-                out = [np.resize(col, 2 * (at + n)) for col in out]
-            for col, part in zip(out, columns):
-                col[at:at + n] = part
-            at += n
-    return [col[:at] for col in out]
+    lines = None
+    try:
+        # Closing the parsed blocks joins the pool's threads before this
+        # returns or raises. They are read only from the loop on.
+        with open(path, "rb") as fh, \
+                contextlib.closing(_parsed_blocks(fh, len(header))) as parsed:
+            found = _data_lines(path)
+            (lines, _, start), first = next(found, (None, 0, 0)), next(found, None)
+            found.close()
+            # The lines up to the header are decoded; the last is the header ('' if none).
+            *_, text = "", *io.TextIOWrapper(io.BytesIO(fh.read(start)), _ENCODING)
+            if [f.strip() for f in next(csv.reader([text]))] != header:
+                raise ValueError(f"{path}: expected header {','.join(header)}")
+            lines = None
+            if first is None:
+                raise ValueError(f"{path}: no data rows")
+            rows = 1 + sum(np.count_nonzero(np.frombuffer(b, np.uint8) == ord("\n"))
+                           for b in iter(lambda: fh.read(_READ_BYTES), b""))
+            fh.seek(start)
+            # Columns sized for a row per LF and a last line without one grow
+            # only where bare CRs end more lines. Ids of at most 8 digits fit
+            # int32, which halves their memory.
+            out = [np.empty(rows, np.int32) for _ in header[1:]] + [np.empty(rows)]
+            at = 0
+            # All that depends on earlier blocks happens here, in file order.
+            for text, columns in parsed:
+                columns = columns or _numpy_block(path, header, text, at)
+                if not columns:
+                    continue
+                # An id outside int32 makes its column int64.
+                out[:-1] = [col.astype(np.int64, copy=False)
+                            if ids.min() < _INT32.min or ids.max() > _INT32.max else col
+                            for col, ids in zip(out, columns[:-1])]
+                n = columns[0].size
+                if at + n > out[0].size:
+                    out = [np.resize(col, 2 * (at + n)) for col in out]
+                for col, part in zip(out, columns):
+                    col[at:at + n] = part
+                at += n
+        return [col[:at] for col in out]
+    except ValueError:
+        with open(path, encoding=_ENCODING) as fh:
+            for _ in itertools.islice(fh, lines):
+                pass
+        raise
 
 
 def _read_dense(path, header, valid, rule: str) -> np.ndarray:

@@ -1,6 +1,9 @@
-"""The example scripts and README's Python examples run end to end and exit
-0, so a change to the public API they import cannot break them unnoticed."""
+"""The example scripts, the example config and README's Python examples run
+end to end and exit 0, so a change to the public API or the config format
+they use cannot break them unnoticed."""
 
+import csv
+import json
 import os
 import re
 import subprocess
@@ -9,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from dropsim import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -16,8 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
     ("threshold_demo.py", ["--workers", "4", "--iterations", "10",
                            "--trace-out", "trace.csv", "--curve-out", "curve.csv"],
      ["trace.csv", "trace_comm.csv", "curve.csv"]),
-    ("scale_curve.py", ["--n-list", "2", "4", "--iterations", "10", "--warmup", "5",
-                        "--out", "scale.csv"], ["scale.csv"]),
     ("noise_comparison.py", ["--workers", "4", "--iterations", "10", "--warmup", "5"], []),
 ])
 def test_script_runs(tmp_path, script, args, outputs):
@@ -29,6 +32,28 @@ def test_script_runs(tmp_path, script, args, outputs):
     assert done.returncode == 0, done.stderr
     for name in outputs:
         assert (tmp_path / name).stat().st_size > 0, name
+
+
+def test_scale_curve_config_runs(tmp_path):
+    # The fleet-size curve under heavy-tailed delay: the simulated-delay
+    # noise on a 1 s micro-batch, swept up to 2048 workers. It runs here
+    # with fewer fleet sizes and iterations.
+    doc = json.loads((ROOT / "scripts" / "scale_curve.json").read_text())
+    assert doc == {
+        "fleet": {"workers": 8, "base_mean": 1.0, "noise": {"kind": "simulated_delay"},
+                  "noise_mode": "additive_scaled_by_mean"},
+        "m_per_step": 12, "t_comm": 0.5, "tau": "auto", "iterations": 300,
+        "warmup_iterations": 100, "seed": 0,
+        "n_list": [8, 16, 32, 64, 128, 200, 256, 512, 1024, 2048]}
+    config = tmp_path / "scale_curve.json"
+    config.write_text(json.dumps({**doc, "n_list": [2, 4], "iterations": 10,
+                                  "warmup_iterations": 5}))
+    assert cli.main(["scale-sweep", "--config", str(config), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert rows[0] == ["n_workers", "tau", "throughput_base", "throughput_drop",
+                       "s_eff", "linear_ref", "s_eff_analytic"]
+    assert [r[0] for r in rows[1:]] == ["2", "4"]
 
 
 def test_readme_python_blocks_run(capsys):
