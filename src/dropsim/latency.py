@@ -688,10 +688,10 @@ def _quotients(digits: np.ndarray, k: np.ndarray):
 def _digit_fields(text: bytes, ncols: int):
     """(ids, whole, k, fraction) of the rows of text, each ended by LF or
     CRLF: the int64 id columns, the integer parts, the number of fraction
-    digits and the fraction's digits as three int64 arrays of 8 digits,
-    last first. None unless every row reads id,...,id,digits.digits with at
-    most 8 digits in each id and in the integer part and at most 21 in the
-    fraction."""
+    digits and the fraction's digits as a (3, rows) int64 array of 8 digits
+    a row, last first. None unless every row reads id,...,id,digits.digits
+    with at most 8 digits in each id and in the integer part and at most 21
+    in the fraction."""
     buf = np.frombuffer(_PAD + text, np.uint8)
     if buf.max() > ord("9"):
         return None
@@ -705,28 +705,33 @@ def _digit_fields(text: bytes, ncols: int):
         if (buf[seps[cr] + 1] != ord("\n")).any():
             return None
         seps, kind = seps[~cr], kind[~cr]
-    pattern = np.frombuffer(b"," * (ncols - 1) + b".\n", np.uint8)
-    if seps.size % pattern.size:
+    pattern = b"," * (ncols - 1) + b".\n"
+    if kind.tobytes() != pattern * (kind.size // len(pattern)):
         return None
-    seps = seps.reshape(-1, pattern.size)
-    if (kind.reshape(seps.shape) != pattern).any():
-        return None
+    # Field-major: seps[j] holds separator j of every row, so each step
+    # below runs along the rows.
+    seps = seps.reshape(-1, len(pattern)).T.copy()
     # Field j ends at separator j and starts past the one before it, the
     # line end of the row before for j = 0. The fraction ends before a CR.
-    width = np.diff(seps.ravel(), prepend=len(_PAD) - 1).reshape(seps.shape)
+    width = np.empty_like(seps)
+    np.subtract(seps[1:], seps[:-1], out=width[1:])
+    np.subtract(seps[0, 1:], seps[-1, :-1], out=width[0, 1:])
+    width[0, 0] = seps[0, 0] - (len(_PAD) - 1)
     width -= 1
-    last = seps[:, -1]
+    last = seps[-1]
     if crlf:
         cut = buf[last - 1] == ord("\r")
-        last, width[:, -1] = last - cut, width[:, -1] - cut
-    if ((width < 1) | (width > np.array([8] * ncols + [21]))).any():
+        last, width[-1] = last - cut, width[-1] - cut
+    # 1 <= width <= 8, or 21 for the fraction: one unsigned compare of width - 1.
+    if ((width - 1).view(np.uint64) > np.array([7] * ncols + [20], np.uint64)[:, None]).any():
         return None
     words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))
-    *ids, whole = (_swar(words, seps[:, j], width[:, j]) for j in range(ncols))
+    *ids, whole = _swar(words, seps[:ncols], width[:ncols])
     # A copy, so that no view keeps the block's arrays past the return.
-    k = width[:, -1].copy()
-    fraction = [_swar(words, last - 8 * i, np.clip(k - 8 * i, 0, 8)) for i in range(3)]
-    return ids, whole, k, fraction
+    k = width[-1].copy()
+    # The fraction's three words end 0, 8 and 16 bytes before its end.
+    back = 8 * np.arange(3)[:, None]
+    return ids, whole, k, _swar(words, last - back, np.clip(k - back, 0, 8))
 
 
 def _parse_block(text: bytes, ncols: int):
@@ -860,13 +865,15 @@ def _parse_rows(path, header) -> list:
             at = 0
             # All that depends on earlier blocks happens here, in file order.
             for text, columns in parsed:
-                columns = columns or _numpy_block(path, header, text, at)
-                if not columns:
-                    continue
-                # An id outside int32 makes its column int64.
-                out[:-1] = [col.astype(np.int64, copy=False)
-                            if ids.min() < _INT32.min or ids.max() > _INT32.max else col
-                            for col, ids in zip(out, columns[:-1])]
+                if columns is None:
+                    columns = _numpy_block(path, header, text, at)
+                    if not columns:
+                        continue
+                    # An id outside int32 makes its column int64. _parse_block's
+                    # ids are int32 already.
+                    out[:-1] = [col.astype(np.int64, copy=False)
+                                if ids.min() < _INT32.min or ids.max() > _INT32.max else col
+                                for col, ids in zip(out, columns[:-1])]
                 n = columns[0].size
                 if at + n > out[0].size:
                     out = [np.resize(col, 2 * (at + n)) for col in out]
@@ -898,12 +905,22 @@ def _read_dense(path, header, valid, rule: str) -> np.ndarray:
     shape = tuple(int(col.max()) + 1 for col in ids)
     flat = None
     if min(int(col.min()) for col in ids) >= 0 and math.prod(shape) == value.size:
-        flat = np.ravel_multi_index(ids, shape)
+        flat = _flat_index(ids, shape)
     if flat is None or np.bincount(flat).max() > 1:
         _reject_ids(path, header, ids)
     out = np.empty(value.size)
     out[flat] = value
     return out.reshape(shape)
+
+
+def _flat_index(ids, shape) -> np.ndarray:
+    """Row-major flat cell index (i*N + n)*M + m, in intp, of id columns
+    whose ids the caller has checked to lie in 0..shape-1."""
+    flat = ids[0].astype(np.intp)
+    for col, size in zip(ids[1:], shape[1:]):
+        flat *= size
+        flat += col
+    return flat
 
 
 def _reject_ids(path, header, ids) -> None:
@@ -923,7 +940,7 @@ def _reject_ids(path, header, ids) -> None:
                          f"{'x'.join(map(str, shape))} ({', '.join(header[:-1])}) cells")
     # Gap-free ids with no more cells than rows: some cell repeats. Only
     # the rows of repeated cells are sorted to find the first repeat.
-    flat = np.ravel_multi_index(ids, shape)
+    flat = _flat_index(ids, shape)
     rows = np.flatnonzero((np.bincount(flat, minlength=cells) > 1)[flat])
     first = np.unique(flat[rows], return_index=True)[1]
     repeat = np.zeros(flat.size, dtype=bool)

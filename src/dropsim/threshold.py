@@ -44,18 +44,17 @@ class TraceTensor:
     comm_times: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        lat = np.asarray(self.latencies, dtype=float)
+        # np.array copies once, whatever the input's dtype.
+        lat = np.array(self.latencies, dtype=float)
         if lat.ndim != 3 or min(lat.shape) < 1:
             raise ValueError("latencies must be a nonempty (I, N, M) tensor")
         _check_latencies(lat)
         comm = self.comm_times
-        comm = np.zeros(lat.shape[0]) if comm is None else np.asarray(comm, dtype=float)
+        comm = np.zeros(lat.shape[0]) if comm is None else np.array(comm, dtype=float)
         if comm.shape != (lat.shape[0],):
             raise ValueError("comm_times must have one entry per iteration")
         if not np.all(np.isfinite(comm)) or np.any(comm < 0.0):
             raise ValueError("comm_times must be finite and >= 0")
-        lat = lat.copy()
-        comm = comm.copy()
         lat.setflags(write=False)
         comm.setflags(write=False)
         object.__setattr__(self, "latencies", lat)
@@ -120,16 +119,23 @@ def _mean_completed(cum: np.ndarray, grid: np.ndarray) -> np.ndarray:
     """Mean over workers of #{m : cumulative < tau}, per (iteration, tau).
 
     Sorts each iteration's N*M cumulative times in place, so `cum`'s rows
-    come back sorted: searchsorted is several times faster on ascending
-    keys, each search starting where the last one ended, and the counts do
-    not depend on the order. A cumulative time c counts at grid point j
-    exactly when j >= k, with k the number of grid points <= c, so a
-    histogram of k per iteration, accumulated along the (ascending) grid,
-    gives every count at once.
+    come back sorted; the counts do not depend on the order. A row longer
+    than the grid is counted by one search of the grid into it: the cells
+    < tau are those left of tau. Shorter rows, as in tall traces, where a
+    search per iteration would cost more than it saves, are searched into
+    the grid instead, ascending keys being several times faster: a
+    cumulative time c counts at grid point j exactly when j >= k, with k
+    the number of grid points <= c, so a histogram of k per iteration,
+    accumulated along the (ascending) grid, gives every count at once.
     """
     iters, n, _ = cum.shape
     rows = cum.reshape(iters, -1)
     rows.sort(axis=1)
+    if rows.shape[1] > grid.size:
+        counts = np.empty((iters, grid.size), np.intp)
+        for row, out in zip(rows, counts):
+            out[:] = np.searchsorted(row, grid, side="left")
+        return counts / n
     width = grid.size + 1
     k = np.searchsorted(grid, rows, side="right")
     k += np.arange(0, iters * width, width)[:, None]

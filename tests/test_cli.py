@@ -307,13 +307,36 @@ class TestSelectThreshold:
         assert tau[1] == repr(2.0 * float(tau[0]))
 
     def test_missing_comm_warns_and_defaults(self, tmp_path, capsys):
-        tensor = np.full((3, 2, 2), 0.4)
+        # Rows of 300 cells, longer than the default grid of at most 257 points.
+        tensor = ds.RngStream(5).generator().lognormal(-2.0, 0.5, (3, 60, 5))
         trace, _ = self._write_trace(tmp_path, tensor)
         rc = cli.main(["select-threshold", "--trace", str(trace),
                        "--out", str(tmp_path / "o")])
         assert rc == 0
         captured = capsys.readouterr()
         assert "assuming T_c = 0" in captured.err
+        library = tmp_path / "library.csv"
+        write_curve_csv(library, ds.select_threshold(ds.TraceTensor(tensor)),
+                        f"trace=trace.csv version={ds.__version__}")
+        assert (tmp_path / "o" / "curve.csv").read_bytes() == library.read_bytes()
+
+    # Grids with fewer and with more points than a row's 100 cells.
+    @pytest.mark.parametrize("points", [3, 400])
+    def test_grid_file_matches_library(self, tmp_path, capsys, points):
+        gen = ds.RngStream(8).generator()
+        tensor = gen.lognormal(-2.0, 0.5, (3, 20, 5))
+        comm = gen.uniform(0.1, 0.3, 3)
+        trace, comm_path = self._write_trace(tmp_path, tensor, comm)
+        grid = gen.uniform(0.05, 1.5, points)
+        grid_path = tmp_path / "grid.txt"
+        grid_path.write_text("".join(f"{v!r}\n" for v in grid.tolist()))
+        rc = cli.main(["select-threshold", "--trace", str(trace), "--comm", str(comm_path),
+                       "--grid", str(grid_path), "--out", str(tmp_path / "o")])
+        assert rc == 0
+        library = tmp_path / "library.csv"
+        write_curve_csv(library, ds.select_threshold(ds.TraceTensor(tensor, comm), grid),
+                        f"trace=trace.csv version={ds.__version__}")
+        assert (tmp_path / "o" / "curve.csv").read_bytes() == library.read_bytes()
 
     def test_comm_length_mismatch_exits_2(self, tmp_path, capsys):
         tensor = np.full((3, 2, 2), 0.4)

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dropsim as ds
 from dropsim import threshold
@@ -209,24 +209,40 @@ def test_optimum_never_below_baseline(iters, n, m, seed):
 
 @st.composite
 def _cum_and_grid(draw):
+    """Cumulative times and a grid shorter than, as long as or longer than
+    one iteration's N*M cells, so that both of _mean_completed's counting
+    rules are drawn; grid points often tie with cumulative times."""
     iters, n, m = (draw(st.integers(min_value=1, max_value=k)) for k in (4, 5, 6))
     # Dyadic latencies make cumulative times exact and often tied.
     value = st.one_of(st.sampled_from([0.25, 0.5, 1.0]),
                       st.floats(min_value=0.01, max_value=2.0))
     lat = draw(st.lists(value, min_size=iters * n * m, max_size=iters * n * m))
     cum = np.cumsum(np.reshape(lat, (iters, n, m)), axis=2)
-    observed = draw(st.lists(st.sampled_from(cum.ravel().tolist()), max_size=6))
-    others = draw(st.lists(st.floats(min_value=0.01, max_value=20.0), max_size=6))
+    cells = n * m
+    size = draw(st.sampled_from([max(cells // 3, 1), max(cells - 1, 1), cells, cells + 1,
+                                 2 * cells + 3]))
+    others = draw(st.lists(st.floats(min_value=0.01, max_value=20.0),
+                           min_size=size, max_size=size))
     edges = [0.5 * cum.min(), np.nextafter(cum.max(), np.inf), 2.0 * cum.max()]
-    return cum, np.unique(np.concatenate([observed, others, edges]))
+    pool = np.unique(np.concatenate([cum.ravel(), others, edges])).tolist()
+    return cum, np.sort(draw(st.permutations(pool))[:size])
+
+
+# One iteration of 2 workers x 3 cells: rows of 6 against grids of 5, 6 and
+# 7 points, whose points 0.25 to 1.25 tie with cumulative times.
+_TIED = np.cumsum([[[0.25, 0.25, 0.5], [0.5, 0.5, 0.25]]], axis=2)
+_TIED_GRID = np.array([0.25, 0.5, 1.0, 1.25, 1.5, 2.0, 3.0])
 
 
 @given(_cum_and_grid())
+@example((_TIED, _TIED_GRID[-5:])).via("a row longer than the grid")
+@example((_TIED, _TIED_GRID[-6:])).via("a row as long as the grid")
+@example((_TIED, _TIED_GRID)).via("a row shorter than the grid")
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_histogram_kernel_matches_brute_force(case):
     cum, grid = case
     brute = (cum[..., None] < grid).sum(axis=2).mean(axis=1)
-    assert np.array_equal(_mean_completed(cum, grid), brute)
+    assert np.array_equal(_mean_completed(cum.copy(), grid), brute)
 
 
 @st.composite
@@ -418,6 +434,23 @@ class TestValidationAndOutput:
             ds.TraceTensor(np.ones((2, 2)))
         with pytest.raises(ValueError):
             ds.TraceTensor(np.ones((2, 2, 2)), np.ones(3))
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_trace_tensor_copies_its_input_once(self, dtype):
+        lat = np.ones((200, 50, 10), dtype)
+        comm = np.ones(200, dtype)
+        tracemalloc.start()
+        try:
+            trace = ds.TraceTensor(lat, comm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One float64 copy of the latencies, not two.
+        assert peak < 1.5 * 8 * lat.size
+        lat[...], comm[...] = 2, 2
+        for held in (trace.latencies, trace.comm_times):
+            assert held.dtype == np.float64 and not held.flags.writeable
+        assert (trace.latencies == 1.0).all() and (trace.comm_times == 1.0).all()
 
     def test_empty_grid_rejected(self):
         trace = ds.TraceTensor(np.full((1, 1, 1), 0.5))

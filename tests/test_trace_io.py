@@ -260,7 +260,10 @@ _NEAR_GRAMMAR = st.one_of(
     st.floats(min_value=1e-4, max_value=1e8, exclude_max=True).map(repr),
     st.builds("{}.{}".format, st.integers(0, 10**9),
               st.text("0123456789", min_size=1, max_size=23)),
+    # A 22-digit fraction has 17 significant digits here, so only its width
+    # keeps it out of the grammar.
     st.sampled_from(["0.0", "00000000.5", "0.000000000000000000001", "99999999.9999999999",
+                     "0.0000012345678901234567",
                      "0.123456789012345678", "0.1234567890123456789", "1.", ".5", "1",
                      "0.5\r3", "2.\r5"]))
 
