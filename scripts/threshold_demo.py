@@ -14,7 +14,7 @@ import numpy as np
 
 from dropsim import (FleetSpec, NormalNoise, SimConfig, TraceTensor,
                      WorkerLatencyModel, run_detailed, select_threshold)
-from dropsim.latency import write_comm_csv, write_trace_csv
+from dropsim.csvio import write_comm_csv, write_trace_csv
 
 
 def main() -> int:

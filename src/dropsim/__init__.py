@@ -23,12 +23,9 @@ from .latency import (
     NoNoise,
     NormalNoise,
     WorkerLatencyModel,
-    read_comm_csv,
-    read_trace_csv,
     simulated_delay_noise,
-    write_comm_csv,
-    write_trace_csv,
 )
+from .csvio import read_comm_csv, read_trace_csv, write_comm_csv, write_trace_csv
 from .simulate import (
     LocalSgdResult,
     RunStats,

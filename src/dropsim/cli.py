@@ -26,8 +26,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .latency import (NOISE_KINDS, FleetSpec, WorkerLatencyModel, csv_text,
-                      read_comm_csv, read_trace_csv)
+# perfbench's tracer patches read_trace_csv and read_comm_csv by these names.
+from .csvio import csv_text, read_comm_csv, read_trace_csv
+from .latency import NOISE_KINDS, FleetSpec, WorkerLatencyModel
 # simulate streams its records with run_records_csv. run_detailed stays
 # importable here: perfbench's tracer patches it by this name.
 from .simulate import (SimConfig, auto_tau, local_sgd_run, run_detailed,

@@ -19,8 +19,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import latency, threshold
-from .latency import FleetSpec, csv_rows, csv_text, float_cells, int_cells
+from . import csvio, threshold
+from .csvio import csv_rows, csv_text, float_cells, int_cells
+from .latency import FleetSpec
 from .stats import RngStream, StreamGenerator, add_in_order
 
 __all__ = [
@@ -539,11 +540,11 @@ def write_records_csv(path, records: IterationBlock, comment: Optional[str] = No
     header iteration,worker,T_n,stop_time,completed, then one row per worker
     of each row (iteration) of records, with the csv module's CRLF line ends
     and the repr of each time, so floats round-trip. The text is built in
-    blocks of about latency._WRITE_BLOCK_ROWS rows, as the trace writer's is.
+    blocks of about csvio._WRITE_BLOCK_ROWS rows, as the trace writer's is.
     """
     # a bad comment raises before the file is opened
     head = csv_text(comment, RECORDS_HEADER, ())
-    step = max(1, latency._WRITE_BLOCK_ROWS // max(1, records.compute_times.shape[1]))
+    step = max(1, csvio._WRITE_BLOCK_ROWS // max(1, records.compute_times.shape[1]))
     with open(path, "w", newline="") as fh:
         fh.write(head)
         for first in range(0, len(records.s_eff), step):

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .latency import csv_rows, csv_text, float_cells
+from .csvio import csv_rows, csv_text, float_cells
 from .stats import add_in_order
 
 __all__ = [

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropsim as ds
-from dropsim import latency
-from dropsim.latency import csv_rows, float_cells, int_cells
+from dropsim import csvio
+from dropsim.csvio import csv_rows, float_cells, int_cells
 
 
 def _texts(cells) -> list:
@@ -126,7 +126,7 @@ def test_a_lognormal_latency_block_never_calls_repr(monkeypatch):
                                          iterations=20, seed=5)).trace
     want = [repr(v) for v in trace.ravel().tolist()]
     calls = []
-    monkeypatch.setattr(latency, "repr", lambda v: calls.append(v) or repr(v),
+    monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
                         raising=False)
     assert _texts(float_cells(trace)) == want
     assert calls == []
@@ -141,7 +141,7 @@ def test_ties_above_2_to_the_49_round_half_even_without_repr(monkeypatch):
                         np.exp(gen.uniform(math.log(2.0**49), math.log(1e16), 1 << 19))])
     want = [repr(v) for v in x.tolist()]
     calls = []
-    monkeypatch.setattr(latency, "repr", lambda v: calls.append(v) or repr(v),
+    monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
                         raising=False)
     assert _texts(float_cells(x)) == want
     assert calls == []

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import dropsim as ds
-from dropsim import cli, latency, simulate
+from dropsim import cli, csvio, simulate
 from dropsim.simulate import (IterationBlock, RECORDS_HEADER, run_records_csv,
                               write_records_csv)
 from dropsim.threshold import format_curve_csv, write_curve_csv
@@ -98,7 +98,7 @@ def test_write_records_csv_matches_row_formatter(tmp_path, block, block_rows, co
     trace writer's row budget scaled down, so most runs end mid-block."""
     records = _records(*block)
     step = max(1, block_rows // records.compute_times.shape[1])
-    with mock.patch.object(latency, "_WRITE_BLOCK_ROWS", block_rows), \
+    with mock.patch.object(csvio, "_WRITE_BLOCK_ROWS", block_rows), \
             mock.patch.object(simulate, "_records_text", wraps=simulate._records_text) as text:
         assert _written(tmp_path / "r.csv", records, comment) == _oracle_text(records, comment)
     assert text.call_count == -(-len(records.s_eff) // step)

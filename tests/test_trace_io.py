@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dropsim import latency
-from dropsim.latency import (COMM_HEADER, TRACE_HEADER, read_comm_csv, read_trace_csv,
-                             write_comm_csv, write_trace_csv)
+from dropsim import csvio
+from dropsim.csvio import (COMM_HEADER, TRACE_HEADER, read_comm_csv, read_trace_csv,
+                           write_comm_csv, write_trace_csv)
 
 # ---------------------------------------------------------------------------
 # Oracles: the reader that fed numpy one filtered line at a time, and the
@@ -206,7 +206,7 @@ def csv_files(draw):
 
 # Read sizes small enough to put line ends, comments and bad rows on block
 # edges, next to blocks of the fast grammar.
-_READ_SIZES = st.sampled_from([1, 7, 64, latency._READ_BYTES])
+_READ_SIZES = st.sampled_from([1, 7, 64, csvio._READ_BYTES])
 # Parse pool sizes: the calling thread alone, and pools of two and three.
 _POOL_SIZES = st.sampled_from([1, 2, 3])
 
@@ -215,8 +215,8 @@ _POOL_SIZES = st.sampled_from([1, 2, 3])
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_reader_matches_line_by_line_oracle(case, read_bytes, threads):
     kind, name, text = case
-    saved = latency._READ_BYTES, latency._PARSE_THREADS
-    latency._READ_BYTES, latency._PARSE_THREADS = read_bytes, threads
+    saved = csvio._READ_BYTES, csvio._PARSE_THREADS
+    csvio._READ_BYTES, csvio._PARSE_THREADS = read_bytes, threads
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / name
@@ -224,7 +224,7 @@ def test_reader_matches_line_by_line_oracle(case, read_bytes, threads):
                 fh.write(text)
             _assert_reads_like_oracle(kind, str(path))
     finally:
-        latency._READ_BYTES, latency._PARSE_THREADS = saved
+        csvio._READ_BYTES, csvio._PARSE_THREADS = saved
 
 
 @given(csv_files(), _READ_SIZES)
@@ -233,17 +233,17 @@ def test_data_line_matches_the_oracles_lines(case, read_bytes):
     # Every row's line and number, and None past the last, through CRLF,
     # bare CRs, comment and empty lines and a last line without a line end.
     _, name, text = case
-    saved = latency._READ_BYTES
-    latency._READ_BYTES = read_bytes
+    saved = csvio._READ_BYTES
+    csvio._READ_BYTES = read_bytes
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / name
             with open(path, "w", newline="") as fh:
                 fh.write(text)
             want = _oracle_data_lines(path) + [None]
-            assert [latency._data_line(path, row) for row in range(len(want))] == want
+            assert [csvio._data_line(path, row) for row in range(len(want))] == want
     finally:
-        latency._READ_BYTES = saved
+        csvio._READ_BYTES = saved
 
 
 def _in_fast_grammar(value: str) -> bool:
@@ -308,14 +308,14 @@ def test_rows_in_the_fast_grammar_skip_numpys_reader(case):
         path = str(Path(tmp) / "data.csv")
         Path(path).write_bytes(text.encode())
         want = _outcome(oracle, path)
-        saved = np.loadtxt, latency._READ_BYTES
+        saved = np.loadtxt, csvio._READ_BYTES
         if in_grammar:
             np.loadtxt = _no_loadtxt
-        latency._READ_BYTES = read_bytes
+        csvio._READ_BYTES = read_bytes
         try:
             assert _outcome(read, path) == want
         finally:
-            np.loadtxt, latency._READ_BYTES = saved
+            np.loadtxt, csvio._READ_BYTES = saved
 
 
 def test_quotients_round_correctly_and_ties_to_even():
@@ -334,7 +334,7 @@ def test_quotients_round_correctly_and_ties_to_even():
                              [d for d, _ in near_twos], [2**53 + 1, 2**53 + 3, 10**18 - 1]])
     k = np.concatenate([gen.integers(0, 22, 20_000), np.zeros(2000, int), np.ones(2000, int),
                         np.full(2000, 2), [k for _, k in near_twos], [0, 0, 21]])
-    got = latency._quotients(digits, k)
+    got = csvio._quotients(digits, k)
     assert got.tolist() == [d / 10**e for d, e in zip(digits.tolist(), k.tolist())]
 
 
@@ -364,7 +364,7 @@ def test_url_like_relative_path_is_read_as_a_file(tmp_path, monkeypatch):
     (tmp_path / "http:" / "localhost").mkdir(parents=True)
     (tmp_path / "http:" / "localhost" / "t.csv").write_text(_TRACE_TEXT)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(latency, "_data_line", _no_line_path)
+    monkeypatch.setattr(csvio, "_data_line", _no_line_path)
     assert np.array_equal(read_trace_csv("http://localhost/t.csv"), _TRACE_ARRAY)
 
 
@@ -394,7 +394,7 @@ def test_no_comment_after_the_header_skips_the_line_path(tmp_path, monkeypatch):
     path = tmp_path / "trace.csv"
     text = "# config_hash=abc\n\n" + _TRACE_TEXT.replace("\n", "\r\n")
     path.write_text(text.replace("0,0,1,", "\n0,0,1,"))
-    monkeypatch.setattr(latency, "_data_line", _no_line_path)
+    monkeypatch.setattr(csvio, "_data_line", _no_line_path)
     assert np.array_equal(read_trace_csv(path), _TRACE_ARRAY)
 
 
@@ -440,7 +440,7 @@ def _grammar_trace(iterations: int) -> tuple:
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Read files 64 bytes at a time: a few rows a block."""
-    monkeypatch.setattr(latency, "_READ_BYTES", 64)
+    monkeypatch.setattr(csvio, "_READ_BYTES", 64)
 
 
 def test_late_comment_and_empty_line_are_read_by_numpy_in_their_blocks(
@@ -533,7 +533,7 @@ def _bad_byte_file(place: str) -> bytes:
     return "".join(lines).encode("utf-8", "surrogateescape")
 
 
-@pytest.mark.parametrize("read_bytes", [1, 64, latency._READ_BYTES])
+@pytest.mark.parametrize("read_bytes", [1, 64, csvio._READ_BYTES])
 @pytest.mark.parametrize("place", [
     "before-header", "in-header", "after-wrong-header", "after-wrong-header-far",
     "after-header-no-rows", "after-bad-row-same-block", "after-bad-row-later-block",
@@ -542,27 +542,27 @@ def test_undecodable_byte_is_reported_as_text_mode_reports_it(tmp_path, monkeypa
                                                              place, read_bytes):
     # An undecodable byte fails the read where text mode reading the file
     # meets it, even past a row that breaks the format.
-    monkeypatch.setattr(latency, "_READ_BYTES", read_bytes)
+    monkeypatch.setattr(csvio, "_READ_BYTES", read_bytes)
     path = tmp_path / "trace.csv"
     path.write_bytes(_bad_byte_file(place))
     _assert_reads_like_oracle("trace", str(path))
 
 
-@pytest.mark.parametrize("read_bytes", [1, 64, latency._READ_BYTES])
+@pytest.mark.parametrize("read_bytes", [1, 64, csvio._READ_BYTES])
 def test_data_line_before_an_undecodable_byte(tmp_path, monkeypatch, read_bytes):
     # Only the row's own line is decoded: rows before a bad byte are named
     # as text mode names them in the file cut before its line.
-    monkeypatch.setattr(latency, "_READ_BYTES", read_bytes)
+    monkeypatch.setattr(csvio, "_READ_BYTES", read_bytes)
     text = _grammar_trace(20)[0].replace("\n3,", "\r\n# note\r\n\r3,")
     path, cut = tmp_path / "trace.csv", tmp_path / "cut.csv"
     path.write_bytes(text.encode() + b"# \xff\n" + text.encode())
     cut.write_bytes(text.encode())
     want = _oracle_data_lines(cut)
-    assert [latency._data_line(path, row) for row in range(len(want))] == want
+    assert [csvio._data_line(path, row) for row in range(len(want))] == want
 
 
 def test_line_over_many_blocks_without_a_line_end(tmp_path, monkeypatch):
-    monkeypatch.setattr(latency, "_READ_BYTES", 7)
+    monkeypatch.setattr(csvio, "_READ_BYTES", 7)
     path = tmp_path / "trace.csv"
     path.write_text(",".join(TRACE_HEADER) + "\n0,0,0,0." + "5" * 300 + "x")
     with pytest.raises(ValueError, match=rf"^{path}:2: expected iteration,.*5x'$"):
@@ -584,7 +584,7 @@ def test_naming_a_late_duplicate_row_keeps_the_read_in_its_memory(tmp_path, monk
     # list of all 200k data lines would add about 20 MB. One parse thread
     # makes both peaks the same every run; on two, the blocks in flight set
     # them, they move with thread timing, and they hide the rescan's peak.
-    monkeypatch.setattr(latency, "_PARSE_THREADS", 1)
+    monkeypatch.setattr(csvio, "_PARSE_THREADS", 1)
     text, values = _grammar_trace(50_000)
     good, dup = tmp_path / "good.csv", tmp_path / "dup.csv"
     good.write_text(text)
@@ -601,7 +601,7 @@ def test_naming_a_late_duplicate_row_keeps_the_read_in_its_memory(tmp_path, monk
 def test_naming_a_duplicate_row_sorts_only_the_repeated_cells(tmp_path, monkeypatch):
     # Small blocks keep the parse's own peak below the id checks'. Sorting
     # every row's cell to find the first repeat added about 8 MB here.
-    monkeypatch.setattr(latency, "_READ_BYTES", 1 << 16)
+    monkeypatch.setattr(csvio, "_READ_BYTES", 1 << 16)
     text, values = _grammar_trace(50_000)
     good, dup = tmp_path / "good.csv", tmp_path / "dup.csv"
     good.write_text(text)
@@ -620,7 +620,7 @@ def test_first_bad_row_is_named_at_any_thread_count(tmp_path, monkeypatch, small
     # A comment sends an early block to numpy, which then counts its rows;
     # two later blocks each hold a row outside the format, and the first
     # one is named, as the oracle names it.
-    monkeypatch.setattr(latency, "_PARSE_THREADS", threads)
+    monkeypatch.setattr(csvio, "_PARSE_THREADS", threads)
     lines = _grammar_trace(50)[0].splitlines(keepends=True)
     lines.insert(10, "# sent to numpy\n")
     lines[120], lines[170] = "29,1,1,slow\n", "41,1,1,0.5x\n"
@@ -635,7 +635,7 @@ def test_first_bad_row_is_named_at_any_thread_count(tmp_path, monkeypatch, small
 def test_reads_leave_no_thread_running(tmp_path, monkeypatch, small_blocks):
     # The pool's threads are joined when a read returns, and when it raises
     # with blocks still in flight behind the bad row.
-    monkeypatch.setattr(latency, "_PARSE_THREADS", 3)
+    monkeypatch.setattr(csvio, "_PARSE_THREADS", 3)
     text, values = _grammar_trace(50)
     good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
     good.write_text(text)
@@ -699,13 +699,13 @@ def test_writer_blocks_match_csv_writer(kind, shape, block_rows):
     header = [TRACE_HEADER, COMM_HEADER, ["a", "b", "v"]][kind]
     shape = (shape * 3)[:len(header) - 1]
     values = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7.0
-    saved = latency._WRITE_BLOCK_ROWS
-    latency._WRITE_BLOCK_ROWS = block_rows
+    saved = csvio._WRITE_BLOCK_ROWS
+    csvio._WRITE_BLOCK_ROWS = block_rows
     try:
         with tempfile.TemporaryDirectory() as tmp:
             new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
-            latency._write_dense(new, header, values, "c")
+            csvio._write_dense(new, header, values, "c")
             _oracle_write_dense(old, header, values, "c")
             assert new.read_bytes() == old.read_bytes()
     finally:
-        latency._WRITE_BLOCK_ROWS = saved
+        csvio._WRITE_BLOCK_ROWS = saved
