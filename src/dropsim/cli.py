@@ -377,8 +377,11 @@ def cmd_select_threshold(args) -> int:
     trace = TraceTensor(tensor, comm)
     result = select_threshold(trace, grid)
 
-    # A line break in the name would end the comment line early.
-    name = Path(args.trace).name.replace("\r", "\\r").replace("\n", "\\n")
+    # The name must be one line of writable text: line breaks are escaped as
+    # \r and \n, bytes the file system encoding does not decode as \xNN.
+    name = os.fsencode(Path(args.trace).name).decode(sys.getfilesystemencoding(),
+                                                     "backslashreplace")
+    name = name.replace("\r", "\\r").replace("\n", "\\n")
     stamp = f"trace={name} version={__version__}"
     with _new_out_dir(args) as out:
         _atomic_write(out / "curve.csv", format_curve_csv(result, stamp))

@@ -1,9 +1,7 @@
-"""CSV files: the trace and comm readers and writers, and the cells and
-lines that every CSV file dropsim writes is built from.
-
-Every writer puts an optional '# comment' line before its header and ends
-each row in CRLF, as csv.writer does; floats are written as their repr, so
-they read back bit for bit.
+"""CSV files: the trace and comm readers and writers, and the cells and lines
+of every CSV file dropsim writes. Each writer puts an optional '# comment'
+line before its header and ends rows in CRLF, as csv.writer does; floats are
+written as their repr, so they read back bit for bit.
 """
 from __future__ import annotations
 
@@ -16,23 +14,9 @@ import os
 
 import numpy as np
 
-__all__ = [
-    "TRACE_HEADER",
-    "COMM_HEADER",
-    "comment_line",
-    "csv_text",
-    "int_cells",
-    "float_cells",
-    "csv_rows",
-    "read_trace_csv",
-    "write_trace_csv",
-    "read_comm_csv",
-    "write_comm_csv",
-]
-
-# ---------------------------------------------------------------------------
-# Trace file I/O. Format: CSV with header iteration,worker,micro_batch,latency_seconds.
-# ---------------------------------------------------------------------------
+__all__ = ["TRACE_HEADER", "COMM_HEADER", "csv_text", "int_cells", "float_cells",
+           "csv_rows", "row_blocks", "write_csv", "read_trace_csv", "write_trace_csv",
+           "read_comm_csv", "write_comm_csv"]
 
 TRACE_HEADER = ["iteration", "worker", "micro_batch", "latency_seconds"]
 COMM_HEADER = ["iteration", "T_c_seconds"]
@@ -43,23 +27,16 @@ _SKIP = "#\n"
 _ENCODING = io.text_encoding(None)
 
 
-def comment_line(comment) -> str:
-    """The '# comment' line the CSV writers put before their header ('' for
-    no comment). A line break in it would leave text where the readers
-    expect the header, so it raises ValueError."""
-    if not comment:
-        return ""
-    if "\n" in comment or "\r" in comment:
-        raise ValueError(f"comment must be one line, got {comment!r}")
-    return f"# {comment}\n"
-
-
 def csv_text(comment, header, rows) -> str:
-    """CSV text: the comment_line of comment, then header and each row of
-    rows, their string cells joined by ',' and each line ended in CRLF, as
-    csv.writer writes cells that need no quoting."""
+    """CSV text: a '# comment' line unless comment is empty, then header and
+    each row of rows, their string cells joined by ',' and each line ended
+    in CRLF, as csv.writer writes cells that need no quoting. A line break
+    in comment would leave text where the readers expect the header, so it
+    raises ValueError."""
+    if comment and ("\n" in comment or "\r" in comment):
+        raise ValueError(f"comment must be one line, got {comment!r}")
     lines = (",".join(cells) + "\r\n" for cells in (header, *rows))
-    return comment_line(comment) + "".join(lines)
+    return (f"# {comment}\n" if comment else "") + "".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -609,23 +586,37 @@ def _reject_ids(path, header, ids) -> None:
 _WRITE_BLOCK_ROWS = 1 << 14
 
 
-def _write_dense(path, header, values: np.ndarray, comment) -> None:
-    """One CSV row per element of `values`: its ids, then the repr of the value.
+def row_blocks(rows: int, row_width: int) -> list:
+    """Slices of range(rows) of about _WRITE_BLOCK_ROWS CSV rows each, for
+    rows that each write row_width CSV rows."""
+    step = max(1, _WRITE_BLOCK_ROWS // max(1, row_width))
+    return [slice(start, start + step) for start in range(0, rows, step)]
 
-    Rows end in CRLF, as csv.writer ends them. The text is built in blocks
-    over the first axis.
-    """
-    if values.ndim != len(header) - 1:
-        raise ValueError(f"expected a {len(header) - 1}-d array for {','.join(header)}")
-    step = max(1, _WRITE_BLOCK_ROWS // max(1, math.prod(values.shape[1:])))
+
+def write_csv(path, comment, header, chunks) -> None:
+    """Write the CSV file path: csv_text(comment, header, ()), then each text
+    of the iterable chunks in turn. A bad comment raises before the file is
+    opened."""
     head = csv_text(comment, header, ())
     with open(path, "w", newline="") as fh:
         fh.write(head)
-        for start in range(0, len(values), step):
-            block = values[start:start + step]
-            ids = np.indices(block.shape).reshape(block.ndim, -1)
-            ids[0] += start
-            fh.write(csv_rows([*map(int_cells, ids), float_cells(block)]))
+        fh.writelines(chunks)
+
+
+def _write_dense(path, header, values: np.ndarray, comment) -> None:
+    """One CSV row per element of `values`: its ids, then the repr of the
+    value. The text is built in the row_blocks of the first axis."""
+    if values.ndim != len(header) - 1:
+        raise ValueError(f"expected a {len(header) - 1}-d array for {','.join(header)}")
+
+    def text(rows: slice) -> str:
+        block = values[rows]
+        ids = np.indices(block.shape).reshape(block.ndim, -1)
+        ids[0] += rows.start
+        return csv_rows([*map(int_cells, ids), float_cells(block)])
+
+    write_csv(path, comment, header,
+              map(text, row_blocks(len(values), math.prod(values.shape[1:]))))
 
 
 def read_trace_csv(path) -> np.ndarray:

@@ -19,8 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import csvio, threshold
-from .csvio import csv_rows, csv_text, float_cells, int_cells
+from . import threshold
+from .csvio import csv_rows, csv_text, float_cells, int_cells, row_blocks, write_csv
 from .latency import FleetSpec
 from .stats import RngStream, StreamGenerator, add_in_order
 
@@ -539,15 +539,9 @@ def write_records_csv(path, records: IterationBlock, comment: Optional[str] = No
     """Per-iteration, per-worker records: an optional ``# comment`` line, the
     header iteration,worker,T_n,stop_time,completed, then one row per worker
     of each row (iteration) of records, with the csv module's CRLF line ends
-    and the repr of each time, so floats round-trip. The text is built in
-    blocks of about csvio._WRITE_BLOCK_ROWS rows, as the trace writer's is.
+    and the repr of each time, so floats round-trip; written in row_blocks.
     """
-    # a bad comment raises before the file is opened
-    head = csv_text(comment, RECORDS_HEADER, ())
-    step = max(1, csvio._WRITE_BLOCK_ROWS // max(1, records.compute_times.shape[1]))
-    with open(path, "w", newline="") as fh:
-        fh.write(head)
-        for first in range(0, len(records.s_eff), step):
-            rows = slice(first, first + step)
-            fh.write(_records_text(first, records.compute_times[rows],
-                                   records.stop_times[rows], records.completed[rows]))
+    blocks = row_blocks(len(records.s_eff), records.compute_times.shape[1])
+    write_csv(path, comment, RECORDS_HEADER, (
+        _records_text(rows.start, records.compute_times[rows], records.stop_times[rows],
+                      records.completed[rows]) for rows in blocks))

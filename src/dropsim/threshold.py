@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .csvio import csv_rows, csv_text, float_cells
+from .csvio import csv_rows, csv_text, float_cells, write_csv
 from .stats import add_in_order
 
 __all__ = [
@@ -213,16 +213,17 @@ def _select(cum: np.ndarray, comm: np.ndarray,
     )
 
 
+def _curve_rows(result: ThresholdSearchResult) -> str:
+    return csv_rows([float_cells(col) for col in (result.grid, result.s_eff,
+                                                  result.drop_rate, result.step_speedup)])
+
+
 def format_curve_csv(result: ThresholdSearchResult,
                      comment: Optional[str] = None) -> str:
     """The curve as CSV text: optional '# comment' line, header, one row per tau."""
-    return csv_text(comment, CURVE_HEADER, ()) + csv_rows(
-        [float_cells(col) for col in (result.grid, result.s_eff, result.drop_rate,
-                                      result.step_speedup)])
+    return csv_text(comment, CURVE_HEADER, ()) + _curve_rows(result)
 
 
 def write_curve_csv(path, result: ThresholdSearchResult,
                     comment: Optional[str] = None) -> None:
-    text = format_curve_csv(result, comment)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    write_csv(path, comment, CURVE_HEADER, [_curve_rows(result)])

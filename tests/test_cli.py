@@ -365,6 +365,34 @@ class TestSelectThreshold:
         assert lines[0] == f"# trace=a\\nb\\r.csv version={ds.__version__}"
         assert lines[1] == "tau,s_eff,drop_rate,step_speedup"
 
+    @pytest.mark.skipif(sys.getfilesystemencoding() != "utf-8",
+                        reason="0xff decodes under this file system encoding")
+    def test_undecodable_byte_in_trace_name_is_escaped_in_the_comment(self, tmp_path,
+                                                                      capsys):
+        trace = tmp_path / os.fsdecode(b"tr\xff.csv")
+        ds.write_trace_csv(str(trace), np.full((2, 2, 2), 0.5))
+        assert cli.main(["select-threshold", "--trace", str(trace),
+                         "--out", str(tmp_path / "o")]) == 0
+        lines = (tmp_path / "o" / "curve.csv").read_text().splitlines()
+        assert lines[0] == f"# trace=tr\\xff.csv version={ds.__version__}"
+        assert lines[1] == "tau,s_eff,drop_rate,step_speedup"
+
+    def test_commands_read_through_the_names_perfbench_patches(self, tmp_path,
+                                                               capsys, monkeypatch):
+        # perfbench's tracer times the trace and comm reads by wrapping
+        # cli.read_trace_csv and cli.read_comm_csv; each must be the one call
+        # select-threshold reads its file with.
+        calls = {"read_trace_csv": 0, "read_comm_csv": 0}
+        for name in calls:
+            def counted(path, _read=getattr(cli, name), _name=name):
+                calls[_name] += 1
+                return _read(path)
+            monkeypatch.setattr(cli, name, counted)
+        trace, comm = self._write_trace(tmp_path, np.full((2, 2, 2), 0.5), np.zeros(2))
+        assert cli.main(["select-threshold", "--trace", str(trace), "--comm", str(comm),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert calls == {"read_trace_csv": 1, "read_comm_csv": 1}
+
     def test_explicit_grid_file(self, tmp_path, capsys):
         tensor = np.full((2, 2, 2), 0.5)
         trace, comm = self._write_trace(tmp_path, tensor, np.zeros(2))

@@ -4,13 +4,13 @@ Hypothesis draws a seed and numpy then draws a large array from it, so each
 example checks thousands of values."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dropsim as ds
-from dropsim import csvio
 from dropsim.csvio import csv_rows, float_cells, int_cells
 
 
@@ -120,14 +120,29 @@ def test_empty_and_one_value():
     _assert_repr([-0.0])
 
 
+def _repr_calls(monkeypatch) -> list:
+    """The values that float_cells passes to repr from here on, recorded by
+    a repr patched into the module that defines float_cells."""
+    calls = []
+    monkeypatch.setattr(sys.modules[float_cells.__module__], "repr",
+                        lambda v: calls.append(v) or repr(v), raising=False)
+    return calls
+
+
+def test_the_repr_patch_sees_the_calls_float_cells_makes(monkeypatch):
+    # The tests below that expect no call would pass with a patch that
+    # misses float_cells' module; a negative value takes one repr call.
+    calls = _repr_calls(monkeypatch)
+    assert _texts(float_cells([-1.0])) == ["-1.0"]
+    assert calls == [-1.0]
+
+
 def test_a_lognormal_latency_block_never_calls_repr(monkeypatch):
     model = ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(-2.0, 0.5))
     trace = ds.run_detailed(ds.SimConfig(ds.FleetSpec.homogeneous(64, model), 12,
                                          iterations=20, seed=5)).trace
     want = [repr(v) for v in trace.ravel().tolist()]
-    calls = []
-    monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
-                        raising=False)
+    calls = _repr_calls(monkeypatch)
     assert _texts(float_cells(trace)) == want
     assert calls == []
 
@@ -140,9 +155,7 @@ def test_ties_above_2_to_the_49_round_half_even_without_repr(monkeypatch):
     x = np.concatenate([gen.uniform(2.0**49, 1e16, 1 << 19),
                         np.exp(gen.uniform(math.log(2.0**49), math.log(1e16), 1 << 19))])
     want = [repr(v) for v in x.tolist()]
-    calls = []
-    monkeypatch.setattr(csvio, "repr", lambda v: calls.append(v) or repr(v),
-                        raising=False)
+    calls = _repr_calls(monkeypatch)
     assert _texts(float_cells(x)) == want
     assert calls == []
 

@@ -11,6 +11,7 @@ import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -215,16 +216,13 @@ _POOL_SIZES = st.sampled_from([1, 2, 3])
 @settings(max_examples=400, derandomize=True, deadline=None)
 def test_reader_matches_line_by_line_oracle(case, read_bytes, threads):
     kind, name, text = case
-    saved = csvio._READ_BYTES, csvio._PARSE_THREADS
-    csvio._READ_BYTES, csvio._PARSE_THREADS = read_bytes, threads
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / name
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-            _assert_reads_like_oracle(kind, str(path))
-    finally:
-        csvio._READ_BYTES, csvio._PARSE_THREADS = saved
+    with mock.patch.object(csvio, "_READ_BYTES", read_bytes), \
+            mock.patch.object(csvio, "_PARSE_THREADS", threads), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        _assert_reads_like_oracle(kind, str(path))
 
 
 @given(csv_files(), _READ_SIZES)
@@ -233,17 +231,13 @@ def test_data_line_matches_the_oracles_lines(case, read_bytes):
     # Every row's line and number, and None past the last, through CRLF,
     # bare CRs, comment and empty lines and a last line without a line end.
     _, name, text = case
-    saved = csvio._READ_BYTES
-    csvio._READ_BYTES = read_bytes
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / name
-            with open(path, "w", newline="") as fh:
-                fh.write(text)
-            want = _oracle_data_lines(path) + [None]
-            assert [csvio._data_line(path, row) for row in range(len(want))] == want
-    finally:
-        csvio._READ_BYTES = saved
+    with mock.patch.object(csvio, "_READ_BYTES", read_bytes), \
+            tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        want = _oracle_data_lines(path) + [None]
+        assert [csvio._data_line(path, row) for row in range(len(want))] == want
 
 
 def _in_fast_grammar(value: str) -> bool:
@@ -308,14 +302,9 @@ def test_rows_in_the_fast_grammar_skip_numpys_reader(case):
         path = str(Path(tmp) / "data.csv")
         Path(path).write_bytes(text.encode())
         want = _outcome(oracle, path)
-        saved = np.loadtxt, csvio._READ_BYTES
-        if in_grammar:
-            np.loadtxt = _no_loadtxt
-        csvio._READ_BYTES = read_bytes
-        try:
+        with mock.patch.object(np, "loadtxt", _no_loadtxt if in_grammar else np.loadtxt), \
+                mock.patch.object(csvio, "_READ_BYTES", read_bytes):
             assert _outcome(read, path) == want
-        finally:
-            np.loadtxt, csvio._READ_BYTES = saved
 
 
 def test_quotients_round_correctly_and_ties_to_even():
@@ -699,13 +688,9 @@ def test_writer_blocks_match_csv_writer(kind, shape, block_rows):
     header = [TRACE_HEADER, COMM_HEADER, ["a", "b", "v"]][kind]
     shape = (shape * 3)[:len(header) - 1]
     values = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7.0
-    saved = csvio._WRITE_BLOCK_ROWS
-    csvio._WRITE_BLOCK_ROWS = block_rows
-    try:
-        with tempfile.TemporaryDirectory() as tmp:
-            new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
-            csvio._write_dense(new, header, values, "c")
-            _oracle_write_dense(old, header, values, "c")
-            assert new.read_bytes() == old.read_bytes()
-    finally:
-        csvio._WRITE_BLOCK_ROWS = saved
+    with mock.patch.object(csvio, "_WRITE_BLOCK_ROWS", block_rows), \
+            tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp) / "new.csv", Path(tmp) / "old.csv"
+        csvio._write_dense(new, header, values, "c")
+        _oracle_write_dense(old, header, values, "c")
+        assert new.read_bytes() == old.read_bytes()
