@@ -3,9 +3,10 @@
 Configs are JSON documents read against a field table per block (unknown
 keys and wrongly typed values are rejected so typos fail loudly); tabular
 results go to CSV with a comment line recording the config hash and tool
-version, reports go to JSON with sorted keys. All outputs are written
-atomically and contain no timestamps, so a fixed seed reproduces files byte
-for byte.
+version, reports go to JSON with sorted keys. Outputs contain no timestamps,
+so a fixed seed reproduces files byte for byte. Each is written through
+csvio.replace_file, renamed over its target once written, so a failed
+command leaves its targets as they were.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import math
 import os
 import reprlib
 import sys
-import tempfile
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -33,8 +33,8 @@ from .latency import NOISE_KINDS, FleetSpec, WorkerLatencyModel
 # importable here: perfbench's tracer patches it by this name.
 from .simulate import (SimConfig, auto_tau, local_sgd_run, run_detailed,
                        run_records_csv, scale_sweep)
-from .threshold import TraceTensor, format_curve_csv, select_threshold
-from . import analytic, sgd
+from .threshold import TraceTensor, select_threshold, write_curve_csv
+from . import analytic, csvio, sgd
 
 __all__ = ["main"]
 
@@ -228,34 +228,19 @@ def _parse_fleet(doc) -> FleetSpec:
 
 
 @contextlib.contextmanager
-def _atomic_open(path: Path):
-    """A text file that replaces path, through a rename, once the block ends
-    without an exception."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write text to path through a temporary file and a rename."""
-    with _atomic_open(path) as fh:
-        fh.write(text)
-
-
-@contextlib.contextmanager
-def _new_out_dir(args):
-    """The output directory args.out, made for the block that writes into
-    it: if the block raises, the directories made here are removed again,
-    once empty, so a failed write leaves no directory behind. A directory
-    that cannot be made, as under a path that names a file, is a
-    ConfigError."""
+def _new_out_dir(args, *names):
+    """The paths of the files names in the output directory args.out, made
+    for the block that writes them: if the block raises, the directories
+    made here are removed again, once empty, so a failed write leaves no
+    directory behind. A name taken by a directory, or a directory that
+    cannot be made, as under a path that names a file, is a ConfigError
+    raised before anything is made."""
     out = Path(args.out)
+    paths = [out / name for name in names]
+    for path in paths:
+        # a symlink is replaced, whatever it points to
+        if path.is_dir() and not path.is_symlink():
+            raise ConfigError(f"{path}: is a directory, not a file")
     made = [d for d in (out, *out.parents) if not d.exists()]
     try:
         try:
@@ -263,7 +248,7 @@ def _new_out_dir(args):
         except OSError as exc:
             raise ConfigError(f"{args.out}: cannot make the output directory: "
                               f"{exc.strerror or exc}") from exc
-        yield out
+        yield paths
     except BaseException:
         for d in made:
             with contextlib.suppress(OSError):
@@ -298,9 +283,9 @@ def cmd_simulate(args) -> int:
             result = local_sgd_run(
                 fleet, mode=block.pop("straggler_mode"), iterations=cfg["iterations"],
                 seed=cfg["seed"] if args.seed is None else args.seed, **block)
-        with _new_out_dir(args) as out:
-            _atomic_write(out / "summary.json", _report(
-                _config_hash(doc), mode="local-sgd", **dataclasses.asdict(result)))
+        report = _report(_config_hash(doc), mode="local-sgd", **dataclasses.asdict(result))
+        with _new_out_dir(args, "summary.json") as [path], csvio.replace_file(path) as fh:
+            fh.write(report)
         print(f"local-sgd speedup {result.local_sgd_speedup:.4f}, "
               f"with threshold {result.dropcompute_speedup:.4f}")
         return 0
@@ -312,14 +297,14 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(
             config, tau=auto_tau(config, cfg["warmup_iterations"]))
 
-    # The run happens while records.csv is written, and summary.json is
-    # written before records.csv is renamed into place, so a run or a write
-    # that raises leaves neither file nor the output directory behind.
+    # The run happens while records.csv is written. Both files are renamed
+    # into place once both are written, summary.json last, so a run or a
+    # write that raises leaves neither file nor the output directory behind.
     config_hash = _config_hash(doc)
-    with _new_out_dir(args) as out, _atomic_open(out / "records.csv") as fh:
+    with _new_out_dir(args, "records.csv", "summary.json") as [records, summary], \
+            csvio.replace_file(summary) as summary_fh, csvio.replace_file(records) as fh:
         stats = run_records_csv(config, fh, _stamp(config_hash))
-        _atomic_write(out / "summary.json",
-                      _report(config_hash, **dataclasses.asdict(stats)))
+        summary_fh.write(_report(config_hash, **dataclasses.asdict(stats)))
     print(f"s_eff {stats.s_eff:.4f}, drop rate {stats.drop_rate:.4f}, "
           f"mean step {stats.mean_step_drop:.4f}s")
     return 0
@@ -383,8 +368,8 @@ def cmd_select_threshold(args) -> int:
                                                      "backslashreplace")
     name = name.replace("\r", "\\r").replace("\n", "\\n")
     stamp = f"trace={name} version={__version__}"
-    with _new_out_dir(args) as out:
-        _atomic_write(out / "curve.csv", format_curve_csv(result, stamp))
+    with _new_out_dir(args, "curve.csv") as [curve]:
+        write_curve_csv(curve, result, stamp)
     print(f"tau_star {result.tau_star!r} "
           f"s_eff {result.s_eff_at_tau_star():.6f}")
     return 0
@@ -422,8 +407,8 @@ def cmd_scale_sweep(args) -> int:
                       *map(repr, (p.throughput_base, p.throughput_drop, p.s_eff,
                                   p.linear_ref, s))]
                      for p, s in zip(points, s_analytic)))
-    with _new_out_dir(args) as out:
-        _atomic_write(out / "sweep.csv", text)
+    with _new_out_dir(args, "sweep.csv") as [sweep], csvio.replace_file(sweep) as fh:
+        fh.write(text)
     print(f"swept {len(points)} fleet sizes, "
           f"s_eff range [{min(p.s_eff for p in points):.4f}, "
           f"{max(p.s_eff for p in points):.4f}]")
@@ -489,8 +474,8 @@ def cmd_sgd_bench(args) -> int:
         print(f"{rep.theorem}: empirical {rep.empirical:.6g} vs bound "
               f"{rep.bound:.6g} -> {'PASS' if rep.passed else 'FAIL'}")
 
-    with _new_out_dir(args) as out:
-        _atomic_write(out / "report.json", _report(_config_hash(doc), results=body))
+    with _new_out_dir(args, "report.json") as [report], csvio.replace_file(report) as fh:
+        fh.write(_report(_config_hash(doc), results=body))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -1,6 +1,7 @@
-"""CSV files: the trace and comm readers and writers, and the cells and lines
-of every CSV file dropsim writes. Each writer puts an optional '# comment'
-line before its header and ends rows in CRLF, as csv.writer does; floats are
+"""CSV files: the trace and comm readers and writers, the cells and lines of
+every CSV file dropsim writes, and replace_file, through which every file
+dropsim writes is written. Each CSV writer puts an optional '# comment' line
+before its header and ends rows in CRLF, as csv.writer does; floats are
 written as their repr, so they read back bit for bit.
 """
 from __future__ import annotations
@@ -15,8 +16,8 @@ import os
 import numpy as np
 
 __all__ = ["TRACE_HEADER", "COMM_HEADER", "csv_text", "int_cells", "float_cells",
-           "csv_rows", "row_blocks", "write_csv", "read_trace_csv", "write_trace_csv",
-           "read_comm_csv", "write_comm_csv"]
+           "csv_rows", "row_blocks", "replace_file", "write_csv", "read_trace_csv",
+           "write_trace_csv", "read_comm_csv", "write_comm_csv"]
 
 TRACE_HEADER = ["iteration", "worker", "micro_batch", "latency_seconds"]
 COMM_HEADER = ["iteration", "T_c_seconds"]
@@ -593,12 +594,34 @@ def row_blocks(rows: int, row_width: int) -> list:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
+@contextlib.contextmanager
+def replace_file(path):
+    """A text file, open for writing with newline="", that replaces path
+    when the block ends. It is written under a new name in path's directory
+    and renamed over path, so path is never seen half written, and a symlink
+    at path is replaced, not written through. If the block or the rename
+    raises, the file is removed and path is left as it was. The file gets
+    the mode open(path, "w") gives a new file: 0o666 less the umask."""
+    path = os.fsdecode(path)
+    # A name of fixed length: path's own name may be as long as a name can be.
+    tmp = os.path.join(os.path.dirname(path), f"dropsim-{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "x", newline="")  # "x": never an existing file
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(path, comment, header, chunks) -> None:
-    """Write the CSV file path: csv_text(comment, header, ()), then each text
-    of the iterable chunks in turn. A bad comment raises before the file is
-    opened."""
+    """Write the CSV file path through replace_file: csv_text(comment,
+    header, ()), then each text of the iterable chunks in turn. A bad comment
+    raises before any file is made."""
     head = csv_text(comment, header, ())
-    with open(path, "w", newline="") as fh:
+    with replace_file(path) as fh:
         fh.write(head)
         fh.writelines(chunks)
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .csvio import csv_rows, csv_text, float_cells, write_csv
+from .csvio import csv_rows, float_cells, write_csv
 from .stats import add_in_order
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "ThresholdSearchResult",
     "select_threshold",
     "default_grid",
-    "format_curve_csv",
     "write_curve_csv",
     "CURVE_HEADER",
 ]
@@ -213,17 +212,9 @@ def _select(cum: np.ndarray, comm: np.ndarray,
     )
 
 
-def _curve_rows(result: ThresholdSearchResult) -> str:
-    return csv_rows([float_cells(col) for col in (result.grid, result.s_eff,
-                                                  result.drop_rate, result.step_speedup)])
-
-
-def format_curve_csv(result: ThresholdSearchResult,
-                     comment: Optional[str] = None) -> str:
-    """The curve as CSV text: optional '# comment' line, header, one row per tau."""
-    return csv_text(comment, CURVE_HEADER, ()) + _curve_rows(result)
-
-
 def write_curve_csv(path, result: ThresholdSearchResult,
                     comment: Optional[str] = None) -> None:
-    write_csv(path, comment, CURVE_HEADER, [_curve_rows(result)])
+    """The curve as CSV: an optional '# comment' line, the header, one row per tau."""
+    write_csv(path, comment, CURVE_HEADER, [csv_rows([
+        float_cells(col) for col in (result.grid, result.s_eff, result.drop_rate,
+                                     result.step_speedup)])])

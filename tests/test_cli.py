@@ -3,9 +3,11 @@ determinism, and agreement between the CLI's emitted numbers and the library
 calls they wrap. All invocations run in-process through cli.main."""
 
 import ast
+import contextlib
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 import dropsim as ds
-from dropsim import cli, simulate
+from dropsim import cli, csvio, simulate
 from dropsim.threshold import write_curve_csv
 
 
@@ -758,19 +760,25 @@ def _command_argv(tmp_path, command, doc) -> list:
     return [*command.split(), "--config", _write_json(tmp_path / "c.json", doc)]
 
 
+# The files each command writes.
+_OUTPUTS = {"simulate": ["records.csv", "summary.json"],
+            "simulate --mode local-sgd": ["summary.json"], "select-threshold": ["curve.csv"],
+            "scale-sweep": ["sweep.csv"], "sgd-bench": ["report.json"]}
+
+
 @pytest.mark.parametrize("command, doc", [*_WRITE_CASES,
                                           ("simulate", _sim_config(iterations=5))])
 def test_failed_write_leaves_no_directory(tmp_path, monkeypatch, command, doc):
     # Each command makes its output directories for its writes alone, so a
-    # write that fails removes the directories it made. Synchronous simulate
-    # streams records.csv first; its failed summary write must take the
-    # records with it.
+    # write that fails removes the directories it made.
     argv = _command_argv(tmp_path, command, doc)
 
-    def fail(path, text):
+    @contextlib.contextmanager
+    def fail(path):
         raise OSError("disk full")
+        yield
 
-    monkeypatch.setattr(cli, "_atomic_write", fail)
+    monkeypatch.setattr(csvio, "replace_file", fail)
     with pytest.raises(OSError, match="disk full"):
         cli.main([*argv, "--out", str(tmp_path / "o" / "deeper")])
     assert not (tmp_path / "o").exists()
@@ -791,6 +799,78 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys, command, doc, under):
     assert f"error: {out}: cannot make the output directory: " in capsys.readouterr().err
     assert sorted(tmp_path.rglob("*")) == before
     assert blocker.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("command, doc, name",
+                         [(command, doc, name)
+                          for command, doc in [("simulate", _sim_config(iterations=5)),
+                                               *_WRITE_CASES]
+                          for name in _OUTPUTS[command]])
+def test_output_name_taken_by_a_directory_exits_2(tmp_path, capsys, command, doc, name):
+    # Checked before anything is written: simulate must not leave its other
+    # file behind, and no command leaves a temporary file.
+    argv = _command_argv(tmp_path, command, doc)
+    (tmp_path / "o" / name / "inside").mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {tmp_path / 'o' / name}: " in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("points_to", ["file", "directory"])
+def test_symlink_at_an_output_is_replaced(tmp_path, points_to):
+    argv = _command_argv(tmp_path, "select-threshold", None)
+    target = tmp_path / points_to
+    if points_to == "file":
+        target.write_text("kept\n")
+    else:
+        target.mkdir()
+    (tmp_path / "o").mkdir()
+    (tmp_path / "o" / "curve.csv").symlink_to(target)
+    assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 0
+    assert not (tmp_path / "o" / "curve.csv").is_symlink()
+    assert (tmp_path / "o" / "curve.csv").read_text().startswith("# trace=trace.csv")
+    if points_to == "file":
+        assert target.read_text() == "kept\n"
+    else:
+        assert list(target.iterdir()) == []
+
+
+@contextlib.contextmanager
+def _umask(mask):
+    old = os.umask(mask)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+@pytest.mark.parametrize("command, doc", [("simulate", _sim_config(iterations=5)),
+                                          *_WRITE_CASES])
+def test_outputs_get_the_umask_mode(tmp_path, command, doc, mask, mode):
+    # Files are made as open(path, "w") makes them: 0o666 less the umask.
+    argv = _command_argv(tmp_path, command, doc)
+    with _umask(mask):
+        cli.main([*argv, "--out", str(tmp_path / "o")])
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in (tmp_path / "o").iterdir()} \
+        == dict.fromkeys(_OUTPUTS[command], mode)
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_library_writers_get_the_umask_mode(tmp_path, mask, mode):
+    run = ds.run_detailed(ds.SimConfig(ds.FleetSpec.homogeneous(
+        2, ds.WorkerLatencyModel(1.0, ds.NormalNoise(0.0, 0.1))), 2, iterations=3))
+    with _umask(mask):
+        ds.write_trace_csv(tmp_path / "trace.csv", np.full((2, 2, 2), 0.5))
+        ds.write_comm_csv(tmp_path / "comm.csv", np.zeros(2))
+        simulate.write_records_csv(tmp_path / "records.csv", run.records)
+        write_curve_csv(tmp_path / "curve.csv",
+                        ds.select_threshold(ds.TraceTensor(np.full((2, 2, 2), 0.5))))
+    assert {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()} \
+        == dict.fromkeys(["trace.csv", "comm.csv", "records.csv", "curve.csv"], mode)
 
 
 def test_cli_import_leaves_scipy_unloaded():

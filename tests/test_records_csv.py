@@ -16,7 +16,7 @@ import dropsim as ds
 from dropsim import cli, csvio, simulate
 from dropsim.simulate import (IterationBlock, RECORDS_HEADER, run_records_csv,
                               write_records_csv)
-from dropsim.threshold import format_curve_csv, write_curve_csv
+from dropsim.threshold import write_curve_csv
 
 # ---------------------------------------------------------------------------
 # Oracle: the writer that formatted one row at a time.
@@ -240,17 +240,12 @@ def test_line_break_in_comment_is_rejected(tmp_path, comment, write):
     assert sink.getvalue() == ""
 
 
-@pytest.mark.parametrize("comment", _BROKEN)
-def test_line_break_in_comment_is_rejected_before_curve_text(comment):
-    with pytest.raises(ValueError, match="comment must be one line"):
-        format_curve_csv(_search_result(), comment)
-
-
 def test_one_line_comments_still_read_back(tmp_path):
     comment = "trace=a,b \"q\" \t version=0.1.0"
     ds.write_trace_csv(tmp_path / "t.csv", np.full((2, 1, 2), 0.5), comment)
     ds.write_comm_csv(tmp_path / "c.csv", np.zeros(2), comment)
     assert ds.read_trace_csv(tmp_path / "t.csv").shape == (2, 1, 2)
     assert ds.read_comm_csv(tmp_path / "c.csv").shape == (2,)
-    text = format_curve_csv(_search_result(), comment)
-    assert text.splitlines()[:2] == [f"# {comment}", "tau,s_eff,drop_rate,step_speedup"]
+    write_curve_csv(tmp_path / "curve.csv", _search_result(), comment)
+    lines = (tmp_path / "curve.csv").read_text().splitlines()
+    assert lines[:2] == [f"# {comment}", "tau,s_eff,drop_rate,step_speedup"]

@@ -7,6 +7,7 @@ comment before the header, and a comment line as the last row."""
 import csv
 import itertools
 import math
+import os
 import tempfile
 import threading
 import tracemalloc
@@ -694,3 +695,32 @@ def test_writer_blocks_match_csv_writer(kind, shape, block_rows):
         csvio._write_dense(new, header, values, "c")
         _oracle_write_dense(old, header, values, "c")
         assert new.read_bytes() == old.read_bytes()
+
+
+def test_writer_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, np.full((4, 2, 2), 0.5))
+    before = path.read_bytes()
+    calls = itertools.count()
+    real = csvio.csv_rows
+
+    def csv_rows(columns):
+        if next(calls) == 1:
+            raise OSError("disk full")
+        return real(columns)
+
+    monkeypatch.setattr(csvio, "_WRITE_BLOCK_ROWS", 4)
+    monkeypatch.setattr(csvio, "csv_rows", csv_rows)
+    with pytest.raises(OSError, match="disk full"):
+        write_trace_csv(path, np.full((4, 2, 2), 0.25))
+    assert next(calls) == 2  # the first block was written
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_writer_takes_a_name_as_long_as_a_name_can_be(tmp_path):
+    # The temporary file's name must not grow from the target's.
+    path = tmp_path / ("t" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 4) + ".csv")
+    write_trace_csv(path, np.full((1, 1, 1), 0.5))
+    assert list(tmp_path.iterdir()) == [path]
+    assert read_trace_csv(path).shape == (1, 1, 1)
