@@ -169,6 +169,17 @@ def _finite_int(text: str) -> int:
     return int(text)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object hook: the object of pairs, so that a repeated key, which
+    json.loads would quietly give its last value, is rejected."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -176,7 +187,7 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         doc = json.loads(text, parse_float=_finite_float, parse_int=_finite_int,
-                         parse_constant=_finite_float)
+                         parse_constant=_finite_float, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:

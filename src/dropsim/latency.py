@@ -39,10 +39,10 @@ POSITIVE_FLOOR_FRACTION = 1e-6
 class NoiseSpec:
     """Base class for additive noise distributions (seconds or multipliers).
 
-    The simulator fills a block of streams' draws in place: `fill` writes
-    one stream's draws into a row of the block, and `finish` then maps the
-    whole block once. Together they give the bits `sample` gives for each
-    row's stream.
+    The simulator fills a block in place: `fill` writes the next draws of an
+    iteration's generator into the rows of a run of equal workers, and
+    `finish` then maps that run's rows of the whole block once. Together they
+    give the bits of `sample` drawing the same values from that generator.
     """
 
     def sample(self, gen: np.random.Generator, size) -> np.ndarray:

@@ -13,6 +13,7 @@ Gradient numerics live in the sgd module; this module is timing only.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -136,9 +137,9 @@ class SweepPoint:
 
 # ---------------------------------------------------------------------------
 # The block engine. Every simulation path draws and evaluates (B, N, M)
-# blocks of iterations. Each iteration draws from its own stream address
-# (each worker of a mixed fleet from its own), and run totals are added in
-# iteration order, so no output depends on the block size.
+# blocks of iterations. Each iteration draws its (N, M) matrix from its own
+# stream address, worker after worker, and run totals are added in iteration
+# order, so no output depends on the block size.
 # ---------------------------------------------------------------------------
 
 # Latency samples per block; bounds the engine's temporaries to a few MB.
@@ -152,45 +153,37 @@ def _block_len(n: int, m: int) -> int:
 class _Sampler:
     """Draws latency blocks for one fleet from the streams of one seed.
 
-    Iteration k of a block draws its (N, M) matrix from stream ids[k] of a
-    homogeneous fleet; worker n of a mixed fleet draws its M micro-batches
-    from stream ids[k, n]. Each stream's draws are filled in place into the
-    block (NoiseSpec.fill), and the block, or a mixed fleet's worker column,
-    is mapped once (NoiseSpec.finish), which gives the bits `sample` gives.
+    Iteration k of a block draws its whole (N, M) matrix from one stream,
+    worker after worker. The workers fall into runs of consecutive equal
+    models: each run's rows are filled in place from the iteration's
+    generator (NoiseSpec.fill), and each run is then mapped once over the
+    block (NoiseSpec.finish), which gives the bits of drawing each worker's
+    M values in turn with `sample`.
     """
 
     def __init__(self, config: SimConfig, rng: RngStream):
         self.n, self.m, self.rng = config.fleet.n, config.m_per_step, rng
         self.at = StreamGenerator(rng.seed).at
-        self.workers = config.fleet.workers
-        self.mixed = not config.fleet.is_homogeneous
+        # Runs of equal workers, compared as FleetSpec.is_homogeneous does.
+        workers = config.fleet.workers
+        sizes = [len(list(run)) for _, run in itertools.groupby(workers)]
+        stops = list(itertools.accumulate(sizes))
+        self.runs = [(workers[a], slice(a, b)) for a, b in zip([0] + stops, stops)]
 
-    def stream_ids(self, indices) -> np.ndarray:
-        """Ids of rng.derive(*ix) over the broadcast scalar or 1-d indices;
-        a mixed fleet appends the worker index."""
-        if not self.mixed:
-            return np.atleast_1d(self.rng.derive_ids(*indices))
-        return self.rng.derive_ids(*(np.atleast_1d(ix)[:, None] for ix in indices),
-                                   np.arange(self.n))
-
-    def draw(self, ids: np.ndarray) -> np.ndarray:
-        """(B, N, M) latencies of the streams ids."""
-        eps = np.empty((ids.shape[0], self.n, self.m))
-        at = self.at
-        if not self.mixed:
-            model = self.workers[0]
-            fill = model.noise.fill
-            for sid, row in zip(ids.tolist(), eps):
-                fill(at(sid), row)
-            model.noise.finish(eps)
-            return model.times(eps, eps)
-        fills = [model.noise.fill for model in self.workers]
-        for sids, rows in zip(ids.tolist(), eps):
-            for sid, fill, row in zip(sids, fills, rows):
-                fill(at(sid), row)
-        for w, model in enumerate(self.workers):
-            model.noise.finish(eps[:, w])
-            model.times(eps[:, w], eps[:, w])
+    def draw(self, *indices) -> np.ndarray:
+        """(B, N, M) latencies, row k drawn from stream rng.derive(*ix) for
+        the k-th element ix of the broadcast scalar or 1-d indices."""
+        ids = np.atleast_1d(self.rng.derive_ids(*indices))
+        eps = np.empty((ids.size, self.n, self.m))
+        at, fills = self.at, [(model.noise.fill, rows) for model, rows in self.runs]
+        for sid, row in zip(ids.tolist(), eps):
+            gen = at(sid)
+            for fill, rows in fills:
+                fill(gen, row[rows])
+        for model, rows in self.runs:
+            run = eps[:, rows]
+            model.noise.finish(run)
+            model.times(run, run)
         return eps
 
 
@@ -274,8 +267,7 @@ def _drawn_blocks(config: SimConfig, root: RngStream):
     sampler = _Sampler(config, root)
     step = _block_len(config.fleet.n, config.m_per_step)
     for first in range(0, config.iterations, step):
-        ids = sampler.stream_ids((np.arange(first, min(first + step, config.iterations)),))
-        yield first, sampler.draw(ids)
+        yield first, sampler.draw(np.arange(first, min(first + step, config.iterations)))
 
 
 def _simulated_blocks(config: SimConfig, root: RngStream):
@@ -308,10 +300,8 @@ def _replay(trace: np.ndarray, comm: np.ndarray, tau: Optional[float],
 
 def simulate_block(config: SimConfig, rng: RngStream, *indices) -> IterationBlock:
     """Iterations drawn from the streams rng.derive(*ix), one per element ix
-    of the broadcast scalar or 1-d indices (a mixed fleet's worker n from
-    rng.derive(*ix, n))."""
-    sampler = _Sampler(config, rng)
-    times = sampler.draw(sampler.stream_ids(indices))
+    of the broadcast scalar or 1-d indices."""
+    times = _Sampler(config, rng).draw(*indices)
     return _evaluate(times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
 
 
@@ -442,14 +432,16 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
                   seed: int = 0, server_size: int = 8) -> LocalSgdResult:
     """Timing comparison: fully synchronous vs Local-SGD vs Local-SGD + threshold.
 
-    Workers take H = sync_period local steps between barriers. Each local
-    step draws a compute time from the worker's model; a straggling step
-    additionally waits straggler_delay seconds. Under "uniform" every worker
-    straggles i.i.d. with straggler_prob; under "single_server" straggler
-    events are confined to the first server_size workers, with the
-    per-worker probability scaled to keep the fleet-level straggler rate
-    equal. The threshold variant caps every local step at tau
-    (default: fleet mean step time + straggler_delay / 10).
+    Workers take H = sync_period local steps between barriers. Local step
+    s draws every worker's compute time, worker after worker, from stream
+    RngStream(seed, 0).derive(0, s): the block engine's iteration s of one
+    micro-batch. A straggling step additionally waits straggler_delay
+    seconds. Under "uniform" every worker straggles i.i.d. with
+    straggler_prob; under "single_server" straggler events are confined to
+    the first server_size workers, with the per-worker probability scaled
+    to keep the fleet-level straggler rate equal. The threshold variant
+    caps every local step at tau (default: fleet mean step time +
+    straggler_delay / 10).
 
     All three variants share the same sampled times, so the threshold
     variant is never slower than plain Local-SGD on any path.
@@ -472,12 +464,7 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
         raise ValueError("iterations must cover at least one sync period")
     root = RngStream(seed, 0)
 
-    if fleet.is_homogeneous:
-        times = fleet.workers[0].sample(root.derive(0).generator(), (steps, n))
-    else:
-        times = np.empty((steps, n))
-        for w, model in enumerate(fleet.workers):
-            times[:, w] = model.sample(root.derive(0, w).generator(), steps)
+    times = _draw_trace(SimConfig(fleet, 1, iterations=steps), root.derive(0))[:, :, 0]
 
     u = root.derive(1).generator().random((steps, n))
     if mode == "uniform":

@@ -149,6 +149,20 @@ def test_non_finite_number_exits_2(tmp_path, capsys, name, keys, literal):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("name, keys, literal", [
+    ("simulate", ("tau",), '2.5, "tau": "auto"'),
+    ("simulate", ("fleet", "noise", "std"), '0.1, "std": 0.2'),
+    ("sgd-bench", ("schedule", "p_drop"), '0.1, "b_max": 20'),
+])
+def test_duplicate_key_exits_2(tmp_path, capsys, name, keys, literal):
+    # json.loads keeps a repeated key's last value; a config names each key once.
+    assert _run(name, _with_literal(BASES[name], keys, literal), tmp_path) == 2
+    repeated = literal.split('"')[1]
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'c.json'}: duplicate key {repeated!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("name, keys, value, message", [
     ("simulate", ("fleet", "noise", "loc"), "a", "invalid noise parameters"),
     ("simulate", ("fleet", "noise", "loc"), [0.0, 1.0], "invalid noise parameters"),

@@ -37,6 +37,9 @@ _MODELS = {
     "gamma": ds.WorkerLatencyModel(0.5, ds.GammaNoise(2.0, 8.0)),
     "empirical": ds.WorkerLatencyModel(0.6, ds.EmpiricalNoise((-0.1, 0.0, 0.05, 0.25))),
 }
+# Equal to _MODELS["empirical"] but another object: the engine joins the two
+# into one run of workers, and fills it with one call.
+_EMPIRICAL_TWIN = ds.WorkerLatencyModel(0.6, ds.EmpiricalNoise((-0.1, 0.0, 0.05, 0.25)))
 _NOISES = [m.noise for m in _MODELS.values()]
 
 
@@ -55,13 +58,10 @@ def _oracle_sample(model, gen, size):
 
 
 def _oracle_times(config, i, root):
-    fleet, m = config.fleet, config.m_per_step
-    if fleet.is_homogeneous:
-        return _oracle_sample(fleet.workers[0], _oracle_generator(root.derive(i)), (fleet.n, m))
-    out = np.empty((fleet.n, m))
-    for n, model in enumerate(fleet.workers):
-        out[n] = _oracle_sample(model, _oracle_generator(root.derive(i, n)), m)
-    return out
+    """Iteration i: one generator, each worker's M draws in worker order."""
+    gen = _oracle_generator(root.derive(i))
+    return np.stack([_oracle_sample(model, gen, config.m_per_step)
+                     for model in config.fleet.workers])
 
 
 class _Row(NamedTuple):
@@ -208,6 +208,13 @@ def _configs(draw):
 @example((ds.SimConfig(ds.FleetSpec(tuple(_MODELS[k] for k in (
     "normal", "normal_shifted", "lognormal", "normal_shifted", "normal"))),
     4, 0.2, 4.1, 9, 17), 2))
+# Families that consume a varying number of draws next to each other in one
+# iteration's stream. At M = 3 the first empirical worker's 32-bit draws
+# leave a buffered half, which the oracle's second worker takes first; the
+# engine fills both workers with one call.
+@example((ds.SimConfig(ds.FleetSpec((_MODELS["gamma"], _MODELS["empirical"], _EMPIRICAL_TWIN,
+                                     _MODELS["normal_shifted"])),
+                       3, 0.1, 2.5, 7, 23), 3))
 def test_engine_matches_per_iteration_oracle(case):
     config, block_iterations = case
     want_stats, want_records, want_trace = _oracle_run(config, ds.RngStream(config.seed, 0))
@@ -407,8 +414,8 @@ def test_fill_then_finish_draws_what_sample_draws(kind, shape):
     want = np.stack([noise.sample(ds.RngStream(6, sid).generator(), shape)
                      for sid in (11, 12)])
     # Two streams filled one after another from one repositioned generator;
-    # a (5,) row is the middle worker of a (2, 3, 5) block, as in a mixed
-    # fleet, so finish maps a strided column.
+    # a (5,) row is the middle worker of a (2, 3, 5) block, a one-worker run
+    # of a mixed fleet, so finish maps a strided column.
     gens = StreamGenerator(6)
     block = np.full((2, 3, 5), np.nan)
     eps = block if len(shape) == 2 else block[:, 1]

@@ -92,9 +92,12 @@ def test_cli_scale_sweep(tmp_path, capsys):
         "8bbfbe06e1a1fbe242796eb0f0ec65d54a2f37a763c02a4888262df2972d580f"
 
 
+# Re-recorded when a mixed fleet's iteration came to draw its whole (N, M)
+# matrix from one stream in worker order, as a homogeneous fleet does, in
+# place of one stream per worker.
 def test_mixed_fleet_run_detailed():
-    want = {False: "cb59c10962744fecc9d09deeab870e472779a9b308f18646e64cb2b7e0b132b1",
-            True: "98c778edf706e5050c661c803c88515cc7d557bd3fb7682df6f3b5bb4f370782"}
+    want = {False: "e415ed09d75c76cb0cd4c76a9db6774275ddc5cb552bb17df4b23d21d94841a7",
+            True: "e40d98a89e12b13c708ccebd6249d79ac2ef293ff051ec51a77f84f4e1212566"}
     for boundary, digest in want.items():
         sim = ds.run_detailed(ds.SimConfig(_mixed_fleet(), 3, 0.1, 2.2, 45, 31, boundary))
         r = sim.records
@@ -112,10 +115,13 @@ def test_timing_driven_schedule_draws():
     rng = ds.RngStream(41, 4)
     assert _sha(*[schedule.draw(step, 12, None, rng).tobytes() for step in range(25)]) == \
         "e024563d3eef99565d3bbda261211afb83a795c38d87a22a2741b28ca4c3f03c"
+    # Re-recorded when a mixed fleet's step came to draw from the run's one
+    # stream in worker order, no longer from one stream per worker; the
+    # homogeneous digest above did not move.
     mixed = ds.BatchSchedule(30, kind="timing_driven",
                              sim=ds.SimConfig(_mixed_fleet(), 3, 0.1, 2.2, 1, 5))
     assert _sha(*[mixed.draw(step, 7, None, rng).tobytes() for step in range(10)]) == \
-        "a70fa2fc4866267778202432a053474d775f0c4831b98bc893236ec0ca0abc9f"
+        "5bcb52c338e06c23a1fcc1785ebbe148fa73ccabaf0cd435ca769312620af93d"
 
 
 def _sgd_bench_report(tmp_path, name, problem, schedule, k_total, seeds, theorem):
@@ -178,7 +184,10 @@ def test_logistic_run_many_actual_batch():
 
 # Recorded before the command line wrote its JSON reports through one
 # function, with the outputs no digest above covers: local-sgd's summary and
-# select-threshold's curve on the default grid and on a grid file.
+# select-threshold's curve on the default grid and on a grid file. The
+# local-sgd digest was re-recorded when local step s came to draw its worker
+# times through the block engine, from RngStream(seed, 0).derive(0, s), in
+# place of one generator for all steps.
 def test_cli_simulate_local_sgd(tmp_path, capsys):
     doc = {"fleet": {"workers": 6, "base_mean": 0.2,
                      "noise": {"kind": "lognormal", "log_mean": -3.0, "log_std": 0.4}},
@@ -189,7 +198,7 @@ def test_cli_simulate_local_sgd(tmp_path, capsys):
     out = tmp_path / "l"
     assert cli.main(["simulate", "--config", str(tmp_path / "l.json"), "--out", str(out)]) == 0
     assert _sha((out / "summary.json").read_bytes()) == \
-        "6ffe4dd7b3ca77544027c09081b8f7571ebf3176c08c6561d03be065e66e5c88"
+        "dc366c593441bb96de489f9cabe580d48eed719a0236a2c1b199a1097e3514f5"
 
 
 def _select_threshold_curve(tmp_path, *grid_args) -> bytes:

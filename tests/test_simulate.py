@@ -344,6 +344,26 @@ class TestLocalSgd:
                                                     seed=1))
         assert peak <= 3 * steps * n * 8
 
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_step_s_draws_from_derive_0_s(self, mixed):
+        # No straggler and tau above every time: the synchronous step is the
+        # largest worker time. Step s draws each worker's time in turn from
+        # one fresh generator of RngStream(seed, 0).derive(0, s).
+        fast = ds.WorkerLatencyModel(0.1, ds.GammaNoise(2.0, 40.0))
+        slow = ds.WorkerLatencyModel(0.3, ds.EmpiricalNoise((-0.05, 0.0, 0.1)))
+        fleet = ds.FleetSpec((fast, fast, slow, fast, slow) if mixed else (fast,) * 5)
+        steps, seed = 60, 12
+        res = ds.local_sgd_run(fleet, 3, 0.0, 1.0, iterations=steps, tau=100.0, seed=seed)
+        maxes = np.empty(steps)
+        for s in range(steps):
+            stream = ds.RngStream(seed, 0).derive(0, s)
+            gen = np.random.Generator(np.random.Philox(
+                key=stream.seed | (stream.stream_id << 64)))
+            maxes[s] = max(max(model.base_mean + model.noise.sample(gen, 1)[0],
+                               1e-6 * model.base_mean) for model in fleet.workers)
+        assert res.sync_step_time == float(maxes.sum()) / steps
+        assert res.dropcompute_step_time == res.local_sgd_step_time
+
     def test_determinism(self):
         fleet = _const_fleet(8, base=0.1)
         a = ds.local_sgd_run(fleet, 4, 0.04, 1.0, iterations=300, seed=9)
