@@ -83,7 +83,9 @@ def _ascii(digits: np.ndarray, rows) -> np.ndarray:
     for prev, row in zip(rows, rows[1:]):
         np.bitwise_or(seen[row], seen[prev], out=seen[row])
     seen[rows[-1]] = 1
-    return np.add(digits, ord("0"), out=digits, where=seen != 0)
+    # An unmasked add: numpy's where= path took twice as long.
+    digits += (seen != 0) * np.uint8(ord("0"))
+    return digits
 
 
 def int_cells(v) -> np.ndarray:
@@ -133,13 +135,15 @@ def float_cells(x) -> np.ndarray:
     of two has half the gap below it that it has above, but each one in the
     range is a decimal of at most 16 digits, taken at distance 0. An exact
     tie between the two nearest 16- or 17-digit decimals goes to the even
-    last digit, as in repr. 0.0, negative, non-finite and other out-of-range
-    values call repr once each.
+    last digit, as in repr. A negative value is a '-' before the cell of its
+    magnitude. Zeros, non-finite values and other magnitudes out of range
+    call repr once each.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
-    fast = (x >= 1e-4) & (x < 1e16)
+    v = np.abs(x)
+    fast = (v >= 1e-4) & (v < 1e16)
     # Out-of-range values are formatted as 1.5 here and overwritten below.
-    v = np.where(fast, x, 1.5)
+    v = np.where(fast, v, 1.5)
     e = np.floor(np.log10(v)).astype(np.int64)
     big, f = _scaled(v, 16 - e)
     # log10 can be one off next to a power of ten: F shows it.
@@ -168,7 +172,9 @@ def float_cells(x) -> np.ndarray:
     fraction = _ascii(_digits((digits - whole * unit) * _POW10_INT[np.maximum(e + 1, 0)], 17),
                       range(16, -1, -1))
     lead = np.maximum(-e - 1, 0)
-    cells = [int_cells(whole), np.full((1, x.size), ord("."), np.uint8),
+    sign = np.signbit(x)
+    cells = [(sign * np.uint8(ord("-")))[None][:int(sign.any())],
+             int_cells(whole), np.full((1, x.size), ord("."), np.uint8),
              (np.arange(lead.max(initial=0))[:, None] < lead) * np.uint8(ord("0")),
              fraction[:17 - int(np.argmax(fraction[::-1].any(axis=1)))]]
     slow = np.flatnonzero(~fast)
@@ -182,17 +188,18 @@ def float_cells(x) -> np.ndarray:
     return out
 
 
-def csv_rows(columns) -> str:
+def csv_rows(columns, end: str = "\r\n") -> str:
     """CSV text of the rows the cell columns hold: cells joined by ',' and
-    each row ended in CRLF, as csv.writer writes cells needing no quotes."""
-    width = sum(len(c) for c in columns) + len(columns) + 1
+    each row ended in end, by default CRLF, as csv.writer writes cells
+    needing no quotes."""
+    width = sum(len(c) for c in columns) + len(columns) - 1 + len(end)
     rows = np.empty((width, columns[0].shape[1]), np.uint8)
     at = 0
     for cells in columns:
         rows[at:at + len(cells)] = cells
         rows[at + len(cells)] = ord(",")
         at += len(cells) + 1
-    rows[at - 1:] = np.array([[ord("\r")], [ord("\n")]], np.uint8)
+    rows[at - 1:] = np.frombuffer(end.encode("ascii"), np.uint8)[:, None]
     return rows.T.tobytes().translate(None, b"\0").decode("ascii")
 
 

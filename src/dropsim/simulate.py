@@ -187,6 +187,29 @@ class _Sampler:
         return eps
 
 
+# A step of _cumulate's loop is one np.add call of about 1.5 us plus about
+# 0.3 ns a cell; np.add.accumulate's short inner loops take 2.5 to 16 ns a
+# cell, the most at small M. The loop was as fast as accumulate at about
+# 640 cells a step for M from 12 to 100 (2-core x86-64, numpy 2.4.6).
+_STEP_CELLS = 640
+
+
+def _cumulate(x: np.ndarray) -> np.ndarray:
+    """x summed in place along its last (micro-batch) axis, bit for bit as
+    np.add.accumulate(x, axis=-1, out=x) sums it.
+
+    Where one step along that axis covers at least _STEP_CELLS cells, the
+    sums are taken by M - 1 strided adds of whole steps, each adding the
+    same two values in the same order as accumulate does.
+    """
+    m = x.shape[-1]
+    if x.size < _STEP_CELLS * m:
+        return np.add.accumulate(x, axis=-1, out=x)
+    for k in range(1, m):
+        np.add(x[..., k - 1], x[..., k], out=x[..., k])
+    return x
+
+
 class IterationBlock(NamedTuple):
     """Threshold outcome of B iterations, one row per iteration."""
 
@@ -205,10 +228,11 @@ def _evaluate(times: np.ndarray, tau: Optional[float], t_comm,
 
     Micro-batch m counts iff its cumulative finish time is strictly below
     tau; equality drops the batch. t_comm is a scalar or one value per
-    iteration.
+    iteration. times is consumed: it is the caller's to give up, and comes
+    back holding the cumulative finish times, summed in place.
     """
     b, n, m = times.shape
-    cum = np.add.accumulate(times, axis=2)  # np.cumsum, minus its call overhead
+    cum = _cumulate(times)
     compute = cum[:, :, -1].copy()  # not a view: records must not pin cum
     step_base = compute.max(axis=1) + t_comm
     if tau is None:
@@ -290,8 +314,10 @@ def _replay(trace: np.ndarray, comm: np.ndarray, tau: Optional[float],
     """SimRun of a checked (I, N, M) trace and its (I,) comm times under tau."""
     iterations, n, m = trace.shape
     step = _block_len(n, m)
-    blocks = [(first, _evaluate(trace[first:first + step], tau, comm[first:first + step],
-                                stop_at_boundary))
+    # _evaluate sums each block in place: give it a copy, so that the
+    # caller's trace, and the trace a SimRun returns, keep their latencies.
+    blocks = [(first, _evaluate(trace[first:first + step].copy(), tau,
+                                comm[first:first + step], stop_at_boundary))
               for first in range(0, iterations, step)]
     stats = _fold(blocks, n, m, tau, iterations)
     records = IterationBlock(*map(np.concatenate, zip(*(block for _, block in blocks))))
@@ -374,7 +400,7 @@ def auto_tau(config: SimConfig, warmup_iterations: int,
     root = rng if rng is not None else RngStream(config.seed, AUTO_TAU_STREAM)
     trace = _draw_trace(dataclasses.replace(config, iterations=warmup_iterations), root)
     threshold._check_latencies(trace)
-    cum = np.cumsum(trace, axis=2, out=trace)
+    cum = _cumulate(trace)
     return threshold._select(cum, np.full(warmup_iterations, config.t_comm), None).tau_star
 
 
@@ -512,9 +538,14 @@ def _records_text(first: int, compute_times, stop_times, completed) -> str:
     # Workers that finish under tau stop at T_n: reuse its text (zero
     # excluded, since -0.0 == 0.0 but their reprs differ).
     other = np.flatnonzero((s != t) | (t == 0.0))
-    table = float_cells(np.concatenate([t, s[other]]))
+    stops = s[other]
+    # In exact mode every clipped worker stops at tau: when the other stops
+    # share one bit pattern, format it once.
+    if stops.size and (stops.view(np.uint64) == stops[:1].view(np.uint64)).all():
+        stops = stops[:1]
+    table = float_cells(np.concatenate([t, stops]))
     pick = np.arange(t.size)
-    pick[other] = np.arange(t.size, table.shape[1])
+    pick[other] = np.arange(t.size, table.shape[1])  # one cell broadcasts
     # The integer cells are formatted once per distinct value, then repeated.
     completed = np.asarray(completed, dtype=np.int64).ravel()
     return csv_rows([np.repeat(int_cells(np.arange(first, first + b)), n, axis=1),

@@ -4,6 +4,7 @@ fuzz that replaces one field of a small valid config with an arbitrary JSON
 value."""
 
 import copy
+import hashlib
 import inspect
 import json
 import math
@@ -11,8 +12,9 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dropsim import cli
 from dropsim.latency import NOISE_KINDS
@@ -161,6 +163,95 @@ def test_duplicate_key_exits_2(tmp_path, capsys, name, keys, literal):
     assert capsys.readouterr().err == \
         f"error: {tmp_path / 'c.json'}: duplicate key {repeated!r}\n"
     assert not (tmp_path / "o").exists()
+
+
+# A config that is mostly numbers: json's C scanner reads them, and their
+# finiteness is checked in bulk. The literals of the two tests above, placed
+# after the list, must still be rejected with the same message.
+_SAMPLES = _with(BASES["simulate"], ("fleet", "noise"), {
+    "kind": "empirical",
+    "samples": np.random.default_rng(3).normal(0.0, 0.05, 10_000).tolist()})
+
+
+@pytest.mark.parametrize("literal, message", [
+    *[(literal, f"number {literal[:24]} is not finite")
+      for literal in ["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                      "1" + "0" * 400, "1" + "0" * 5000]],
+    ('0.2, "t_comm": 0.3', "duplicate key 't_comm'"),
+], ids=["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "400-digits", "5000-digits",
+        "duplicate-key"])
+def test_error_after_a_long_number_list_reads_alike(tmp_path, capsys, literal, message):
+    text = _with_literal(_SAMPLES, ("t_comm",), literal)
+    assert text.index('"t_comm"') > text.index('"samples"')
+    assert _run("simulate", text, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / 'c.json'}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_truncated_config_after_a_long_number_list_reads_alike(tmp_path, capsys):
+    text = json.dumps(_SAMPLES)[:-40]
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    assert _run("simulate", text, tmp_path) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'c.json'}:{want.value.lineno}:{want.value.colno}: " \
+        f"{want.value.msg}\n"
+
+
+def test_valid_config_numbers_take_no_hook_call(tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(_SAMPLES))
+    calls = []
+    finite_float = cli._finite_float
+    monkeypatch.setattr(cli, "_finite_float", lambda text: calls.append(text)
+                        or finite_float(text))
+    doc = cli._load_config(str(path))
+    assert calls == []
+    assert doc == _SAMPLES
+    samples = doc["fleet"]["noise"]["samples"]
+    assert np.array(samples).tobytes() == np.array(_SAMPLES["fleet"]["noise"]["samples"]).tobytes()
+
+
+def test_list_checks_do_not_rest_on_the_sum(tmp_path, capsys):
+    # Finite values whose float sum overflows load as they are; integers past
+    # float range are rejected even where their exact sum cancels.
+    path = tmp_path / "c.json"
+    path.write_text('{"a": [1.7e308, 1.7e308, -1.0], "b": [[2, 1e308], 1e308]}')
+    assert cli._load_config(str(path)) == {"a": [1.7e308, 1.7e308, -1.0],
+                                          "b": [[2, 1e308], 1e308]}
+    big = "1" + "0" * 400
+    doc = _with_literal(_SAMPLES, ("fleet", "noise", "samples"), f"[{big}, -{big}, 0.5]")
+    assert _run("simulate", doc, tmp_path) == 2
+    assert capsys.readouterr().err == \
+        f"error: {tmp_path / 'c.json'}: number {big[:24]} is not finite\n"
+
+
+# The config hash is the first 12 hex digits of the SHA-256 of json.dumps'
+# canonical text; _config_hash writes lists of floats in bulk.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -2.75,
+                *[float(np.nextafter(v, d)) for v in (1e-4, 1e16, -1e-4, -1e16)
+                  for d in (-np.inf, np.inf)], 1e-4, 1e16, -1e-4, -1e16, 1.7976931348623157e308]
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_long_floats = st.integers(0, 2**32).map(lambda seed: (
+    10.0 ** np.random.default_rng(seed).uniform(-8, 20, 3000)
+    * np.random.default_rng(seed + 1).choice([-1.0, 1.0], 3000)).tolist())
+_json_leaves = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | _floats
+                | st.text(max_size=8)
+                | st.lists(_floats, min_size=1, max_size=40) | _long_floats
+                | st.lists(_floats | st.integers(-10, 10), max_size=12))
+_json_docs = st.dictionaries(st.text(max_size=6), st.recursive(
+    _json_leaves, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=4), max_leaves=10), max_size=5)
+
+
+@given(_json_docs)
+@settings(max_examples=150, derandomize=True, deadline=None)
+@example({"fleet": {"noise": {"kind": "empirical", "samples": _EDGE_FLOATS}},
+          "\u00e9t\u00e9": [1, 0.5, -0.0], "\u65e5": {"z": [], "a": [[0.1, -2.0], 3]}})
+def test_config_hash_is_the_sha256_of_the_canonical_json(doc):
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert cli._config_hash(doc) == hashlib.sha256(canon.encode()).hexdigest()[:12]
+    assert cli._canonical(doc) == canon
 
 
 @pytest.mark.parametrize("name, keys, value, message", [

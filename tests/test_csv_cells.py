@@ -48,7 +48,10 @@ def test_raw_bit_patterns(seed):
 @given(_seeds)
 @_big
 def test_wide_ranges_of_magnitude(seed):
-    _assert_repr(10.0 ** _rng(seed).uniform(-8, 20, 20_000))
+    x = 10.0 ** _rng(seed).uniform(-8, 20, 20_000)
+    _assert_repr(x)
+    _assert_repr(-x)
+    _assert_repr(x * _rng(seed + 1).choice([-1.0, 1.0], x.size))
 
 
 @given(_seeds)
@@ -61,6 +64,7 @@ def test_short_decimals_and_their_neighbours(seed):
                   zip(mantissa.tolist(), gen.integers(-22, 14, 4000).tolist())])
     for values in (x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf)):
         _assert_repr(values)
+        _assert_repr(-values)
 
 
 @given(_seeds)
@@ -131,10 +135,10 @@ def _repr_calls(monkeypatch) -> list:
 
 def test_the_repr_patch_sees_the_calls_float_cells_makes(monkeypatch):
     # The tests below that expect no call would pass with a patch that
-    # misses float_cells' module; a negative value takes one repr call.
+    # misses float_cells' module; a value past 1e16 takes one repr call.
     calls = _repr_calls(monkeypatch)
-    assert _texts(float_cells([-1.0])) == ["-1.0"]
-    assert calls == [-1.0]
+    assert _texts(float_cells([-1e20])) == ["-1e+20"]
+    assert calls == [-1e20]
 
 
 def test_a_lognormal_latency_block_never_calls_repr(monkeypatch):
@@ -144,6 +148,8 @@ def test_a_lognormal_latency_block_never_calls_repr(monkeypatch):
     want = [repr(v) for v in trace.ravel().tolist()]
     calls = _repr_calls(monkeypatch)
     assert _texts(float_cells(trace)) == want
+    # Negative values are a sign before their magnitude's cell.
+    assert _texts(float_cells(-trace)) == ["-" + text for text in want]
     assert calls == []
 
 

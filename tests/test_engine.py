@@ -215,6 +215,26 @@ def _configs(draw):
 @example((ds.SimConfig(ds.FleetSpec((_MODELS["gamma"], _MODELS["empirical"], _EMPIRICAL_TWIN,
                                      _MODELS["normal_shifted"])),
                        3, 0.1, 2.5, 7, 23), 3))
+# Block shapes on both sides of simulate._cumulate's rule: with 64 workers
+# and blocks of 12 iterations a step covers 768 cells, summed by the step
+# loop (M = 12, 2 and 1, where it adds nothing); at M = 1000 a step of two
+# iterations of 8 workers is 16 cells, summed by np.add.accumulate.
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(64, _MODELS["lognormal"]),
+                       12, 0.2, 13.6, 12, 5), 12))
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(64, _MODELS["lognormal"]),
+                       12, 0.2, 13.6, 12, 5, True), 12))
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(64, _MODELS["lognormal"]),
+                       2, 0.0, 2.3, 12, 6), 12))
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(64, _MODELS["lognormal"]),
+                       2, 0.0, 2.3, 12, 6, True), 12))
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(64, _MODELS["lognormal"]),
+                       1, 0.1, 1.15, 12, 7), 12))
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(64, _MODELS["lognormal"]),
+                       1, 0.1, 1.15, 12, 7, True), 12))
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(8, _MODELS["lognormal"]),
+                       1000, 0.5, 1134.0, 5, 8), 2))
+@example((ds.SimConfig(ds.FleetSpec.homogeneous(8, _MODELS["lognormal"]),
+                       1000, 0.5, 1134.0, 5, 8, True), 2))
 def test_engine_matches_per_iteration_oracle(case):
     config, block_iterations = case
     want_stats, want_records, want_trace = _oracle_run(config, ds.RngStream(config.seed, 0))
@@ -248,6 +268,34 @@ def test_replay_with_per_iteration_comm_matches_oracle(case, comm):
         got = ds.run_from_trace(*replay)
     _assert_records_equal(got.records, want_records)
     _assert_stats_equal(got.stats, want_stats)
+
+
+@pytest.mark.parametrize("shape", [(1, 639, 12), (1, 640, 12), (10, 64, 12), (21, 256, 12),
+                                   (640, 1, 2), (1, 600, 2), (3, 200, 1), (5, 8, 1000),
+                                   (81, 8, 1000), (1, 1, 1)])
+def test_cumulate_is_accumulate_bit_for_bit(shape):
+    # Steps of 639 cells and fewer are summed by np.add.accumulate, steps of
+    # 640 and more by _cumulate's strided adds.
+    x = np.random.default_rng(sum(shape)).lognormal(-2.0, 0.5, shape)
+    want = np.add.accumulate(x, axis=2)
+    assert simulate._cumulate(x) is x
+    assert _same_floats(x, want)
+
+
+def test_replay_leaves_the_traces_it_returns_as_latencies():
+    # One block of 30 iterations of 64 workers: 1920 cells a step, summed in
+    # place by the step loop, on the engine's copy.
+    config = ds.SimConfig(ds.FleetSpec.homogeneous(64, _MODELS["lognormal"]), 12, 0.2,
+                          13.6, 30, 5, True)
+    want_trace = _oracle_trace(config, ds.RngStream(config.seed, 0))
+    sim = ds.run_detailed(config)
+    assert _same_floats(sim.trace, want_trace)
+    trace = want_trace.copy()
+    replay = ds.run_from_trace(trace, 0.2, 13.6, True)
+    assert _same_floats(trace, want_trace)
+    assert _same_floats(replay.trace, want_trace)
+    _assert_records_equal(replay.records, _rows(sim.records))
+    _assert_stats_equal(replay.stats, sim.stats)
 
 
 def test_idle_steps_score_positive_zero():

@@ -82,6 +82,18 @@ def blocks(draw, min_b=1, max_b=6, max_n=6):
 # iteration 0, and blocks whose largest completed count is below M.
 @example((np.array([[0.5]]), np.array([[0.25]]), np.array([[0]])), 7)
 @example((np.full((2, 3), 1.5), np.full((2, 3), 1.0), np.array([[0, 2, 1], [2, 0, 0]])), 99)
+# Clipped stops that share one bit pattern are formatted once: every worker
+# past tau stops at tau, in exact mode; in boundary mode the clipped stops
+# take two values; 0.0 and -0.0 are equal but have other bits and reprs.
+@example((np.array([[1.0, 2.5, 3.0], [0.5, 4.0, 2.0]]), np.array([[1.0, 2.25, 2.25],
+                                                                  [0.5, 2.25, 2.0]]),
+          np.array([[4, 3, 3], [4, 3, 4]])), 5)
+@example((np.array([[3.0, 3.0, 1.0], [2.9, 0.7, 3.3]]), np.array([[2.0, 1.5, 1.0],
+                                                                  [1.5, 0.7, 2.0]]),
+          np.array([[2, 1, 4], [1, 4, 2]])), 0)
+@example((np.array([[1.0, 2.0, 0.0], [0.0, 1.5, 3.0]]), np.array([[0.0, -0.0, -0.0],
+                                                                  [0.0, -0.0, 0.0]]),
+          np.array([[0, 0, 0], [0, 0, 0]])), 3)
 def test_block_text_matches_row_formatter(block, first):
     compute, stop, completed = block
     text = simulate._records_text(first, compute, stop, completed)
