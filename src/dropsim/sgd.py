@@ -14,7 +14,7 @@ bookkeeping for dropped-sample compensation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -344,8 +344,9 @@ class BatchSchedule:
 
         Row k of a count-step draw equals draw(step + k, ...) called in
         order, bit for bit: gen is read in the same order either way, and
-        run r's timing-driven step s is iteration 0 of its own stream
-        rng.derive(s, r), so one engine call draws the whole block.
+        timing-driven step s is iteration s of rng for n_runs copies of
+        sim.fleet stacked in run order, so one engine call draws the block
+        (run r's workers draw first, so its batches do not depend on n_runs).
         """
         rows = 1 if count is None else count
         if self.kind == "none":
@@ -355,9 +356,9 @@ class BatchSchedule:
             out = kept * (self.b_max // self.n_workers)
         else:
             per_micro = self.b_max // (self.sim.fleet.n * self.sim.m_per_step)
-            block = simulate_block(self.sim, rng, np.repeat(np.arange(step, step + rows), n_runs),
-                                   np.tile(np.arange(n_runs), rows), 0)
-            out = per_micro * block.completed.sum(axis=1).reshape(rows, n_runs)
+            fleet = replace(self.sim.fleet, workers=self.sim.fleet.workers * n_runs)
+            block = simulate_block(replace(self.sim, fleet=fleet), rng, np.arange(step, step + rows))
+            out = per_micro * block.completed.reshape(rows, n_runs, -1).sum(axis=2)
         return out[0] if count is None else out
 
 
@@ -447,7 +448,7 @@ def run_many(problem: SgdProblem, schedule: BatchSchedule, k_total: float,
     batch_gen = root.derive(1).generator()
     noise_gen = root.derive(2).generator()
     pick_gen = root.derive(3).generator()
-    batch_rng = root.derive(4)  # timing_driven sub-streams
+    batch_rng = root.derive(4)  # timing_driven: step s is iteration s
 
     k_int = int(k_total)
     cum = np.zeros(n_runs, dtype=np.int64)

@@ -170,10 +170,9 @@ class _Sampler:
         stops = list(itertools.accumulate(sizes))
         self.runs = [(workers[a], slice(a, b)) for a, b in zip([0] + stops, stops)]
 
-    def draw(self, *indices) -> np.ndarray:
-        """(B, N, M) latencies, row k drawn from stream rng.derive(*ix) for
-        the k-th element ix of the broadcast scalar or 1-d indices."""
-        ids = np.atleast_1d(self.rng.derive_ids(*indices))
+    def draw(self, iterations) -> np.ndarray:
+        """(B, N, M) latencies, row k drawn from stream rng.derive(iterations[k])."""
+        ids = np.atleast_1d(self.rng.derive_ids(iterations))
         eps = np.empty((ids.size, self.n, self.m))
         at, fills = self.at, [(model.noise.fill, rows) for model, rows in self.runs]
         for sid, row in zip(ids.tolist(), eps):
@@ -324,19 +323,18 @@ def _replay(trace: np.ndarray, comm: np.ndarray, tau: Optional[float],
     return SimRun(stats, records, trace, comm)
 
 
-def simulate_block(config: SimConfig, rng: RngStream, *indices) -> IterationBlock:
-    """Iterations drawn from the streams rng.derive(*ix), one per element ix
-    of the broadcast scalar or 1-d indices."""
-    times = _Sampler(config, rng).draw(*indices)
+def simulate_block(config: SimConfig, rng: RngStream, iterations) -> IterationBlock:
+    """Iteration iterations[k] of rng in row k: drawn from rng.derive(iterations[k])."""
+    times = _Sampler(config, rng).draw(iterations)
     return _evaluate(times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
 
 
 def simulate_iteration(config: SimConfig, iter_index: int,
                        rng: Optional[RngStream] = None) -> IterationBlock:
     """Simulate one synchronous iteration: the one-row block
-    simulate_block(config, rng, iter_index), rng defaulting to stream 0."""
+    simulate_block(config, rng, [iter_index]), rng defaulting to stream 0."""
     root = rng if rng is not None else RngStream(config.seed, 0)
-    return simulate_block(config, root, iter_index)
+    return simulate_block(config, root, [iter_index])
 
 
 def run(config: SimConfig, rng: Optional[RngStream] = None) -> RunStats:

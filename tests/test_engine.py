@@ -368,27 +368,49 @@ def test_simulate_block_rows_are_single_iterations():
                    ds.SimConfig(ds.FleetSpec.homogeneous(3, _MODELS["gamma"]), 4, 0.1,
                                 3.1, 1, 2, True)):
         rng = ds.RngStream(9, 4)
-        block = simulate.simulate_block(config, rng, 7, np.arange(5), 0)
-        want = [ds.simulate_iteration(config, 0, rng.derive(7, r)) for r in range(5)]
+        block = simulate.simulate_block(config, rng, np.arange(7, 12))
+        want = [ds.simulate_iteration(config, i, rng) for i in range(7, 12)]
         _assert_records_equal(block, [row for one in want for row in _rows(one)])
 
 
+def _stacked_oracle_batches(sim, per_micro, step, n_runs, rng):
+    """Each run's batch at one timing-driven step: iteration step of rng for
+    n_runs copies of sim.fleet stacked in run order, run r's workers being
+    rows r N .. (r + 1) N - 1."""
+    stacked = ds.SimConfig(ds.FleetSpec(sim.fleet.workers * n_runs), sim.m_per_step,
+                           sim.t_comm, sim.tau, 1, sim.seed)
+    comp = _oracle_evaluate(_oracle_times(stacked, step, rng), sim.tau, sim.t_comm, False)[2]
+    return [per_micro * int(run.sum()) for run in comp.reshape(n_runs, sim.fleet.n)]
+
+
+# The oracle was rewritten when a timing-driven step s came to be iteration s
+# of the schedule stream for the runs' fleets stacked in run order, in place
+# of iteration 0 of one stream rng.derive(s, r) per run.
 def test_timing_schedule_matches_per_run_oracle():
     fleet = ds.FleetSpec((_MODELS["lognormal"],) * 3 + (_MODELS["bounded"],))
-    for fleet in (fleet, ds.FleetSpec.homogeneous(4, _MODELS["lognormal"])):
+    # The last worker equals the first, so the stacked fleet's runs of equal
+    # workers cross each boundary between two runs.
+    wrapped = ds.FleetSpec((_MODELS["lognormal"], _MODELS["bounded"], _MODELS["normal"],
+                            _MODELS["lognormal"]))
+    for fleet in (fleet, ds.FleetSpec.homogeneous(4, _MODELS["lognormal"]), wrapped):
         sim = ds.SimConfig(fleet, 3, 0.5, 3.3, 1, 5)
         schedule = ds.BatchSchedule(48, kind="timing_driven", sim=sim)
         rng = ds.RngStream(41, 4)
         for step in (0, 3, 11):
-            want = []
-            for run in range(9):
-                root = rng.derive(step, run)
-                comp = _oracle_evaluate(_oracle_times(sim, 0, root), sim.tau,
-                                        sim.t_comm, False)[2]
-                want.append(4 * int(comp.sum()))
             got = schedule.draw(step, 9, None, rng)
             assert got.dtype == np.int64
-            assert got.tolist() == want
+            assert got.tolist() == _stacked_oracle_batches(sim, 4, step, 9, rng)
+
+
+@pytest.mark.parametrize("workers", [("lognormal",) * 3, ("normal", "lognormal", "bounded")])
+def test_a_timing_run_does_not_depend_on_later_runs(workers):
+    fleet = ds.FleetSpec(tuple(_MODELS[w] for w in workers))
+    schedule = ds.BatchSchedule(36, kind="timing_driven",
+                                sim=ds.SimConfig(fleet, 3, 0.2, 2.25, 1, 5))
+    rng = ds.RngStream(17, 4)
+    for n_runs, more in ((1, 1), (7, 13), (20, 3)):
+        few = schedule.draw(5, n_runs, None, rng, 6)
+        assert np.array_equal(few, schedule.draw(5, n_runs + more, None, rng, 6)[:, :n_runs])
 
 
 # ---------------------------------------------------------------------------

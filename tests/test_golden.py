@@ -108,20 +108,24 @@ def test_mixed_fleet_run_detailed():
         assert _sha(sim.trace.tobytes(), repr(sim.stats), *rows) == digest
 
 
+# Both digests were re-recorded when a timing-driven step s came to be
+# iteration s of the schedule stream for the runs' fleets stacked in run
+# order, in place of iteration 0 of one stream rng.derive(s, r) per run.
 def test_timing_driven_schedule_draws():
     model = ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(-2.0, 0.5))
     sim = ds.SimConfig(ds.FleetSpec.homogeneous(4, model), 3, 0.5, 3.6, 1, 5)
     schedule = ds.BatchSchedule(96, kind="timing_driven", sim=sim)
     rng = ds.RngStream(41, 4)
     assert _sha(*[schedule.draw(step, 12, None, rng).tobytes() for step in range(25)]) == \
-        "e024563d3eef99565d3bbda261211afb83a795c38d87a22a2741b28ca4c3f03c"
-    # Re-recorded when a mixed fleet's step came to draw from the run's one
-    # stream in worker order, no longer from one stream per worker; the
-    # homogeneous digest above did not move.
+        "7a0174f8f191ed531998868870dfd30093f23e69f01e3b7829a75461e9ed01f8"
+    # Re-recorded before that when a mixed fleet's step came to draw from the
+    # run's one stream in worker order, no longer from one stream per worker;
+    # the homogeneous digest above did not move then. This fleet's last worker
+    # equals its first, so stacked runs join at each boundary.
     mixed = ds.BatchSchedule(30, kind="timing_driven",
                              sim=ds.SimConfig(_mixed_fleet(), 3, 0.1, 2.2, 1, 5))
     assert _sha(*[mixed.draw(step, 7, None, rng).tobytes() for step in range(10)]) == \
-        "5bcb52c338e06c23a1fcc1785ebbe148fa73ccabaf0cd435ca769312620af93d"
+        "42d4adda1e824c550a02323e6800d6933dc03e654e08ffb6b7e1796b28262a42"
 
 
 def _sgd_bench_report(tmp_path, name, problem, schedule, k_total, seeds, theorem):
@@ -162,6 +166,8 @@ def test_sgd_bench_nonconvex_logistic(tmp_path, capsys):
         "22ce00d965f554e67d5628c1d02e7bd2c0804386eec2d7a93b861b3ffcccbd17"
 
 
+# Re-recorded when a timing-driven step s came to be iteration s of the
+# schedule stream for the runs' fleets stacked in run order.
 def test_timing_driven_convex_bound():
     model = ds.WorkerLatencyModel(1.0, ds.LogNormalNoise(-2.0, 0.5))
     sim = ds.SimConfig(ds.FleetSpec.homogeneous(4, model), 3, 0.5, 3.6, 1, 5)
@@ -169,7 +175,7 @@ def test_timing_driven_convex_bound():
     problem = ds.SgdProblem.quadratic(dimension=4, seed=2)
     rep = ds.verify_convex_bound(problem, schedule, 3000, seeds=9, seed=17)
     assert _sha(repr(rep)) == \
-        "d0ddf5980867dc84bfc9aaaa43c6947c54605bba299d1f314be95be7133fa500"
+        "43acf4599dbe31eb6707add540f2a666ed8c3b7fb238b6b50d2e77e037e959ab"
 
 
 def test_logistic_run_many_actual_batch():

@@ -3,6 +3,7 @@ update identities, gradient-sampler unbiasedness and variance, both
 convergence bounds with their step sizes, compensation arithmetic, and the
 learning-rate corrections."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -567,16 +568,20 @@ class TestTimingDrivenSchedule:
 # ---------------------------------------------------------------------------
 
 def _draw_one_step(schedule, step, n_runs, gen, rng):
-    """One step's batches, one call per step: a binomial per run, or
-    iteration 0 of run r's own stream rng.derive(step, r)."""
+    """One step's batches, one call per step: a binomial per run, or run r's
+    workers of iteration step of rng for n_runs copies of the fleet stacked
+    in run order. The timing-driven oracle was rewritten when it came to
+    draw so, in place of iteration 0 of one stream rng.derive(step, r) per run."""
     if schedule.kind == "none":
         return np.full(n_runs, schedule.b_max, dtype=np.int64)
     if schedule.kind == "per_worker_bernoulli":
         kept = gen.binomial(schedule.n_workers, 1.0 - schedule.p_drop, n_runs)
         return kept * (schedule.b_max // schedule.n_workers)
-    per_micro = schedule.b_max // (schedule.sim.fleet.n * schedule.sim.m_per_step)
-    block = simulate.simulate_block(schedule.sim, rng, step, np.arange(n_runs), 0)
-    return per_micro * block.completed.sum(axis=1)
+    sim = schedule.sim
+    per_micro = schedule.b_max // (sim.fleet.n * sim.m_per_step)
+    stacked = dataclasses.replace(sim, fleet=ds.FleetSpec(sim.fleet.workers * n_runs))
+    block = simulate.simulate_block(stacked, rng, [step])
+    return per_micro * block.completed[0].reshape(n_runs, sim.fleet.n).sum(axis=1)
 
 
 def _run_many_per_step(problem, schedule, k_total, eta_mode, normalization, rng, n_runs):
@@ -762,9 +767,12 @@ class TestBlocksOfSteps:
         rows = []
         engine = sgd.simulate_block
 
-        def recorded(config, rng, *indices):
-            rows.append(len(indices[0]))
-            return engine(config, rng, *indices)
+        # A row is one run's step: an engine call draws its steps for a
+        # fleet of every run's 16 workers, stacked.
+        def recorded(config, rng, iterations):
+            assert config.fleet.n == 16 * n_runs
+            rows.append(len(iterations) * n_runs)
+            return engine(config, rng, iterations)
         monkeypatch.setattr(sgd, "simulate_block", recorded)
         res = run_many(_BLOCK_QUAD, schedule, 1024 * 9, rng=ds.RngStream(6), n_runs=n_runs)
         assert rows[0] == n_runs * steps_per_call
