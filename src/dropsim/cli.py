@@ -295,9 +295,10 @@ def _new_out_dir(args, *names):
     """The paths of the files names in the output directory args.out, made
     for the block that writes them: if the block raises, the directories
     made here are removed again, once empty, so a failed write leaves no
-    directory behind. A name taken by a directory, or a directory that
-    cannot be made, as under a path that names a file, is a ConfigError
-    raised before anything is made."""
+    directory behind, and an OSError that names a file, as csvio.replace_file
+    names its target, becomes a ConfigError. A name taken by a directory, or a
+    directory that cannot be made, as under a path that names a file, is a
+    ConfigError raised before anything is made."""
     out = Path(args.out)
     paths = [out / name for name in names]
     for path in paths:
@@ -312,10 +313,12 @@ def _new_out_dir(args, *names):
             raise ConfigError(f"{args.out}: cannot make the output directory: "
                               f"{exc.strerror or exc}") from exc
         yield paths
-    except BaseException:
+    except BaseException as exc:
         for d in made:
             with contextlib.suppress(OSError):
                 d.rmdir()
+        if isinstance(exc, OSError) and exc.filename:
+            raise ConfigError(f"{exc.filename}: {exc.strerror or exc}") from exc
         raise
 
 

@@ -466,12 +466,12 @@ def _numpy_block(path, header, text: bytes, before: int) -> list:
 def _parse_rows(path, header) -> list:
     """Columns of a headed CSV file's data rows: integer ids, then float64 values.
 
-    The rows past the header, which _data_lines finds, are read in blocks of
-    whole lines, each by one of two parsers that give the same columns for
-    the same rows: _parse_block reads a block whose every line is in its
-    grammar, and _numpy_block any other. _parse_block's blocks are parsed
-    ahead on a few threads; the columns, messages and the first error are
-    the same at any thread count.
+    The rows past the header, which _data_lines finds, are read in one pass
+    in blocks of whole lines, each by one of two parsers that give the same
+    columns for the same rows: _parse_block reads a block whose every line
+    is in its grammar, and _numpy_block any other; the blocks' columns are
+    joined at the end. _parse_block's blocks are parsed ahead on a few
+    threads; the columns, messages and first error are as at one thread.
 
     Before a ValueError propagates, text mode reads the file's first `lines`
     lines, as far as a line-by-line reader does before that error: up to the
@@ -493,32 +493,20 @@ def _parse_rows(path, header) -> list:
             lines = None
             if first is None:
                 raise ValueError(f"{path}: no data rows")
-            rows = 1 + sum(np.count_nonzero(np.frombuffer(b, np.uint8) == ord("\n"))
-                           for b in iter(lambda: fh.read(_READ_BYTES), b""))
-            fh.seek(start)
-            # Columns sized for a row per LF and a last line without one grow
-            # only where bare CRs end more lines. Ids of at most 8 digits fit
-            # int32, which halves their memory.
-            out = [np.empty(rows, np.int32) for _ in header[1:]] + [np.empty(rows)]
-            at = 0
             # All that depends on earlier blocks happens here, in file order.
+            parts = [[] for _ in header]  # each column's parts, in file order
             for text, columns in parsed:
                 if columns is None:
-                    columns = _numpy_block(path, header, text, at)
-                    if not columns:
-                        continue
-                    # An id outside int32 makes its column int64. _parse_block's
-                    # ids are int32 already.
-                    out[:-1] = [col.astype(np.int64, copy=False)
-                                if ids.min() < _INT32.min or ids.max() > _INT32.max else col
-                                for col, ids in zip(out, columns[:-1])]
-                n = columns[0].size
-                if at + n > out[0].size:
-                    out = [np.resize(col, 2 * (at + n)) for col in out]
-                for col, part in zip(out, columns):
-                    col[at:at + n] = part
-                at += n
-        return [col[:at] for col in out]
+                    # Ids that fit int32 are cast to it, as _parse_block's are, and
+                    # the copies free numpy's rows; a block of comments gives [].
+                    columns = _numpy_block(path, header, text, sum(map(len, parts[0])))
+                    columns = [*(ids.astype(np.int32) if _INT32.min <= ids.min() <= ids.max()
+                                 <= _INT32.max else ids.copy() for ids in columns[:-1]),
+                               *(value.copy() for value in columns[-1:])]
+                for column, part in zip(parts, columns):
+                    column.append(part)
+        # A column's parts are freed as it is joined.
+        return [np.concatenate(parts.pop(0)) for _ in header]
     except ValueError:
         with open(path, encoding=_ENCODING) as fh:
             for _ in itertools.islice(fh, lines):
@@ -603,23 +591,27 @@ def row_blocks(rows: int, row_width: int) -> list:
 
 @contextlib.contextmanager
 def replace_file(path):
-    """A text file, open for writing with newline="", that replaces path
-    when the block ends. It is written under a new name in path's directory
-    and renamed over path, so path is never seen half written, and a symlink
-    at path is replaced, not written through. If the block or the rename
-    raises, the file is removed and path is left as it was. The file gets
-    the mode open(path, "w") gives a new file: 0o666 less the umask."""
+    """A text file, open for writing with newline="", that replaces path when
+    the block ends: written under a new name in path's directory and renamed
+    over path, so path is never seen half written, and a symlink at path is
+    replaced, not written through. If the block or the rename raises, the file
+    is removed and path is left as it was; a system error that names no file or
+    the new one names path. Its mode is open(path, "w")'s, 0o666 less the umask."""
     path = os.fsdecode(path)
     # A name of fixed length: path's own name may be as long as a name can be.
     tmp = os.path.join(os.path.dirname(path), f"dropsim-{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "x", newline="")  # "x": never an existing file
+    fh = None
     try:
+        fh = open(tmp, "x", newline="")  # "x": never an existing file
         with fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
+    except BaseException as exc:
+        if fh is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno and exc.filename in (None, tmp):
+            exc.filename, exc.filename2 = path, None
         raise
 
 

@@ -139,10 +139,7 @@ class SgdProblem:
             g_all = prob._per_sample_grads(p)
             dev = g_all - g_all.mean(axis=0)
             sig = max(sig, float(np.mean(np.sum(dev**2, axis=1))))
-        return cls(kind="logistic_synthetic", dimension=dimension,
-                   smoothness=smooth, sigma=math.sqrt(sig), theta1=theta1,
-                   theta_star=theta_star, loss_star=loss_star, data_x=x,
-                   data_y=y, l2_reg=l2_reg, sin_amplitude=sin_amplitude)
+        return replace(prob, sigma=math.sqrt(sig), theta_star=theta_star, loss_star=loss_star)
 
     # -- loss and gradients -------------------------------------------------
 

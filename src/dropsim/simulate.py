@@ -463,7 +463,9 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
     seconds. Under "uniform" every worker straggles i.i.d. with
     straggler_prob; under "single_server" straggler events are confined to
     the first server_size workers, with the per-worker probability scaled
-    to keep the fleet-level straggler rate equal. The threshold variant
+    to keep the fleet-level straggler rate equal. A rate those workers
+    cannot carry, straggler_prob * N > server_size, raises ValueError
+    rather than being lowered. The threshold variant
     caps every local step at tau (default: fleet mean step time +
     straggler_delay / 10).
 
@@ -481,8 +483,13 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
     if server_size < 1:
         raise ValueError("server_size must be >= 1")
     _check_tau(tau)
-
     n = fleet.n
+    group = min(server_size, n)
+    if mode == "single_server" and straggler_prob * n / group > 1.0:
+        raise ValueError(f"single_server needs straggler_prob * workers <= server_size, "
+                         f"got straggler_prob {straggler_prob}, {n} workers and "
+                         f"server_size {server_size}")
+
     steps = (iterations // sync_period) * sync_period
     if steps <= 0:
         raise ValueError("iterations must cover at least one sync period")
@@ -494,10 +501,8 @@ def local_sgd_run(fleet: FleetSpec, sync_period: int, straggler_prob: float,
     if mode == "uniform":
         straggle = u < straggler_prob
     else:
-        group = min(server_size, n)
-        p_group = min(straggler_prob * n / group, 1.0)
         straggle = np.zeros((steps, n), dtype=bool)
-        straggle[:, :group] = u[:, :group] < p_group
+        straggle[:, :group] = u[:, :group] < straggler_prob * n / group
     del u
 
     # times + straggler_delay * straggle, in times' own buffer: times are

@@ -4,6 +4,8 @@ calls they wrap. All invocations run in-process through cli.main."""
 
 import ast
 import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -782,6 +784,41 @@ def test_failed_write_leaves_no_directory(tmp_path, monkeypatch, command, doc):
     with pytest.raises(OSError, match="disk full"):
         cli.main([*argv, "--out", str(tmp_path / "o" / "deeper")])
     assert not (tmp_path / "o").exists()
+
+
+class _FullDisk(io.StringIO):
+    """A file whose every write fails as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failure", ["rename", "write"])
+@pytest.mark.parametrize("command, doc", [("simulate", _sim_config(iterations=5)),
+                                          *_WRITE_CASES])
+def test_failed_output_write_exits_2_naming_its_target(tmp_path, capsys, monkeypatch,
+                                                       command, doc, failure):
+    # A rename refused with EACCES, or a disk that fills while the file is
+    # written, is an error in the file the command was writing, not its
+    # temporary name, and leaves no file or directory the command made.
+    # Exit status 1 is sgd-bench's failed bound check.
+    argv = _command_argv(tmp_path, command, doc)
+    before = sorted(tmp_path.rglob("*"))
+    if failure == "rename":
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+        monkeypatch.setattr(os, "replace", refuse)
+    else:
+        # csvio opens its temporary files, and only those, in mode "x".
+        monkeypatch.setattr(csvio, "open", lambda file, mode="r", **kwargs: _FullDisk()
+                            if mode == "x" else open(file, mode, **kwargs), raising=False)
+    out = tmp_path / "o" / "deeper"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    reason = os.strerror(errno.EACCES if failure == "rename" else errno.ENOSPC)
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    # simulate renames records.csv first, and so fails there.
+    assert errors == [f"error: {out / _OUTPUTS[command][0]}: {reason}"]
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])

@@ -265,6 +265,11 @@ def test_config_hash_is_the_sha256_of_the_canonical_json(doc):
     ("simulate", ("fleet",), 5, "fleet must be a JSON object"),
     ("local-sgd", ("local_sgd",), 5, "local_sgd block must be a JSON object"),
     ("local-sgd", ("local_sgd", "server_size"), 0, "server_size must be >= 1"),
+    # 0.9 of 3 workers cannot straggle on a server of 2
+    ("local-sgd", ("local_sgd",), {"sync_period": 2, "straggler_prob": 0.9,
+                                   "straggler_mode": "single_server", "server_size": 2},
+     "invalid local_sgd config: single_server needs straggler_prob * workers <= server_size, "
+     "got straggler_prob 0.9, 3 workers and server_size 2"),
     ("sgd-bench", ("problem",), [], "problem block must be a JSON object"),
     ("sgd-bench", ("schedule",), "x", "schedule block must be a JSON object"),
     ("sgd-bench", ("k_total",), 1000.5, "k_total must be a whole number"),

@@ -315,6 +315,19 @@ class TestLocalSgd:
             res = ds.local_sgd_run(fleet, h, 0.04, 1.0, mode="single_server", iterations=2000, seed=h)
             assert res.dropcompute_speedup >= res.local_sgd_speedup
 
+    def test_single_server_rate_the_server_cannot_carry_raises(self):
+        # Half of 256 workers cannot straggle on a server of 8: a group
+        # probability capped at 1 straggled 8/256 of the fleet, not 0.5.
+        fleet = _const_fleet(256, base=0.1)
+        with pytest.raises(ValueError, match="straggler_prob 0.5, 256 workers and server_size 8"):
+            ds.local_sgd_run(fleet, 2, 0.5, 1.0, mode="single_server", iterations=20)
+        # At straggler_prob * N == server_size every server worker straggles
+        # at every step, and the fleet's rate is kept.
+        res = ds.local_sgd_run(fleet, 2, 8 / 256, 1.0, mode="single_server", iterations=20)
+        assert res.sync_step_time == pytest.approx(1.1)
+        # uniform mode takes any rate in [0, 1]
+        ds.local_sgd_run(fleet, 2, 0.5, 1.0, mode="uniform", iterations=20)
+
     def test_validation(self):
         fleet = _const_fleet(4)
         with pytest.raises(ValueError):

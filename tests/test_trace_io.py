@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dropsim import csvio
 from dropsim.csvio import (COMM_HEADER, TRACE_HEADER, read_comm_csv, read_trace_csv,
@@ -295,6 +295,10 @@ def _no_loadtxt(*args, **kwargs):
 
 
 @given(grammar_files())
+# A 22-digit fraction with 17 significant digits: only its width keeps it
+# out of the fast grammar, and the drawn examples need not hold one.
+@example(("comm", "iteration,T_c_seconds\n0,0.0000012345678901234567\n", False,
+          csvio._READ_BYTES))
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_rows_in_the_fast_grammar_skip_numpys_reader(case):
     kind, text, in_grammar, read_bytes = case
@@ -468,6 +472,22 @@ def test_id_past_int32_in_the_last_block_shows_in_full(tmp_path, small_blocks):
     _assert_reads_like_oracle("trace", str(path))
 
 
+def test_ids_are_int32_unless_one_does_not_fit(tmp_path, small_blocks):
+    # numpy reads a block holding a comment, with int64 ids; they are kept
+    # as int32, as the fast parser's are, unless an id of the column does
+    # not fit int32.
+    text, values = _grammar_trace(40)
+    path = tmp_path / "trace.csv"
+    path.write_text(text.replace("\n5,", "\n# to numpy\n5,", 1))
+    columns = csvio._parse_rows(path, TRACE_HEADER)
+    assert [c.dtype for c in columns] == [np.int32] * 3 + [np.float64]
+    assert columns[-1].tobytes() == values.tobytes()
+    path.write_text(text + "# to numpy\n2147483648,1,0,0.5\n")
+    columns = csvio._parse_rows(path, TRACE_HEADER)
+    assert [c.dtype for c in columns] == [np.int64] + [np.int32] * 2 + [np.float64]
+    assert columns[0][-1] == 2**31 and columns[1][-1] == 1
+
+
 def test_bare_cr_in_a_late_block(tmp_path, small_blocks):
     # Two rows end in a bare CR: more rows than line feeds.
     text, values = _grammar_trace(40)
@@ -567,6 +587,21 @@ def _traced_peak(read, path):
         return _outcome(read, path), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_reading_a_good_trace_peaks_within_37_bytes_a_row(tmp_path, monkeypatch):
+    # The read peaks as the dense array is filled, with 36 bytes a row held:
+    # three int32 ids, the value, the flat index and the output. Joining the
+    # blocks' columns while every block's parts are held reached 40. One
+    # parse thread and small blocks keep the blocks' own peak out of it.
+    monkeypatch.setattr(csvio, "_PARSE_THREADS", 1)
+    monkeypatch.setattr(csvio, "_READ_BYTES", 1 << 16)
+    text, values = _grammar_trace(50_000)
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    got, peak = _traced_peak(read_trace_csv, str(path))
+    assert got == ("array", values.shape, values.tobytes())
+    assert peak <= 37 * values.size
 
 
 def test_naming_a_late_duplicate_row_keeps_the_read_in_its_memory(tmp_path, monkeypatch):
