@@ -5,8 +5,8 @@ keys and wrongly typed values are rejected so typos fail loudly); tabular
 results go to CSV with a comment line recording the config hash and tool
 version, reports go to JSON with sorted keys. Outputs contain no timestamps,
 so a fixed seed reproduces files byte for byte. Each is written through
-csvio.replace_file, renamed over its target once written, so a failed
-command leaves its targets as they were.
+csvio.replace_file and renamed over its target once written, simulate's two
+files both or neither, so a failed command leaves its targets as they were.
 """
 from __future__ import annotations
 
@@ -363,12 +363,11 @@ def cmd_simulate(args) -> int:
         config = dataclasses.replace(
             config, tau=auto_tau(config, cfg["warmup_iterations"]))
 
-    # The run happens while records.csv is written. Both files are renamed
-    # into place once both are written, summary.json last, so a run or a
-    # write that raises leaves neither file nor the output directory behind.
+    # The run happens while records.csv is written. Both files are renamed into
+    # place once both are written, summary.json last, or neither is (nor the directory).
     config_hash = _config_hash(doc)
     with _new_out_dir(args, "records.csv", "summary.json") as [records, summary], \
-            csvio.replace_file(summary) as summary_fh, csvio.replace_file(records) as fh:
+            csvio.replace_both(records, summary) as (fh, summary_fh):
         stats = run_records_csv(config, fh, _stamp(config_hash))
         summary_fh.write(_report(config_hash, **dataclasses.asdict(stats)))
     print(f"s_eff {stats.s_eff:.4f}, drop rate {stats.drop_rate:.4f}, "
@@ -470,7 +469,7 @@ def cmd_scale_sweep(args) -> int:
                     ["n_workers", "tau", "throughput_base", "throughput_drop",
                      "s_eff", "linear_ref", "s_eff_analytic"],
                     ([str(p.n_workers), "" if p.tau is None else repr(p.tau),
-                      *map(repr, (p.throughput_base, p.throughput_drop, p.s_eff,
+                      *map(repr, (p.throughput_base, p.throughput, p.s_eff,
                                   p.linear_ref, s))]
                      for p, s in zip(points, s_analytic)))
     with _new_out_dir(args, "sweep.csv") as [sweep], csvio.replace_file(sweep) as fh:

@@ -16,8 +16,8 @@ import os
 import numpy as np
 
 __all__ = ["TRACE_HEADER", "COMM_HEADER", "csv_text", "int_cells", "float_cells",
-           "csv_rows", "row_blocks", "replace_file", "write_csv", "read_trace_csv",
-           "write_trace_csv", "read_comm_csv", "write_comm_csv"]
+           "csv_rows", "row_blocks", "replace_file", "replace_both", "write_csv",
+           "read_trace_csv", "write_trace_csv", "read_comm_csv", "write_comm_csv"]
 
 TRACE_HEADER = ["iteration", "worker", "micro_batch", "latency_seconds"]
 COMM_HEADER = ["iteration", "T_c_seconds"]
@@ -589,6 +589,11 @@ def row_blocks(rows: int, row_width: int) -> list:
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
+def _new_name(path: str) -> str:
+    # A name of fixed length: path's own name may be as long as a name can be.
+    return os.path.join(os.path.dirname(path), f"dropsim-{os.urandom(8).hex()}.tmp")
+
+
 @contextlib.contextmanager
 def replace_file(path):
     """A text file, open for writing with newline="", that replaces path when
@@ -598,8 +603,7 @@ def replace_file(path):
     is removed and path is left as it was; a system error that names no file or
     the new one names path. Its mode is open(path, "w")'s, 0o666 less the umask."""
     path = os.fsdecode(path)
-    # A name of fixed length: path's own name may be as long as a name can be.
-    tmp = os.path.join(os.path.dirname(path), f"dropsim-{os.urandom(8).hex()}.tmp")
+    tmp = _new_name(path)
     fh = None
     try:
         fh = open(tmp, "x", newline="")  # "x": never an existing file
@@ -613,6 +617,29 @@ def replace_file(path):
         if isinstance(exc, OSError) and exc.errno and exc.filename in (None, tmp):
             exc.filename, exc.filename2 = path, None
         raise
+
+
+@contextlib.contextmanager
+def replace_both(first, second):
+    """replace_file's files for first and second, renamed in that order; if second's
+    rename fails, first is put back as it was (its old file kept linked until then)."""
+    old, placed = _new_name(os.fsdecode(first)), False
+    try:
+        with replace_file(second) as second_fh:
+            with replace_file(first) as first_fh:
+                yield first_fh, second_fh
+                with contextlib.suppress(FileNotFoundError):  # no old first
+                    os.link(first, old, follow_symlinks=False)
+            placed = True
+    except BaseException:
+        if placed and os.path.lexists(old):
+            os.replace(old, first)
+        elif placed:
+            os.unlink(first)
+        raise
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(old)
 
 
 def write_csv(path, comment, header, chunks) -> None:

@@ -124,15 +124,10 @@ class LocalSgdResult:
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    n_workers: int
-    tau: Optional[float]
-    throughput_base: float
-    throughput_drop: float
-    s_eff: float
-    linear_ref: float
-    mean_step_base: float
-    mean_step_drop: float
+class SweepPoint(RunStats):
+    """One scale_sweep point: its run's stats, plus the linear-scaling reference."""
+
+    linear_ref: float  # the smallest fleet's baseline throughput per worker, times N
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +406,9 @@ def scale_sweep(template: SimConfig, n_list, tau_policy="auto",
     decentralized threshold search. Per-N randomness is derived from the
     template seed and N, and the points run one after another, in n_list
     order, on the calling thread. max_workers is checked (>= 1) but runs
-    nothing in parallel: it stays for callers that still pass it. The
-    linear-scaling reference extrapolates the smallest fleet's baseline
-    throughput.
+    nothing in parallel: it stays for callers that still pass it. Each point
+    is its run's RunStats plus linear_ref, the linear-scaling reference that
+    extrapolates the smallest fleet's baseline throughput.
     """
     n_list = list(n_list)
     if not n_list:
@@ -437,16 +432,7 @@ def scale_sweep(template: SimConfig, n_list, tau_policy="auto",
         stats = run(dataclasses.replace(cfg, tau=tau), rng=root.derive(n, 1))
         if not points:
             base_rate = stats.throughput_base / n
-        points.append(SweepPoint(
-            n_workers=n,
-            tau=tau,
-            throughput_base=stats.throughput_base,
-            throughput_drop=stats.throughput,
-            s_eff=stats.s_eff,
-            linear_ref=base_rate * n,
-            mean_step_base=stats.mean_step_base,
-            mean_step_drop=stats.mean_step_drop,
-        ))
+        points.append(SweepPoint(**vars(stats), linear_ref=base_rate * n))
     return points
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "EULER_GAMMA",
     "RngStream",
     "StreamGenerator",
-    "philox_generator",
     "phi_cdf",
     "phi_inv",
     "add_in_order",
@@ -116,7 +115,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh stateful generator positioned at the start of this stream."""
-        return philox_generator(self.seed, self.stream_id)
+        return np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
 
 
 class _PhiloxKey(ISeedSequence):
@@ -134,11 +133,6 @@ class _PhiloxKey(ISeedSequence):
         if n_words != 2 or np.dtype(dtype) != np.uint64:
             raise TypeError(f"_PhiloxKey holds 2 uint64 key words, not {n_words} {dtype}")
         return np.array(self.words, dtype=np.uint64)
-
-
-def philox_generator(seed: int, stream_id: int) -> np.random.Generator:
-    """Fresh generator at the start of stream (seed, stream_id), both in [0, 2**64)."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream_id)))
 
 
 class StreamGenerator:

@@ -72,12 +72,6 @@ class ThresholdSearchResult:
     drop_rate: np.ndarray
     step_speedup: np.ndarray
 
-    @property
-    def curve(self):
-        """Rows of (tau, mean s_eff, mean drop rate, mean step speedup)."""
-        return list(zip(self.grid.tolist(), self.s_eff.tolist(),
-                        self.drop_rate.tolist(), self.step_speedup.tolist()))
-
     def s_eff_at_tau_star(self) -> float:
         return float(self.s_eff[int(np.argmax(self.grid == self.tau_star))])
 

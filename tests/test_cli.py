@@ -821,6 +821,35 @@ def test_failed_output_write_exits_2_naming_its_target(tmp_path, capsys, monkeyp
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize("existed", [True, False], ids=["both-existed", "neither-existed"])
+def test_simulate_replaces_both_files_or_neither(tmp_path, capsys, monkeypatch, existed):
+    # records.csv is renamed into place first; when summary.json's rename then
+    # fails, records.csv must be put back as it was, old bytes or no file.
+    argv = _command_argv(tmp_path, "simulate", _sim_config(iterations=5))
+    out = tmp_path / "o"
+    old = {"records.csv": b"old records\r\n", "summary.json": b"{}\n"}
+    if existed:
+        out.mkdir()
+        for name, data in old.items():
+            (out / name).write_bytes(data)
+    before = sorted(tmp_path.rglob("*"))
+    replace = os.replace
+
+    def refuse_summary(src, dst):
+        if os.path.basename(dst) == "summary.json":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_summary)
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert errors == [f"error: {out / 'summary.json'}: {os.strerror(errno.EACCES)}"]
+    assert sorted(tmp_path.rglob("*")) == before
+    assert not list(tmp_path.rglob("dropsim-*"))
+    for name, data in old.items():
+        assert (out / name).read_bytes() == data if existed else not (out / name).exists()
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("command, doc", [("simulate", _sim_config(iterations=5)),
                                           *_WRITE_CASES])

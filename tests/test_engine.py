@@ -7,6 +7,7 @@ engine must reproduce it bit for bit, at any block size.
 """
 
 import csv
+import dataclasses
 import io
 import math
 from typing import NamedTuple
@@ -20,7 +21,7 @@ import dropsim as ds
 from dropsim import simulate
 from dropsim.latency import NOISE_KINDS
 from dropsim.simulate import IterationBlock, RunStats
-from dropsim.stats import StreamGenerator, philox_generator
+from dropsim.stats import StreamGenerator
 
 _MODELS = {
     "none": ds.WorkerLatencyModel(0.45, ds.NoNoise()),
@@ -312,6 +313,27 @@ def test_idle_steps_score_positive_zero():
     assert _same_floats(got.stats.throughput, 0.0)
 
 
+@pytest.mark.parametrize("boundary", [False, True], ids=["at-tau", "at-boundary"])
+@pytest.mark.parametrize("workers", [("lognormal",) * 5, ("normal", "bernoulli", "none",
+                                                         "bounded", "normal")],
+                         ids=["homogeneous", "mixed"])
+def test_no_threshold_is_an_infinite_one_bit_for_bit(workers, boundary):
+    # tau=None takes _evaluate's short path; tau=inf takes the general one,
+    # where every micro-batch counts and each worker stops at its T_n.
+    fleet = ds.FleetSpec(tuple(_MODELS[name] for name in workers))
+    base, inf = (ds.run_detailed(ds.SimConfig(fleet, 4, 0.3, tau, 9, 21, boundary))
+                 for tau in (None, math.inf))
+    want, got = dataclasses.asdict(base.stats), dataclasses.asdict(inf.stats)
+    assert want.pop("tau") is None and got.pop("tau") == math.inf
+    for field in want:
+        assert type(want[field]) is type(got[field]), field
+        assert _same_floats(want[field], got[field]), field
+    for field, a, b in zip(IterationBlock._fields, base.records, inf.records):
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    assert _same_floats(base.trace, inf.trace)
+
+
 @pytest.mark.parametrize("trace, comm, tau", [
     (np.ones((3, 2, 2)), -3.0, 0.5),
     (np.ones((3, 2, 2)), [0.0, math.nan, 0.0], 0.5),
@@ -456,7 +478,6 @@ def test_repositioned_generator_draws_like_a_fresh_one(seed, visits):
         got = noise.sample(gens.at(sid), size)
         want = noise.sample(ds.RngStream(seed, sid).generator(), size)
         assert _same_floats(got, want)
-        assert _same_floats(noise.sample(philox_generator(seed, sid), size), want)
         fresh = _oracle_generator(ds.RngStream(seed, sid))
         assert _same_floats(noise.sample(fresh, size), want)
 
