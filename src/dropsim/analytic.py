@@ -112,61 +112,37 @@ def expected_speedup(mu: float, sigma: float, m: int, n: int, tau: float,
     return frac * (et + t_comm) / (min(tau, et) + t_comm)
 
 
-def _golden_section_max(f, lo: float, hi: float, tol: float = 1e-10,
-                        max_iter: int = 200) -> float:
-    """Maximize a unimodal f on [lo, hi] by golden-section search."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol * max(1.0, abs(a) + abs(b)):
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimal_threshold_analytic(mu: float, sigma: float, m: int,
                                t_comm: float = 0.0) -> float:
     """Threshold maximizing expected completed work per second.
 
     Maximizes (1/(tau + T_c)) * sum_m Phi((tau - m*mu)/sqrt(m sigma^2)),
     which is the speedup objective with its N-dependent factor dropped; the
-    maximizer therefore does not depend on the fleet size. Search: 512
-    log-spaced points on [M*mu/2, M*mu + 6*sqrt(M)*sigma], refined by
-    golden-section around the best grid point. sigma = 0 degenerates to
-    tau = M*mu (every threshold that admits all M batches is optimal; the
-    smallest is returned).
+    maximizer therefore does not depend on the fleet size. Search: the best
+    of 512 log-spaced points on [M*mu/2, M*mu + 6*sqrt(M)*sigma], then 7
+    rounds of 33 points centred on the best point so far, clipped to that
+    range and spaced at 1/16 of the gap to the best grid point's wider
+    neighbour, then at 1/16 of the round before's. Each round holds the best
+    point, so the best value never falls, even where tiny sigma turns the
+    objective into near-steps. sigma = 0 degenerates to tau = M*mu (every
+    threshold that admits all M batches is optimal; the smallest is returned).
     """
     _check(mu, sigma, t_comm)
     if m < 1:
         raise ValueError("m must be >= 1")
     if sigma == 0.0:
-        return m * mu
+        return float(m * mu)
 
-    def objective(tau):
-        return float(_phi_sum(tau, mu, sigma, m) / (tau + t_comm))
+    def scores(taus):
+        return _phi_sum(taus[:, None], mu, sigma, m) / (taus + t_comm)
 
-    lo = m * mu / 2.0
-    hi = m * mu + 6.0 * math.sqrt(m) * sigma
-    grid = np.logspace(math.log10(lo), math.log10(hi), 512)
-    # objective at every grid point at once: each row sums as objective's does
-    vals = _phi_sum(grid[:, None], mu, sigma, m) / (grid + t_comm)
-    best = int(np.argmax(vals))
-    b_lo = grid[max(best - 1, 0)]
-    b_hi = grid[min(best + 1, grid.size - 1)]
-    refined = _golden_section_max(objective, b_lo, b_hi)
-    # Tiny sigma turns the objective into near-steps; golden section assumes
-    # unimodality and can slide off the jump, so never return a point worse
-    # than the best grid point.
-    if objective(refined) >= vals[best]:
-        return refined
-    return float(grid[best])
+    lo, hi = m * mu / 2.0, m * mu + 6.0 * math.sqrt(m) * sigma
+    # logspace's end points can round to just outside [lo, hi].
+    grid = np.clip(np.logspace(math.log10(lo), math.log10(hi), 512), lo, hi)
+    at = int(np.argmax(scores(grid)))
+    tau, step = grid[at], max(np.diff(grid[max(at - 1, 0):at + 2]))
+    for _ in range(7):
+        step /= 16.0
+        taus = np.clip(tau + step * np.arange(-16, 17), lo, hi)
+        tau = taus[np.argmax(scores(taus))]
+    return float(tau)

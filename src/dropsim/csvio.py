@@ -12,6 +12,7 @@ import io
 import itertools
 import math
 import os
+import shutil
 
 import numpy as np
 
@@ -622,14 +623,19 @@ def replace_file(path):
 @contextlib.contextmanager
 def replace_both(first, second):
     """replace_file's files for first and second, renamed in that order; if second's
-    rename fails, first is put back as it was (its old file kept linked until then)."""
+    rename fails, first is put back as it was. Its old file is kept until then as a
+    hard link, or as a copy where links are refused (a symlink stays a symlink)."""
     old, placed = _new_name(os.fsdecode(first)), False
     try:
         with replace_file(second) as second_fh:
             with replace_file(first) as first_fh:
                 yield first_fh, second_fh
-                with contextlib.suppress(FileNotFoundError):  # no old first
+                try:
                     os.link(first, old, follow_symlinks=False)
+                except FileNotFoundError:  # no old first
+                    pass
+                except OSError:  # no hard links here
+                    shutil.copy2(first, old, follow_symlinks=False)
             placed = True
     except BaseException:
         if placed and os.path.lexists(old):

@@ -7,10 +7,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dropsim as ds
 from dropsim import EULER_GAMMA, phi_cdf, phi_inv
-from dropsim.analytic import _golden_section_max
 from dropsim.stats import RngStream
 
 
@@ -203,8 +203,8 @@ class TestOptimalThreshold:
         (1.0, 0.1, 12, 0.5), (1.0, 0.1, 12, 0.0), (0.05, 0.03, 1, 0.2),
         (0.3, 0.2, 7, 2.0), (2.0, 0.5, 300, 1.0), (1.0, 1e-9, 12, 0.5)])
     def test_grid_is_the_per_point_loop(self, mu, sigma, m, tc):
-        # Reference: the same search with the grid scored one point at a
-        # time; the tiny-sigma case keeps the best grid point.
+        # Reference: the same search with each point scored one at a time;
+        # the tiny-sigma case turns the objective into near-steps.
         ms = np.arange(1, m + 1, dtype=float)
         scale = np.sqrt(ms) * sigma
 
@@ -212,15 +212,41 @@ class TestOptimalThreshold:
             return float(np.sum(phi_cdf((tau - ms * mu) / scale)) / (tau + tc))
 
         lo, hi = m * mu / 2.0, m * mu + 6.0 * math.sqrt(m) * sigma
-        grid = np.logspace(math.log10(lo), math.log10(hi), 512)
-        vals = np.array([objective(t) for t in grid])
-        best = int(np.argmax(vals))
-        refined = _golden_section_max(objective, grid[max(best - 1, 0)],
-                                      grid[min(best + 1, grid.size - 1)])
-        want = refined if objective(refined) >= vals[best] else float(grid[best])
+        grid = np.clip(np.logspace(math.log10(lo), math.log10(hi), 512), lo, hi)
+        at = int(np.argmax([objective(t) for t in grid]))
+        want, step = grid[at], max(np.diff(grid[max(at - 1, 0):at + 2]))
+        for _ in range(7):
+            step /= 16.0
+            taus = np.clip(want + step * np.arange(-16, 17), lo, hi)
+            want = taus[int(np.argmax([objective(t) for t in taus]))]
+        want = float(want)
         got = ds.optimal_threshold_analytic(mu, sigma, m, tc)
         assert got.hex() == want.hex()
         assert objective(got).hex() == objective(want).hex()
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(st.tuples(st.floats(0.01, 5.0), st.floats(1e-3, 1.0), st.integers(1, 199),
+                     st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+           .map(lambda c: (c[0], c[0] * c[1], c[2], c[3])))
+    # The best value here lies below M*mu/2: a search that is not clipped
+    # returns a tau outside its range.
+    @example((1.289, 1.165, 5, 0.0))
+    def test_returns_a_float_in_range_at_least_as_good_as_the_grid(self, case):
+        mu, sigma, m, tc = case
+        tau = ds.optimal_threshold_analytic(mu, sigma, m, tc)
+        assert type(tau) is float
+        lo, hi = m * mu / 2.0, m * mu + 6.0 * math.sqrt(m) * sigma
+        assert lo <= tau <= hi
+        ms = np.arange(1, m + 1, dtype=float)
+        grid = np.clip(np.logspace(math.log10(lo), math.log10(hi), 512), lo, hi)
+        near = np.clip([tau * (1 - 1e-6), tau * (1 + 1e-6)], lo, hi)
+        taus = np.concatenate(([tau], grid, near))
+        scores = phi_cdf((taus[:, None] - ms * mu) / (np.sqrt(ms) * sigma)).sum(axis=1) \
+            / (taus + tc)
+        # Never below the best grid point, which the old guard promised, and
+        # no nearby point beats tau by more than rounding.
+        assert scores[0] >= scores[1:-2].max()
+        assert scores[-2:].max() <= scores[0] + 2 * math.ulp(scores[0])
 
     def test_validation(self):
         with pytest.raises(ValueError):

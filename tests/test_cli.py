@@ -850,6 +850,52 @@ def test_simulate_replaces_both_files_or_neither(tmp_path, capsys, monkeypatch, 
         assert (out / name).read_bytes() == data if existed else not (out / name).exists()
 
 
+@pytest.mark.parametrize("case", ["replaced", "summary-refused", "symlink-kept"])
+def test_simulate_keeps_a_copy_where_hard_links_are_refused(tmp_path, capsys, monkeypatch,
+                                                            case):
+    # vfat, some FUSE or SMB mounts and fs.protected_hardlinks refuse os.link;
+    # the old records.csv is then kept as a copy, and a symlink as a symlink.
+    argv = _command_argv(tmp_path, "simulate", _sim_config(iterations=5))
+    assert cli.main([*argv, "--out", str(tmp_path / "new")]) == 0
+    out = tmp_path / "o"
+    out.mkdir()
+    old = {"records.csv": b"old records\r\n", "summary.json": b"{}\n"}
+    for name, data in old.items():
+        (out / name).write_bytes(data)
+    if case == "symlink-kept":
+        (out / "records.csv").rename(tmp_path / "kept.csv")
+        (out / "records.csv").symlink_to(tmp_path / "kept.csv")
+    before = sorted(tmp_path.rglob("*"))
+
+    def refuse_link(src, dst, **kwargs):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM), src, dst)
+
+    monkeypatch.setattr(os, "link", refuse_link)
+    replace = os.replace
+
+    def refuse_summary(src, dst):
+        if os.path.basename(dst) == "summary.json":
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), src, dst)
+        replace(src, dst)
+
+    if case != "replaced":
+        monkeypatch.setattr(os, "replace", refuse_summary)
+    capsys.readouterr()
+    code = cli.main([*argv, "--out", str(out)])
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+    assert not list(tmp_path.rglob("dropsim-*"))
+    if case == "replaced":
+        assert (code, errors) == (0, [])
+        for name in old:
+            assert (out / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+        return
+    assert (code, errors) == (2, [f"error: {out / 'summary.json'}: {os.strerror(errno.EACCES)}"])
+    assert sorted(tmp_path.rglob("*")) == before
+    for name, data in old.items():
+        assert (out / name).read_bytes() == data
+    assert (out / "records.csv").is_symlink() == (case == "symlink-kept")
+
+
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("command, doc", [("simulate", _sim_config(iterations=5)),
                                           *_WRITE_CASES])
