@@ -28,14 +28,19 @@ __all__ = [
 ]
 
 
-def _check(mu: float, sigma: float, t_comm: float = 0.0) -> None:
-    """Raise ValueError unless mu > 0, sigma >= 0 and t_comm >= 0, all finite."""
+def _check(mu: float, sigma: float, t_comm: float = 0.0, m: int = 1, n: int = 1) -> None:
+    """Check, in this order, finite mu > 0, sigma >= 0 and t_comm >= 0, then m >= 1
+    and n >= 1; raise ValueError at the first that fails. The defaults pass."""
     if not 0.0 < mu < math.inf:
         raise ValueError("mu must be > 0")
     if not 0.0 <= sigma < math.inf:
         raise ValueError("sigma must be >= 0")
     if not 0.0 <= t_comm < math.inf:
         raise ValueError("t_comm must be >= 0")
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
 
 
 def expected_max_time(mu: float, sigma: float, m: int, n: int,
@@ -48,11 +53,7 @@ def expected_max_time(mu: float, sigma: float, m: int, n: int,
     with g the Euler-Mascheroni constant. Exact special cases: n = 1 and
     sigma = 0 both give m*mu.
     """
-    _check(mu, sigma, t_comm)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check(mu, sigma, t_comm, m, n)
     if n == 1 or sigma == 0.0:
         return m * mu + t_comm
     g = EULER_GAMMA
@@ -76,9 +77,7 @@ def expected_completed(mu: float, sigma: float, m: int, tau: float) -> float:
     than an error since the sum itself stays well defined. At sigma = 0 the
     count is exact and never warns.
     """
-    _check(mu, sigma)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check(mu, sigma, m=m)
     if not (tau > 0.0):
         raise ValueError("tau must be > 0")
     if math.isinf(tau):
@@ -102,9 +101,7 @@ def expected_speedup(mu: float, sigma: float, m: int, n: int, tau: float,
     when given, replaces the probit approximation of E[T]; pass the measured
     mean max compute time when the latency law is far from Gaussian.
     """
-    _check(mu, sigma, t_comm)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check(mu, sigma, t_comm, n=n)
     if measured_ET is not None and not 0.0 < measured_ET < math.inf:
         raise ValueError(f"measured_ET must be finite and > 0, got {measured_ET!r}")
     et = measured_ET if measured_ET is not None else expected_max_time(mu, sigma, m, n)
@@ -127,9 +124,7 @@ def optimal_threshold_analytic(mu: float, sigma: float, m: int,
     objective into near-steps. sigma = 0 degenerates to tau = M*mu (every
     threshold that admits all M batches is optimal; the smallest is returned).
     """
-    _check(mu, sigma, t_comm)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check(mu, sigma, t_comm, m)
     if sigma == 0.0:
         return float(m * mu)
 

@@ -351,8 +351,6 @@ class FleetSpec:
 
     @classmethod
     def homogeneous(cls, n: int, model: WorkerLatencyModel) -> "FleetSpec":
-        if n < 1:
-            raise ValueError("fleet needs at least one worker")
         return cls(workers=(model,) * n)
 
     def __post_init__(self):

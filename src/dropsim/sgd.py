@@ -92,10 +92,8 @@ class SgdProblem:
             raise ValueError("finite smoothness > 0, sigma >= 0, distance >= 0 required")
         if actual_sigma is not None and not (_finite(actual_sigma) and actual_sigma >= 0.0):
             raise ValueError("finite actual_sigma >= 0 required")
-        if dimension == 1:
-            curv = np.array([smoothness])
-        else:
-            curv = np.linspace(0.1 * smoothness, smoothness, dimension)
+        curv = np.linspace(0.1 * smoothness, smoothness, dimension)
+        curv[-1] = smoothness  # a one-point linspace holds only its start
         theta_star = np.zeros(dimension)
         theta1 = theta_star + distance / math.sqrt(dimension) * np.ones(dimension)
         return cls(kind="quadratic", dimension=dimension, smoothness=smoothness,
@@ -143,21 +141,22 @@ class SgdProblem:
 
     # -- loss and gradients -------------------------------------------------
 
-    def loss(self, theta: np.ndarray) -> np.ndarray:
-        """Full loss; accepts (d,) or a stack (R, d)."""
-        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    def loss(self, theta: np.ndarray) -> float | np.ndarray:
+        """Full loss. The input's ndim picks the shape, as in grad: a float
+        for a point (d,), an (R,) array for a stack (R, d), R = 1 included."""
+        arr = np.atleast_2d(np.asarray(theta, dtype=float))
         if self.kind == "quadratic":
-            diff = theta - self.theta_star
+            diff = arr - self.theta_star
             out = 0.5 * np.sum(self.curvature * diff**2, axis=1)
         else:
-            logits = theta @ self.data_x.T  # (R, n)
+            logits = arr @ self.data_x.T  # (R, n)
             out = np.mean(np.logaddexp(0.0, -self.data_y * logits), axis=1)
-            out = out + 0.5 * self.l2_reg * np.sum(theta**2, axis=1)
-            out = out + self.sin_amplitude * np.sum(np.sin(theta), axis=1)
-        return out if out.size > 1 else float(out[0])
+            out = out + 0.5 * self.l2_reg * np.sum(arr**2, axis=1)
+            out = out + self.sin_amplitude * np.sum(np.sin(arr), axis=1)
+        return out if np.ndim(theta) > 1 else float(out[0])
 
     def grad(self, theta: np.ndarray) -> np.ndarray:
-        """Exact full gradient; accepts (d,) or (R, d), returns same shape."""
+        """Exact full gradient, in the input's shape: (d,) or (R, d)."""
         arr = np.atleast_2d(np.asarray(theta, dtype=float))
         if self.kind == "quadratic":
             out = self.curvature * (arr - self.theta_star)
@@ -166,7 +165,7 @@ class SgdProblem:
             w = _sigmoid(-self.data_y * logits) * self.data_y  # (R, n)
             out = -(w @ self.data_x) / self.data_x.shape[0]
             out = out + self.l2_reg * arr + self.sin_amplitude * np.cos(arr)
-        return out if np.asarray(theta).ndim > 1 else out[0]
+        return out if np.ndim(theta) > 1 else out[0]
 
     def _per_sample_grads(self, theta: np.ndarray) -> np.ndarray:
         """(n_samples, d) gradient of each sample's loss at one point."""
@@ -307,7 +306,11 @@ class BatchSchedule:
     of n_workers drops its whole local batch (b_max / n_workers samples)
     independently with probability p_drop. kind "timing_driven": a timing
     simulation iteration decides how many micro-batches each worker
-    completes under sim.tau; b_i counts the surviving samples.
+    completes under sim.tau; b_i counts the surviving samples. It reads only
+    sim.fleet, sim.m_per_step and sim.tau, and draws from run_many's stream
+    root.derive(4). _evaluate counts completed before its stop-mode branch
+    and without T_c, so sim.seed, sim.iterations, sim.t_comm and the stop
+    mode change no batch.
     """
 
     b_max: int
@@ -550,7 +553,7 @@ def verify_convex_bound(problem: SgdProblem, schedule: BatchSchedule,
     """
     res = run_many(problem, schedule, k_total, "convex_theorem", "fixed_bmax",
                    RngStream(seed, 0), n_runs=seeds)
-    losses = np.atleast_1d(problem.loss(res["theta_bar"])) - problem.loss_star
+    losses = problem.loss(res["theta_bar"]) - problem.loss_star
     bound = convex_bound_rhs(problem, schedule, k_total)
     return _report("convex", problem, schedule, k_total, res["eta"], losses, bound)
 
@@ -566,7 +569,7 @@ def verify_nonconvex_bound(problem: SgdProblem, schedule: BatchSchedule,
     """
     res = run_many(problem, schedule, k_total, "nonconvex_theorem", "fixed_bmax",
                    RngStream(seed, 0), n_runs=seeds)
-    grads = np.atleast_2d(problem.grad(res["theta_sampled"]))
+    grads = problem.grad(res["theta_sampled"])
     sq = np.sum(grads**2, axis=1)
     bound = nonconvex_bound_rhs(problem, schedule, k_total)
     return _report("nonconvex", problem, schedule, k_total, res["eta"], sq, bound)

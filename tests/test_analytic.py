@@ -253,3 +253,23 @@ class TestOptimalThreshold:
             ds.optimal_threshold_analytic(0.0, 0.1, 12, 0.5)
         with pytest.raises(ValueError):
             ds.optimal_threshold_analytic(1.0, -0.1, 12, 0.5)
+
+
+# Each closed form checks its arguments in _check's order; the speedup checks
+# measured_ET before the m that expected_completed checks.
+@pytest.mark.parametrize("name, args, message", [
+    ("expected_max_time", (1.0, 0.1, 0, 0), "m must be >= 1"),
+    ("expected_completed", (1.0, 0.1, 0, 1.0), "m must be >= 1"),
+    ("expected_completed", (1.0, 0.1, 3, 0.0), "tau must be > 0"),
+    ("expected_completed", (1.0, -0.1, 0, 0.0), "sigma must be >= 0"),
+    ("expected_speedup", (1.0, 0.1, 3, 0, 1.0), "n must be >= 1"),
+    ("expected_speedup", (1.0, 0.1, 0, 3, 1.0, 0.0, -1.0),
+     "measured_ET must be finite and > 0, got -1.0"),
+    ("expected_speedup", (1.0, 0.1, 0, 0, 1.0, -1.0), "t_comm must be >= 0"),
+    ("optimal_threshold_analytic", (1.0, 0.1, 0), "m must be >= 1"),
+    ("optimal_threshold_analytic", (0.0, 0.1, 0), "mu must be > 0"),
+])
+def test_first_failing_check_names_its_argument(name, args, message):
+    with pytest.raises(ValueError) as caught:
+        getattr(ds, name)(*args)
+    assert str(caught.value) == message

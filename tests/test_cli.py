@@ -419,6 +419,16 @@ class TestSelectThreshold:
         assert rc == 2
         assert ":2: not a number" in capsys.readouterr().err
 
+    def test_grid_of_no_values_exits_2(self, tmp_path, capsys):
+        trace, comm = self._write_trace(tmp_path, np.full((2, 2, 2), 0.5), np.zeros(2))
+        grid = tmp_path / "grid.txt"
+        grid.write_text("# candidate thresholds\n\n   \n# none yet\n")
+        rc = cli.main(["select-threshold", "--trace", str(trace), "--comm", str(comm),
+                       "--grid", str(grid), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {grid}: empty threshold grid\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("line", ["0_5", "1_000", "\u0661.5"])
     def test_grid_line_float_would_misread_exits_2(self, tmp_path, capsys, line):
         # float() reads these as 5.0, 1000.0 and 1.5

@@ -320,10 +320,28 @@ def test_malformed_value_exits_2(tmp_path, capsys, name, keys, value, message):
     ("sgd-bench", ("schedule", "kind"), "bogus",
      "invalid schedule block: unknown schedule kind 'bogus'"),
     ("sgd-bench", ("k_total",), 5, "invalid sgd-bench config: k_total must be at least b_max"),
+    ("simulate", ("t_comm",), -1,
+     "invalid simulate config: t_comm must be finite and >= 0, got -1.0"),
+    ("simulate", ("iterations",), 0, "invalid simulate config: iterations must be >= 1"),
+    ("simulate", ("fleet", "workers"), 0, "invalid fleet: fleet needs at least one worker"),
+    ("sgd-bench-logistic", ("problem", "n_samples"), 1,
+     "invalid problem block: dimension >= 1 and n_samples >= 2 required"),
 ])
 def test_library_error_is_the_one_error_line(tmp_path, capsys, name, keys, value, message):
     assert _run(name, json.dumps(_with(BASES[name], keys, value)), tmp_path) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+# Errors the command line finds itself, past the JSON decoding.
+@pytest.mark.parametrize("text, message", [
+    ("[1, 2]", "{config}: top-level config must be a JSON object"),
+    (json.dumps(_with(BASES["simulate"], ("mode",), "bogus")),
+     "unknown mode 'bogus'; use synchronous or local-sgd"),
+])
+def test_command_line_error_is_the_one_error_line(tmp_path, capsys, text, message):
+    assert _run("simulate", text, tmp_path) == 2
+    assert capsys.readouterr().err == f"error: {message.format(config=tmp_path / 'c.json')}\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -119,6 +119,12 @@ class TestNoiseMoments:
         with pytest.raises(ValueError):
             EmpiricalNoise(())
 
+    @pytest.mark.parametrize("samples", [((1.0,),), (0.1, math.nan), (math.inf,)])
+    def test_empirical_samples_must_be_finite_numbers(self, samples):
+        with pytest.raises(ValueError) as caught:
+            EmpiricalNoise(samples)
+        assert str(caught.value) == "EmpiricalNoise samples must be a list of finite numbers"
+
 
 class TestBoundedDelay:
     def test_mean_near_half(self):
@@ -273,6 +279,12 @@ class TestFleetSpec:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             FleetSpec(())
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_homogeneous_of_no_workers_rejected(self, n):
+        with pytest.raises(ValueError) as caught:
+            FleetSpec.homogeneous(n, WorkerLatencyModel(1.0, NoNoise()))
+        assert str(caught.value) == "fleet needs at least one worker"
 
 
 def _from_trace(samples):

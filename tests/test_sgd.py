@@ -128,6 +128,39 @@ class TestProblems:
         with pytest.raises(ValueError, match="finite"):
             ds.SgdProblem.logistic_synthetic(**{field: value})
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("prob", [
+        ds.SgdProblem.quadratic(dimension=3),
+        ds.SgdProblem.logistic_synthetic(dimension=3, n_samples=32, sin_amplitude=0.05),
+    ], ids=["quadratic", "logistic"])
+    def test_loss_shape_follows_the_input_ndim(self, prob, rows):
+        # A one-row stack is a stack: its loss is a (1,) array, as its grad is (1, d).
+        stack = prob.theta1 + np.arange(rows * 3).reshape(rows, 3) / 7.0
+        losses = prob.loss(stack)
+        assert isinstance(losses, np.ndarray) and losses.shape == (rows,)
+        assert prob.grad(stack).shape == (rows, 3)
+        per_row = [prob.loss(row) for row in stack]
+        assert all(type(v) is float for v in per_row)
+        if prob.kind == "quadratic" or rows == 1:
+            assert losses.tolist() == per_row
+        else:
+            # A BLAS may sum the rows of a larger product in another order.
+            assert losses.tolist() == pytest.approx(per_row, rel=1e-14)
+
+    def test_one_dimensional_curvature_is_the_smoothness(self):
+        assert ds.SgdProblem.quadratic(dimension=1, smoothness=2.0).curvature.tolist() == [2.0]
+
+    @pytest.mark.parametrize("dimension", [1, 2, 10])
+    def test_top_curvature_is_the_smoothness(self, dimension):
+        prob = ds.SgdProblem.quadratic(dimension=dimension, smoothness=0.7)
+        assert prob.curvature[-1] == 0.7
+        assert prob.curvature.shape == (dimension,)
+
+    def test_per_sample_gradients_need_a_dataset(self):
+        prob = ds.SgdProblem.quadratic()
+        with pytest.raises(ValueError, match="^per-sample enumeration applies to dataset losses$"):
+            prob._per_sample_grads(prob.theta1)
+
 
 # (dimension, n_samples, seed) x (sin_amplitude, l2_reg). The problem is
 # convex where sin_amplitude <= l2_reg; the last three pairs are not.
@@ -153,6 +186,15 @@ class TestLogisticOptimum:
         if amplitude <= l2_reg:
             assert prob.loss_star <= oracle_loss + 4 * np.spacing(abs(oracle_loss))
             assert np.max(np.abs(prob.theta_star - res.x)) <= 1e-7
+
+    def test_halved_newton_steps_reach_the_minimum(self):
+        # Backtracking halves a step 8 times on the way; a solve that never
+        # halves stops at a gradient norm of 0.83, where the Hessian is
+        # indefinite.
+        prob = ds.SgdProblem.logistic_synthetic(dimension=4, n_samples=64, l2_reg=0.01,
+                                                sin_amplitude=0.5, seed=3)
+        assert float(np.linalg.norm(prob.grad(prob.theta_star))) <= 1e-12
+        assert np.linalg.eigvalsh(_logistic_hessian(prob, prob.theta_star))[0] > 0.0
 
     def test_hessian_matches_gradient_differences(self):
         prob = ds.SgdProblem.logistic_synthetic(dimension=4, n_samples=64,
@@ -276,6 +318,11 @@ class TestBatchSchedule:
         with pytest.raises(ValueError):
             ds.BatchSchedule(100, kind="timing_driven")
 
+    def test_timing_driven_b_max_fills_whole_micro_batches(self):
+        fleet = ds.FleetSpec.homogeneous(2, ds.WorkerLatencyModel(0.45, ds.NoNoise()))
+        with pytest.raises(ValueError, match="^b_max must be a multiple of N \\* M micro-batches$"):
+            ds.BatchSchedule(10, kind="timing_driven", sim=ds.SimConfig(fleet, 2, tau=0.7))
+
 
 class TestRunMechanics:
     def test_noiseless_descent_contracts_exactly(self):
@@ -378,6 +425,11 @@ class TestStepSizes:
         prob = ds.SgdProblem.quadratic(sigma=0.0)
         sched = ds.BatchSchedule(50)
         assert ds.theorem_step_size(prob, sched, 1000, "convex_theorem") == 1.0 / (8 * 50)
+
+    def test_unknown_mode_rejected(self):
+        prob = ds.SgdProblem.quadratic()
+        with pytest.raises(ValueError, match="^unknown step-size mode 'bogus'$"):
+            ds.theorem_step_size(prob, ds.BatchSchedule(100), 1000, "bogus")
 
 
 class TestConvexBound:

@@ -247,6 +247,14 @@ class TestScaleSweep:
         with pytest.raises(ValueError):
             ds.scale_sweep(template, [])
 
+    def test_rejects_a_mixed_fleet_template(self):
+        fast = ds.WorkerLatencyModel(1.0, ds.NoNoise())
+        slow = ds.WorkerLatencyModel(2.0, ds.NoNoise())
+        template = ds.SimConfig(ds.FleetSpec((fast, slow)), 4, iterations=5)
+        with pytest.raises(ValueError) as caught:
+            ds.scale_sweep(template, [2, 4])
+        assert str(caught.value) == "scale_sweep requires a homogeneous fleet template"
+
     @pytest.mark.parametrize("max_workers", [0, -2])
     def test_rejects_fewer_than_one_thread(self, max_workers):
         template = ds.SimConfig(_const_fleet(2), 4, iterations=5)

@@ -732,6 +732,14 @@ def test_writer_blocks_match_csv_writer(kind, shape, block_rows):
         assert new.read_bytes() == old.read_bytes()
 
 
+def test_writer_rejects_a_tensor_of_the_wrong_rank(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError) as caught:
+        write_trace_csv(path, np.ones((2, 2)))
+    assert str(caught.value) == f"expected a 3-d array for {','.join(TRACE_HEADER)}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_writer_failing_partway_keeps_the_old_file(tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     write_trace_csv(path, np.full((4, 2, 2), 0.5))
