@@ -549,8 +549,11 @@ def verify_convex_bound(problem: SgdProblem, schedule: BatchSchedule,
     Runs `seeds` independent trajectories at the convex-theorem step size,
     evaluates the weighted-average iterate per run, and compares the mean
     suboptimality to 8 L b_max ||theta1 - theta*||^2 / K
-    + 6 sigma ||theta1 - theta*|| / sqrt(K).
+    + 6 sigma ||theta1 - theta*|| / sqrt(K). The bound holds for the
+    quadratic problem only; any other raises ValueError before anything runs.
     """
+    if problem.kind != "quadratic":
+        raise ValueError("the convex bound check needs the quadratic problem")
     res = run_many(problem, schedule, k_total, "convex_theorem", "fixed_bmax",
                    RngStream(seed, 0), n_runs=seeds)
     losses = problem.loss(res["theta_bar"]) - problem.loss_star

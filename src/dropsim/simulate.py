@@ -148,15 +148,17 @@ def _block_len(n: int, m: int) -> int:
 class _Sampler:
     """Draws latency blocks for one fleet from the streams of one seed.
 
+    rng None stands for a run's default stream, stream 0 of config.seed.
     Iteration k of a block draws its whole (N, M) matrix from one stream,
-    worker after worker. The workers fall into runs of consecutive equal
-    models: each run's rows are filled in place from the iteration's
+    worker after worker. The workers fall into runs of consecutive
+    equal models: each run's rows are filled in place from the iteration's
     generator (NoiseSpec.fill), and each run is then mapped once over the
     block (NoiseSpec.finish), which gives the bits of drawing each worker's
     M values in turn with `sample`.
     """
 
-    def __init__(self, config: SimConfig, rng: RngStream):
+    def __init__(self, config: SimConfig, rng: Optional[RngStream]):
+        rng = rng if rng is not None else RngStream(config.seed, 0)
         self.n, self.m, self.rng = config.fleet.n, config.m_per_step, rng
         self.at = StreamGenerator(rng.seed).at
         # Runs of equal workers, compared as FleetSpec.is_homogeneous does.
@@ -279,7 +281,7 @@ def _fold(blocks, n: int, m: int, tau, iterations: int, on_block=None) -> RunSta
     return stats
 
 
-def _drawn_blocks(config: SimConfig, root: RngStream):
+def _drawn_blocks(config: SimConfig, root: Optional[RngStream]):
     """(first iteration, (B, N, M) latencies) over config.iterations,
     iteration i drawn from root.derive(i)."""
     sampler = _Sampler(config, root)
@@ -288,14 +290,14 @@ def _drawn_blocks(config: SimConfig, root: RngStream):
         yield first, sampler.draw(np.arange(first, min(first + step, config.iterations)))
 
 
-def _simulated_blocks(config: SimConfig, root: RngStream):
+def _simulated_blocks(config: SimConfig, root: Optional[RngStream]):
     """(first iteration, IterationBlock) of config's run drawn from root."""
     for first, times in _drawn_blocks(config, root):
         yield first, _evaluate(times, config.tau, config.t_comm,
                                config.stop_at_accumulation_boundary)
 
 
-def _draw_trace(config: SimConfig, root: RngStream) -> np.ndarray:
+def _draw_trace(config: SimConfig, root: Optional[RngStream]) -> np.ndarray:
     """The (I, N, M) latencies of config's run drawn from root."""
     trace = np.empty((config.iterations, config.fleet.n, config.m_per_step))
     for first, times in _drawn_blocks(config, root):
@@ -318,8 +320,9 @@ def _replay(trace: np.ndarray, comm: np.ndarray, tau: Optional[float],
     return SimRun(stats, records, trace, comm)
 
 
-def simulate_block(config: SimConfig, rng: RngStream, iterations) -> IterationBlock:
-    """Iteration iterations[k] of rng in row k: drawn from rng.derive(iterations[k])."""
+def simulate_block(config: SimConfig, rng: Optional[RngStream], iterations) -> IterationBlock:
+    """Iteration iterations[k] of rng in row k: drawn from rng.derive(iterations[k]),
+    rng None being the run's default stream, stream 0 of config.seed."""
     times = _Sampler(config, rng).draw(iterations)
     return _evaluate(times, config.tau, config.t_comm, config.stop_at_accumulation_boundary)
 
@@ -327,26 +330,24 @@ def simulate_block(config: SimConfig, rng: RngStream, iterations) -> IterationBl
 def simulate_iteration(config: SimConfig, iter_index: int,
                        rng: Optional[RngStream] = None) -> IterationBlock:
     """Simulate one synchronous iteration: the one-row block
-    simulate_block(config, rng, [iter_index]), rng defaulting to stream 0."""
-    root = rng if rng is not None else RngStream(config.seed, 0)
-    return simulate_block(config, root, [iter_index])
+    simulate_block(config, rng, [iter_index])."""
+    return simulate_block(config, rng, [iter_index])
 
 
 def run(config: SimConfig, rng: Optional[RngStream] = None) -> RunStats:
-    """Run all iterations and aggregate; memory does not grow with the iteration count."""
-    root = rng if rng is not None else RngStream(config.seed, 0)
-    return _fold(_simulated_blocks(config, root), config.fleet.n, config.m_per_step,
+    """Run all iterations and aggregate, iteration i drawn from rng.derive(i) (rng
+    None: stream 0 of config.seed); memory does not grow with the iteration count."""
+    return _fold(_simulated_blocks(config, rng), config.fleet.n, config.m_per_step,
                  config.tau, config.iterations)
 
 
 def run_detailed(config: SimConfig, rng: Optional[RngStream] = None) -> SimRun:
     """Like run, but keeps per-iteration records and the sampled latency trace.
 
-    The trace is the (I, N, M) tensor the threshold selector consumes.
-    Memory scales with I*N*M; use run() for large sweeps.
+    The trace is the (I, N, M) tensor the threshold selector consumes, drawn as
+    run(config, rng) draws it. Memory scales with I*N*M; use run() for large sweeps.
     """
-    root = rng if rng is not None else RngStream(config.seed, 0)
-    return _replay(_draw_trace(config, root), np.full(config.iterations, config.t_comm),
+    return _replay(_draw_trace(config, rng), np.full(config.iterations, config.t_comm),
                    config.tau, config.stop_at_accumulation_boundary)
 
 
@@ -358,9 +359,8 @@ def run_records_csv(config: SimConfig, fh, comment: Optional[str] = None) -> Run
     and comment; no trace is built.
     """
     fh.write(csv_text(comment, RECORDS_HEADER, ()))
-    return _fold(_simulated_blocks(config, RngStream(config.seed, 0)), config.fleet.n,
-                 config.m_per_step, config.tau, config.iterations,
-                 lambda first, block: fh.write(_records_text(
+    return _fold(_simulated_blocks(config, None), config.fleet.n, config.m_per_step,
+                 config.tau, config.iterations, lambda first, block: fh.write(_records_text(
                      first, block.compute_times, block.stop_times, block.completed)))
 
 
@@ -368,14 +368,15 @@ def run_from_trace(trace: np.ndarray, comm_times, tau: Optional[float],
                    stop_at_accumulation_boundary: bool = False) -> SimRun:
     """Replay a recorded (I, N, M) latency trace under a threshold.
 
-    comm_times holds one time per iteration, or one for all. The inputs must
+    comm_times holds one time per iteration, or one number for all. The inputs must
     pass threshold.TraceTensor's checks and tau SimConfig's (None or a
     number > 0); ValueError otherwise. The measured s_eff and drop_rate
     equal, bit for bit, the threshold module's curve at tau for the same
     trace; used as the cross-check oracle.
     """
     _check_tau(tau)
-    checked = threshold.TraceTensor(trace, np.broadcast_to(comm_times, np.shape(trace)[:1]))
+    checked = threshold.TraceTensor(trace, comm_times if np.ndim(comm_times) else
+                                    np.broadcast_to(comm_times, np.shape(trace)[:1]))
     return _replay(checked.latencies, checked.comm_times, tau, stop_at_accumulation_boundary)
 
 
@@ -385,7 +386,7 @@ def auto_tau(config: SimConfig, warmup_iterations: int,
 
     The warmup draws warmup_iterations iterations from rng, by default
     RngStream(config.seed, AUTO_TAU_STREAM). run(config) and
-    run_detailed(config) draw from RngStream(config.seed, 0), so tau* is
+    run_detailed(config) draw from stream 0 of config.seed, so tau* is
     never scored on the samples it was chosen from. The search runs on the
     warmup draw itself, turned into cumulative times in place, so it holds
     about two warmup-sized arrays: the draw and the grid's pooled sort.

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "EULER_GAMMA",
@@ -114,25 +113,10 @@ class RngStream:
         return sid.reshape(shape)
 
     def generator(self) -> np.random.Generator:
-        """Fresh stateful generator positioned at the start of this stream."""
-        return np.random.Generator(np.random.Philox(_PhiloxKey(self.seed, self.stream_id)))
-
-
-class _PhiloxKey(ISeedSequence):
-    """Hands Philox its 128-bit key verbatim.
-
-    ``Philox(_PhiloxKey(seed, stream_id))`` is ``Philox(key=seed | stream_id << 64)``
-    without the OS entropy that a key-only Philox gathers for a seed
-    sequence and then discards.
-    """
-
-    def __init__(self, seed: int, stream_id: int):
-        self.words = (seed, stream_id)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise TypeError(f"_PhiloxKey holds 2 uint64 key words, not {n_words} {dtype}")
-        return np.array(self.words, dtype=np.uint64)
+        """Fresh stateful generator positioned at the start of this stream:
+        ``Philox(key=seed | stream_id << 64)`` at counter 0, so numpy alone
+        reproduces any stream."""
+        return np.random.Generator(np.random.Philox(key=self.seed | self.stream_id << 64))
 
 
 class StreamGenerator:
@@ -147,7 +131,7 @@ class StreamGenerator:
     """
 
     def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(_PhiloxKey(int(seed) & _MASK64, 0))
+        self._bitgen = np.random.Philox(key=int(seed) & _MASK64)
         self._gen = np.random.Generator(self._bitgen)
         # A fresh Philox: counter 0, empty output buffer, no cached 32-bit half.
         # Its words are held as lists, which numpy's state setter reads

@@ -326,6 +326,11 @@ def test_malformed_value_exits_2(tmp_path, capsys, name, keys, value, message):
     ("simulate", ("fleet", "workers"), 0, "invalid fleet: fleet needs at least one worker"),
     ("sgd-bench-logistic", ("problem", "n_samples"), 1,
      "invalid problem block: dimension >= 1 and n_samples >= 2 required"),
+    ("sgd-bench-logistic", ("theorem",), "both",
+     "invalid sgd-bench config: the convex bound check needs the quadratic problem"),
+    ("scale-sweep", ("n_list",), [4, 2],
+     "invalid scale-sweep config: n_list must be strictly ascending"),
+    ("scale-sweep", ("n_list",), [], "invalid scale-sweep config: n_list must be nonempty"),
 ])
 def test_library_error_is_the_one_error_line(tmp_path, capsys, name, keys, value, message):
     assert _run(name, json.dumps(_with(BASES[name], keys, value)), tmp_path) == 2
@@ -338,11 +343,25 @@ def test_library_error_is_the_one_error_line(tmp_path, capsys, name, keys, value
     ("[1, 2]", "{config}: top-level config must be a JSON object"),
     (json.dumps(_with(BASES["simulate"], ("mode",), "bogus")),
      "unknown mode 'bogus'; use synchronous or local-sgd"),
+    # a local_sgd block is read in either mode
+    (json.dumps(_with(BASES["simulate"], ("local_sgd",), {"sync_perod": "four", "bogus": True})),
+     "unknown key(s) ['bogus', 'sync_perod'] in local_sgd block"),
+    (json.dumps(_with(BASES["simulate"], ("local_sgd",), {"sync_period": "four"})),
+     "invalid local_sgd block: sync_period must be an integer, got 'four'"),
 ])
 def test_command_line_error_is_the_one_error_line(tmp_path, capsys, text, message):
     assert _run("simulate", text, tmp_path) == 2
     assert capsys.readouterr().err == f"error: {message.format(config=tmp_path / 'c.json')}\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_synchronous_mode_leaves_local_sgd_ranges_to_local_sgd_mode(tmp_path):
+    # Read for its keys and types, but a range only local_sgd_run checks
+    # passes, since synchronous mode never runs the block.
+    doc = _with(BASES["simulate"], ("local_sgd",), {"sync_period": 0, "straggler_prob": 7})
+    assert _run("simulate", json.dumps(doc), tmp_path) == 0
+    doc["mode"] = "local-sgd"
+    assert _run("local-sgd", json.dumps(doc), tmp_path) == 2
 
 
 def test_undecodable_config_exits_2(tmp_path, capsys):

@@ -356,6 +356,31 @@ def test_replay_rejects_inputs_outside_the_contract(trace, comm, tau):
         ds.run_from_trace(trace, comm, tau)
 
 
+def test_a_run_without_a_stream_draws_stream_0_of_its_seed(tmp_path):
+    config = ds.SimConfig(ds.FleetSpec.homogeneous(3, _MODELS["lognormal"]), 4, 0.1, 0.9, 5, 41)
+    root = ds.RngStream(41, 0)
+    assert ds.run(config) == ds.run(config, root)
+    sim, want = ds.run_detailed(config), ds.run_detailed(config, root)
+    assert _same_floats(sim.trace, want.trace)
+    _assert_records_equal(sim.records, _rows(want.records))
+    _assert_records_equal(ds.simulate_iteration(config, 3),
+                          _rows(ds.simulate_iteration(config, 3, root)))
+    _assert_records_equal(simulate.simulate_block(config, None, [4, 0]),
+                          _rows(simulate.simulate_block(config, root, [4, 0])))
+    with open(tmp_path / "got.csv", "w", newline="") as fh:
+        simulate.run_records_csv(config, fh)
+    simulate.write_records_csv(tmp_path / "want.csv", want.records)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("comm", [[0.1, 0.2, 0.3], np.zeros((5, 1))], ids=["3-of-5", "5x1"])
+def test_replay_names_the_comm_rule(comm):
+    # Only one number is one comm time for all iterations; any other shape
+    # must hold one per iteration, and TraceTensor says so.
+    with pytest.raises(ValueError, match="^comm_times must have one entry per iteration$"):
+        ds.run_from_trace(np.ones((5, 2, 3)), comm, 0.5)
+
+
 def test_api_hetero_shaped_fleet_matches_oracle():
     # 63 fast normal workers, one slow normal worker and one lognormal worker.
     fast = ds.WorkerLatencyModel(1.0, ds.NormalNoise(0.0, 0.08))

@@ -433,6 +433,17 @@ class TestStepSizes:
 
 
 class TestConvexBound:
+    @pytest.mark.parametrize("sin_amplitude", [0.5, 0.0])
+    def test_needs_the_quadratic_problem(self, sin_amplitude):
+        # Refused before anything runs: a k_total below b_max, which run_many
+        # would reject, does not come first.
+        prob = ds.SgdProblem.logistic_synthetic(dimension=3, n_samples=32,
+                                                sin_amplitude=sin_amplitude)
+        for k_total in (1000, 5):
+            with pytest.raises(ValueError,
+                               match="^the convex bound check needs the quadratic problem$"):
+                ds.verify_convex_bound(prob, ds.BatchSchedule(10), k_total, seeds=2)
+
     def test_noiseless_trivial(self):
         prob = ds.SgdProblem.quadratic(sigma=0.0)
         rep = ds.verify_convex_bound(prob, ds.BatchSchedule(100), 10_000, seeds=3, seed=1)

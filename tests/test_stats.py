@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate, stats
 
 from dropsim import RngStream, phi_cdf, phi_inv
-from dropsim.stats import EULER_GAMMA, add_in_order
+from dropsim.stats import EULER_GAMMA, StreamGenerator, add_in_order
 
 
 def _phi_quad(x: float) -> float:
@@ -136,6 +136,16 @@ class TestRngStream:
     def test_derive_never_collides_with_parent(self, seed, indices):
         root = RngStream(seed)
         assert root.derive(*indices) != root
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    @pytest.mark.parametrize("stream_id", [0, 1, 2**64 - 1])
+    def test_stream_is_numpys_philox_keyed_by_its_address(self, seed, stream_id):
+        # The documented address: Philox(key=seed | stream_id << 64) at counter 0.
+        want = np.random.Generator(np.random.Philox(key=seed | stream_id << 64))
+        want = [want.random(5), want.integers(0, 2**63, 3), want.standard_normal(5)]
+        for gen in (RngStream(seed, stream_id).generator(), StreamGenerator(seed).at(stream_id)):
+            got = [gen.random(5), gen.integers(0, 2**63, 3), gen.standard_normal(5)]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @given(st.integers(min_value=0, max_value=2**31), st.floats(min_value=-2, max_value=2), st.floats(min_value=0.1, max_value=3.0))
     @settings(max_examples=10, derandomize=True, deadline=None)

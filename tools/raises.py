@@ -12,9 +12,10 @@ ALLOWED names the raises that no test can reach, by file and enclosing
 function, each with its reason. Exit status: 0 when pytest passes and every
 unreached `raise` is allowed; 1 when pytest fails, a `raise` outside ALLOWED
 is unreached, dropsim was imported from outside src, or an ALLOWED entry
-names no `raise` in its file. Standard library only (pytest runs the tests):
+names no `raise` in its file. Standard library only (pytest runs the tests).
+CI runs it in dev mode with every warning an error:
 
-    python3 tools/raises.py
+    python3 -X dev -W error tools/raises.py
 """
 from __future__ import annotations
 
@@ -34,8 +35,6 @@ ALLOWED = {
     ("latency.py", "NoiseSpec.variance"): "abstract stub: every noise kind overrides it",
     ("sgd.py", "_newton_direction"):
         "the ladder's last shift makes the matrix diagonally dominant, so it factorises",
-    ("stats.py", "_PhiloxKey.generate_state"):
-        "np.random.Philox asks its key sequence for 2 uint64 words only",
 }
 
 
